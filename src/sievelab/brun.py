@@ -17,13 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from .heights import enumerate_projective
-from .sieve import SieveSupport, local_density
+from .sieve import local_density
 
 
 def primes_below(n):
-    sieve = bytearray([1]) * max(n, 2)
+    n = max(n, 2)
+    sieve = bytearray([1]) * n
     sieve[0:2] = b"\x00\x00"
-    for k in range(2, int(n**0.5) + 1):
+    for k in range(2, math.isqrt(n) + 1):
         if sieve[k]:
             sieve[k * k :: k] = b"\x00" * len(sieve[k * k :: k])
     return [i for i in range(n) if sieve[i]]
@@ -122,9 +123,6 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None, compute_exact=True):
     H = Fraction(n)
     densities = {p: local_density(sets_by_prime[p]) for p in primes}
 
-    lam_up = brun_coefficients(primes, D, b, "upper")
-    lam_lo = brun_coefficients(primes, D, b, "lower")
-
     full = (1 << n) - 1
 
     def S(d, prime_factors):
@@ -136,26 +134,21 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None, compute_exact=True):
     def factor(d):
         return [p for p in primes if d % p == 0]
 
-    upper = Fraction(0)
-    r_plus = Fraction(0)
-    for d, lam in lam_up.values.items():
-        fs = factor(d)
-        Sd = S(d, fs)
-        nu_d = Fraction(1)
-        for p in fs:
-            nu_d *= densities[p]
-        upper += lam * Sd
-        r_plus += abs(Fraction(Sd) - nu_d * H)
-    lower = Fraction(0)
-    r_minus = Fraction(0)
-    for d, lam in lam_lo.values.items():
-        fs = factor(d)
-        Sd = S(d, fs)
-        nu_d = Fraction(1)
-        for p in fs:
-            nu_d *= densities[p]
-        lower += lam * Sd
-        r_minus += abs(Fraction(Sd) - nu_d * H)
+    # (sum lambda_d S_d, sum |S_d - nu_d H|) for each sign
+    sums = {}
+    for sign in ("upper", "lower"):
+        total = Fraction(0)
+        remainder = Fraction(0)
+        for d, lam in brun_coefficients(primes, D, b, sign).values.items():
+            fs = factor(d)
+            Sd = S(d, fs)
+            nu_d = Fraction(1)
+            for p in fs:
+                nu_d *= densities[p]
+            total += lam * Sd
+            remainder += abs(Fraction(Sd) - nu_d * H)
+        sums[sign] = (total, remainder)
+    (upper, r_plus), (lower, r_minus) = sums["upper"], sums["lower"]
 
     main = H
     for p in primes:

@@ -15,14 +15,12 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .brun import good_reduction_census, primes_below
-from .cache import ResultCache
+from .brun import primes_below
 from .curves import BAD_SENTINEL, ap_table, surjectivity_verdict
 from .heights import enumerate_affine
-from .sieve import SievingSet, SieveSupport, sifted_set
 
 
 class ConfigError(Exception):
@@ -44,24 +42,40 @@ class ExperimentConfig:
     l_values: tuple
     pcap: int
     out_dir: str = "."
-    cache_path: str = None
     workers: int = 1
     seed: int = 0
 
     def validate(self):
+        ints = (*self.x_values, *self.l_values, self.pcap, self.workers, self.seed)
+        if not all(type(v) is int for v in ints):
+            raise ConfigError("x, l, pcap, workers and seed must be integers")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError("out must be a nonempty path")
         if not self.x_values or list(self.x_values) != sorted(set(self.x_values)):
             raise ConfigError("x values must be nonempty and strictly increasing")
         if any(x < 1 for x in self.x_values):
             raise ConfigError("x values must be >= 1")
-        if not self.l_values or any(l < 3 for l in self.l_values):
-            raise ConfigError("l values must be primes >= 3")
+        if not self.l_values:
+            raise ConfigError("l values must be nonempty")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.pcap < 1:
+            raise ConfigError("pcap must be >= 1")
         if self.pcap > PCAP_LIMIT:
             raise InfeasibleError("prime cap exceeds feasibility limit")
-        if max(self.l_values) > L_LIMIT:
-            raise InfeasibleError("l exceeds feasibility limit")
+        for l in self.l_values:
+            _check_l(l)
         return self
+
+
+def _check_l(l):
+    """A prime l with 3 <= l <= L_LIMIT, else ConfigError / InfeasibleError."""
+    if l < 3:
+        raise ConfigError(f"l = {l}: l must be a prime >= 3")
+    if l > L_LIMIT:
+        raise InfeasibleError(f"l = {l} exceeds feasibility limit {L_LIMIT}")
+    if l not in primes_below(L_LIMIT + 1):
+        raise ConfigError(f"l = {l} is not prime")
 
 
 def _table_worker(args):
@@ -108,31 +122,28 @@ class CensusRow:
         return row
 
 
-def point_class_sets(family, t, tables, l_values, cache=None):
-    """Observed char-poly classes {(a_p mod l, p mod l)} per l for one t."""
+def _good_aps(tables, t):
+    """(p, a_p) for every tabled prime p not dividing den(t) at which the
+    specialization at t has good reduction."""
     num, den = t.numerator, t.denominator
-    fid = family.family_id() if cache is not None else None
-    classes = {l: set() for l in l_values}
     for p, table in tables.items():
-        if den % p == 0:
-            continue
-        cached = cache.get(fid, (num, den), p) if cache is not None else None
-        if cached is not None:
-            ap = cached
-        else:
-            rp = num * pow(den, -1, p) % p
-            ap = int(table[rp])
-            if cache is not None:
-                cache.put(fid, (num, den), p, ap)
-        if ap == BAD_SENTINEL:
-            continue
+        if den % p:
+            ap = int(table[num * pow(den, -1, p) % p])
+            if ap != BAD_SENTINEL:
+                yield p, ap
+
+
+def point_class_sets(t, tables, l_values):
+    """Observed char-poly classes {(a_p mod l, p mod l)} per l for one t."""
+    classes = {l: set() for l in l_values}
+    for p, ap in _good_aps(tables, t):
         for l in l_values:
             if p != l:
                 classes[l].add((ap % l, p % l))
     return classes
 
 
-def census(family, x_values, l_values, pcap, workers=1, seed=0, cache=None):
+def census(family, x_values, l_values, pcap, workers=1, seed=0):
     """CensusRow per x.  Verdicts are computed once at the largest x and
     restricted, which also enforces the monotone-containment invariant."""
     tables = frobenius_tables(family, pcap, workers, seed)
@@ -141,7 +152,7 @@ def census(family, x_values, l_values, pcap, workers=1, seed=0, cache=None):
     verdicts = {}
     for pt in points:
         t = pt.coords[0]
-        cls = point_class_sets(family, t, tables, l_values, cache)
+        cls = point_class_sets(t, tables, l_values)
         verdicts[t] = {
             l: surjectivity_verdict(cls[l], l, family.genus) for l in l_values
         }
@@ -192,58 +203,42 @@ class ClassSetReport:
         )
 
 
-def class_sieving_sets(family, tables, l, class_key, support_primes):
-    """Omega_{p, C} in projective coordinates (u0, u1) = (denominator,
-    numerator): the residues whose specialization is good with observed
-    class C."""
-    sets = {}
-    tr0, det0 = class_key
-    for p in support_primes:
-        table = tables[p]
-        if p % l != det0 % l:
-            raise ValueError("class determinant incompatible with support prime")
-        residues = set()
-        for rp in range(p):
-            ap = int(table[rp])
-            if ap == BAD_SENTINEL or ap % l != tr0 % l:
-                continue
-            for b in range(1, p):
-                residues.add((b, rp * b % p))
-        sets[p] = SievingSet(p, 2, frozenset(residues))
-    return sets
-
-
-def sifted_class_set(family, x, l, class_key, pcap, Q, tables=None):
-    """|Y_C(x)|: parameters whose Frobenius class avoids C at every support
-    prime p = 1 mod l below Q."""
-    support_primes = tuple(
+def _support_primes(family, l, pcap, Q):
+    """Class-sieve support: primes p < Q with p = 1 mod l, p <= pcap, not
+    excluded by the family."""
+    support = tuple(
         p
-        for p in primes_below(int(Q))
-        if p % l == 1 and p <= pcap and p not in family.excluded_primes
+        for p in primes_below(min(int(Q), pcap + 1))
+        if p % l == 1 and p not in family.excluded_primes
     )
-    if not support_primes:
+    if not support:
         raise InfeasibleError("empty support")
-    if tables is None:
-        tables = {p: ap_table(family, p) for p in support_primes}
-    sets = class_sieving_sets(family, tables, l, class_key, support_primes)
-    support = SieveSupport(support_primes, int(Q))
-    points = enumerate_affine(1, x, bad_locus=family.bad_locus)
+    return support
 
-    def F(pt):
-        t = pt.coords[0]
-        return (t.denominator, t.numerator)
 
-    survivors = sifted_set(points, F, [sets[p] for p in support_primes], support)
+def sifted_class_set(family, x, l, class_key, pcap, Q):
+    """|Y_C(x)|: parameters whose Frobenius class avoids C at every support
+    prime p = 1 mod l below Q.  A parameter is sifted out at p when its
+    reduction is good there with a_p = tr (mod l); det = p = 1 (mod l) on
+    the whole support, so C must have det = 1."""
+    _check_l(l)
+    tr0, det0 = class_key
+    if det0 % l != 1:
+        raise ConfigError(f"class determinant {det0} must be 1 mod l = {l}")
+    support_primes = _support_primes(family, l, pcap, Q)
+    tables = {p: ap_table(family, p) for p in support_primes}
+    count = sum(
+        all(ap % l != tr0 % l for _, ap in _good_aps(tables, pt.coords[0]))
+        for pt in enumerate_affine(1, x, bad_locus=family.bad_locus)
+    )
     # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}
     from .groups import GroupSpec, charpoly_class_density
 
-    dens = charpoly_class_density(GroupSpec(1, l, "gsp"), class_key[1])
-    frac = dens.get(class_key[0] % l, Fraction(0))
+    dens = charpoly_class_density(GroupSpec(1, l, "gsp"), det0)
+    frac = dens.get(tr0 % l, Fraction(0))
     inv_density = float(1 / frac) if frac else float("inf")
     bound = inv_density * l * math.log(x) / math.sqrt(x) * x**2
-    return ClassSetReport(
-        l, tuple(class_key), x, int(Q), support_primes, len(survivors), bound
-    )
+    return ClassSetReport(l, tuple(class_key), x, int(Q), support_primes, count, bound)
 
 
 def exceptional_containment_check(family, x, l, pcap, Q, workers=1, seed=0):
@@ -251,27 +246,12 @@ def exceptional_containment_check(family, x, l, pcap, Q, workers=1, seed=0):
     the exceptional proxy sits inside the union of the Y_C."""
     rows, verdicts = census(family, [x], [l], pcap, workers, seed)
     undecided = [t for t, v in verdicts.items() if v[l] != "surjective"]
-    support_primes = tuple(
-        p
-        for p in primes_below(int(Q))
-        if p % l == 1 and p <= pcap and p not in family.excluded_primes
-    )
-    if not support_primes:
-        raise InfeasibleError("empty support")
+    support_primes = _support_primes(family, l, pcap, Q)
     tables = {p: ap_table(family, p) for p in support_primes}
-    failures = []
-    for t in undecided:
-        realized = set()
-        num, den = t.numerator, t.denominator
-        for p in support_primes:
-            if den % p == 0:
-                continue
-            ap = int(tables[p][num * pow(den, -1, p) % p])
-            if ap != BAD_SENTINEL:
-                realized.add(ap % l)
-        # survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
-        if all(tr0 in realized for tr0 in range(l)):
-            failures.append(t)
+    # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
+    failures = [
+        t for t in undecided if len({ap % l for _, ap in _good_aps(tables, t)}) == l
+    ]
     return len(undecided), failures
 
 

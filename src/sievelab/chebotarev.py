@@ -48,15 +48,6 @@ class FFieldCensus:
             sort_keys=True,
         )
 
-    def csv_rows(self):
-        rows = []
-        keys = set(self.frequencies) | set(self.predicted or {})
-        for k in sorted(keys):
-            f = self.frequencies.get(k, Fraction(0))
-            p = (self.predicted or {}).get(k, Fraction(0))
-            rows.append([self.q, self.n, self.l, str(k), float(f), float(p), float(abs(f - p))])
-        return rows
-
 
 def ffield_specializations(family, q, n):
     """All t in (F_{q^n})^r with bad_locus(t) != 0, as field-element tuples.

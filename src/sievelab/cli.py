@@ -12,14 +12,13 @@ import json
 import os
 import sys
 
-from .brun import good_reduction_census
-from .cache import ResultCache
+from .brun import good_reduction_census, primes_below
 from .census import (
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
+    L_LIMIT,
     census,
-    exceptional_containment_check,
     merged_report,
     sifted_class_set,
     write_census_csv,
@@ -31,22 +30,29 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+CONFIG_KEYS = {"family", "x", "l", "pcap", "out", "workers", "seed"}
+
 
 def _load_family(value):
     if value in (None, "default-g1"):
         return default_elliptic_family()
     if value == "default-g2":
         return default_genus2_family()
-    if isinstance(value, str):
-        if not os.path.exists(value):
-            raise ConfigError(f"family file not found: {value}")
-        with open(value, encoding="utf-8") as fh:
-            return CurveFamily.from_json(fh.read())
-    return CurveFamily.from_json(json.dumps(value))
+    try:
+        if isinstance(value, str):
+            if not os.path.exists(value):
+                raise ConfigError(f"family file not found: {value}")
+            with open(value, encoding="utf-8") as fh:
+                return CurveFamily.from_json(fh.read())
+        return CurveFamily.from_json(json.dumps(value))
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ConfigError(f"bad family document: {e!r}")
 
 
-def _primes_upto(n):
-    return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+def _int_tuple(value, key):
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of integers")
+    return tuple(value)
 
 
 def load_config(args):
@@ -59,6 +65,11 @@ def load_config(args):
                 doc = json.load(fh)
         except ValueError as e:
             raise ConfigError(f"bad config JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(doc) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     family = _load_family(doc.get("family"))
     x_values = doc.get("x", [20])
     if args.x:
@@ -67,32 +78,31 @@ def load_config(args):
         except ValueError:
             raise ConfigError("--x must be a comma-separated integer list")
     l_values = doc.get("l", [5, 7, 11, 13])
-    if args.lmax:
-        l_values = [l for l in _primes_upto(args.lmax) if l >= 3]
+    if args.lmax is not None:
+        # primes past 2 * L_LIMIT add nothing but the same infeasibility
+        l_values = [l for l in primes_below(min(args.lmax, 2 * L_LIMIT) + 1) if l >= 3]
+
+    def pick(flag, key, default):
+        return flag if flag is not None else doc.get(key, default)
+
     cfg = ExperimentConfig(
         family=family,
-        x_values=tuple(x_values),
-        l_values=tuple(l_values),
-        pcap=args.pcap or doc.get("pcap", 1000),
-        out_dir=args.out or doc.get("out", "."),
-        cache_path=doc.get("cache"),
-        workers=args.workers or doc.get("workers", 1),
-        seed=args.seed if args.seed is not None else doc.get("seed", 0),
+        x_values=_int_tuple(x_values, "x"),
+        l_values=_int_tuple(l_values, "l"),
+        pcap=pick(args.pcap, "pcap", 1000),
+        out_dir=pick(args.out, "out", "."),
+        workers=pick(args.workers, "workers", 1),
+        seed=pick(args.seed, "seed", 0),
     )
     cfg.validate()
     return cfg, doc
 
 
 def cmd_census(cfg, doc):
-    cache = ResultCache(cfg.cache_path) if cfg.cache_path else None
-    rows, _ = census(
-        cfg.family, cfg.x_values, cfg.l_values, cfg.pcap, cfg.workers, cfg.seed, cache
-    )
+    rows, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap, cfg.workers, cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "census.csv")
     write_census_csv(path, rows, cfg.l_values)
-    if cache is not None and cache.malformed:
-        print(f"warning: skipped {cache.malformed} malformed cache lines", file=sys.stderr)
     print(path)
     return EXIT_OK
 
@@ -158,6 +168,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg, doc = load_config(args)
+        if args.command in ("census", "sifted-class-set") and cfg.family.genus != 1:
+            raise ConfigError(f"{args.command} needs a genus-1 family")
         if args.command == "census":
             return cmd_census(cfg, doc)
         if args.command == "sifted-class-set":
@@ -177,6 +189,9 @@ def main(argv=None):
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -257,22 +257,6 @@ def frobenius_invariants(s, p):
     return (a1, a2)
 
 
-@dataclass(frozen=True)
-class FrobeniusRecord:
-    p: int
-    data: tuple  # (a_p,) or (a1, a2)
-
-
-def frob_class(record, l):
-    """Char-poly class mod l: (tr, det) for g=1; (a1, a2, similitude) for g=2."""
-    if record.p == l:
-        raise ValueError("residual characteristic")
-    if len(record.data) == 1:
-        return (record.data[0] % l, record.p % l)
-    a1, a2 = record.data
-    return (a1 % l, a2 % l, record.p % l)
-
-
 def _generates_units(values, l):
     seen = {1}
     frontier = {1}
@@ -292,30 +276,29 @@ def _generates_units(values, l):
 def surjectivity_verdict(classes, l, g):
     """'surjective' or 'undecided' from observed char-poly classes.
 
-    g=1, l >= 5: witness criterion (split/nonsplit Cartan elements, full
-    determinant image, and the exceptional-image excluder); a 'surjective'
+    g=1, l >= 5: Serre's witness criterion (Invent. Math. 15, 1972, §2.8,
+    Prop. 19): split and nonsplit Cartan elements with nonzero trace, full
+    determinant image, and the exceptional-image excluder; a 'surjective'
     verdict certifies the subgroup generated by the observed semisimple
     classes is GL2(F_l).  'undecided' is never a non-surjectivity claim.
-    g=1, l = 3: full char-poly class coverage.  g=2: statistics only.
+    g=1, l = 3: always 'undecided'; the three 2-Sylow subgroups of GL2(F_3)
+    (order 16) meet all six (tr, det) classes, so char-poly data cannot
+    certify surjectivity mod 3.  g=2: statistics only.
     """
-    if g == 2:
+    if g == 2 or l == 3:
         return "undecided"
-    classes = set(classes)
-    if l == 3:
-        full = {(tr, d) for tr in range(3) for d in (1, 2)}
-        return "surjective" if classes >= full else "undecided"
     if l < 5:
-        raise ValueError("need l >= 5 (or l = 3 coverage mode)")
+        raise ValueError("need l >= 3")
+    classes = set(classes)
     squares = {x * x % l for x in range(1, l)}
     if not _generates_units([d for _, d in classes], l):
         return "undecided"
-    has_split = any(
-        tr != 0 and (tr * tr - 4 * d) % l in squares for tr, d in classes
-    )
-    has_nonsplit = any(
-        (tr * tr - 4 * d) % l not in squares and (tr * tr - 4 * d) % l != 0
-        for tr, d in classes
-    )
+    # Cartan witnesses need tr != 0: split iff the discriminant is a nonzero
+    # square, nonsplit iff it is a nonsquare
+    discs = {(tr * tr - 4 * d) % l for tr, d in classes if tr != 0}
+    has_split = bool(discs & squares)
+    has_nonsplit = any(v and v not in squares for v in discs)
+
     def u_ok(tr, d):
         u = tr * tr * pow(d, -1, l) % l
         return u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % l != 0

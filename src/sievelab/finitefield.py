@@ -45,8 +45,6 @@ def _poly_powmod(base, e, h, q):
 def _is_irreducible(h, q):
     """Monic h irreducible over F_q iff z^{q^n} = z mod h and z^{q^{n/p}} != z."""
     n = len(h) - 1
-    z = [0, 1] if n > 1 else [(-h[0]) % q]
-    zn = _poly_powmod([0, 1][: max(2, n)], q**n, h, q) if n > 1 else None
     if n == 1:
         return True
     x = [0, 1]

@@ -181,16 +181,17 @@ def transvection(v, l, g):
     return tuple(tuple(row) for row in T)
 
 
-def closure(generators, l):
-    """BFS closure of a matrix generating set under multiplication."""
+def closure(generators, mul):
+    """BFS closure of a nonempty generating set under ``mul``: in a finite
+    group this is the generated subgroup (the identity is a power)."""
     gens = list(generators)
     seen = set(gens)
     frontier = list(gens)
     while frontier:
         new = []
-        for m in frontier:
+        for a in frontier:
             for g_ in gens:
-                prod = mat_mul(m, g_, l)
+                prod = mul(a, g_)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -203,7 +204,7 @@ def sp4_elements(l):
     basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     extra = [(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
     gens = [transvection(v, l, 2) for v in basis + extra]
-    elems = closure(gens, l)
+    elems = closure(gens, lambda a, b: mat_mul(a, b, l))
     expect = group_order(GroupSpec(2, l, "sp"))
     if len(elems) != expect:
         raise AssertionError("transvection closure did not reach Sp4")
@@ -252,11 +253,6 @@ class ClassTable:
     def total(self):
         return sum(self.entries.values())
 
-    def to_json(self):
-        import json
-
-        return json.dumps({str(k): v for k, v in sorted(self.entries.items())})
-
 
 def find_generators(elements, mul):
     """Greedy small generating set, verified by closure."""
@@ -264,25 +260,10 @@ def find_generators(elements, mul):
     full = set(elements)
     gens = []
     have = {elems[0]} if elems else set()
-
-    def clo(gs):
-        seen = set(gs)
-        frontier = list(gs)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g_ in gs:
-                    p_ = mul(a, g_)
-                    if p_ not in seen:
-                        seen.add(p_)
-                        new.append(p_)
-            frontier = new
-        return seen
-
     for e in elems:
         if e not in have:
             gens.append(e)
-            have = clo(gens)
+            have = closure(gens, mul)
             if have == full:
                 break
     return gens
@@ -417,21 +398,6 @@ def all_subgroups(elements, mul):
                 break
     if e is None:
         raise ValueError("no identity found")
-
-    def gen_closure(gens):
-        seen = set(gens) | {e}
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g_ in gens:
-                    p_ = mul(a, g_)
-                    if p_ not in seen:
-                        seen.add(p_)
-                        new.append(p_)
-            frontier = new
-        return frozenset(seen)
-
     found = {frozenset([e])}
     frontier = [frozenset([e])]
     while frontier:
@@ -439,7 +405,7 @@ def all_subgroups(elements, mul):
         for H in frontier:
             for g_ in elems:
                 if g_ not in H:
-                    H2 = gen_closure(set(H) | {g_})
+                    H2 = frozenset(closure(set(H) | {g_}, mul))
                     if H2 not in found:
                         found.add(H2)
                         new.append(H2)

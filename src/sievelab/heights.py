@@ -49,15 +49,6 @@ class AffinePoint:
         return [[c.numerator, c.denominator] for c in self.coords]
 
 
-@dataclass(frozen=True)
-class HeightBound:
-    x: Fraction
-
-    def __post_init__(self):
-        if self.x < 1:
-            raise ValueError("height bound must be >= 1")
-
-
 def canonicalize(raw):
     """Unique primitive, sign-normalized representative of a projective point."""
     coords = tuple(int(c) for c in raw)

@@ -14,19 +14,6 @@ from fractions import Fraction
 
 
 @dataclass(frozen=True)
-class SieveSetting:
-    """Over Q: Y = Z^{r+1} with coordinatewise reduction mod each prime."""
-
-    r: int
-    prime_universe: tuple
-
-    def __post_init__(self):
-        ps = self.prime_universe
-        if len(set(ps)) != len(ps) or any(p <= 1 for p in ps):
-            raise ValueError("primes must be distinct and > 1")
-
-
-@dataclass(frozen=True)
 class SieveSupport:
     """Prime sieve support L* together with the norm bound Q."""
 

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from sievelab.cache import ResultCache
 from sievelab.census import (
     ConfigError,
     ExperimentConfig,
@@ -96,43 +95,43 @@ class TestClassSieving:
                 count += 1
         assert rep.count == count
 
+    @pytest.mark.parametrize("l, Q", [(5, 200), (7, 300)])
+    def test_multi_prime_support_matches_exhaustive_sieve(self, l, Q):
+        # the Omega_{p,C} formulation: every (b, r b) in (Z/p)^2 with b a unit
+        # and a good a_p(r) = tr mod l, sifted through sieve.sifted_set
+        from sievelab.curves import ap_table, BAD_SENTINEL
+        from sievelab.heights import enumerate_affine
+        from sievelab.sieve import SieveSupport, SievingSet, sifted_set
+
+        fam = default_elliptic_family()
+        points = enumerate_affine(1, 20, bad_locus=fam.bad_locus)
+        F = lambda pt: (pt.coords[0].denominator, pt.coords[0].numerator)
+        support = None
+        tables = {}
+        for tr in range(l):
+            rep = sifted_class_set(fam, 20, l, (tr, 1), 1000, Q)
+            if support is None:
+                support = rep.support
+                assert len(support) > 1
+                tables = {p: ap_table(fam, p) for p in support}
+            assert rep.support == support
+            sets = []
+            for p in support:
+                omega = {
+                    (b, r * b % p)
+                    for r in range(p)
+                    if tables[p][r] != BAD_SENTINEL and int(tables[p][r]) % l == tr
+                    for b in range(1, p)
+                }
+                sets.append(SievingSet(p, 2, frozenset(omega)))
+            expected = sifted_set(points, F, sets, SieveSupport(support, Q))
+            assert rep.count == len(expected)
+
     def test_containment_cross_check(self):
         fam = default_elliptic_family()
         n_undecided, failures = exceptional_containment_check(fam, 20, 5, 1000, 200)
         assert n_undecided > 0
         assert failures == []
-
-
-class TestCache:
-    def test_roundtrip_and_dedup(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        c = ResultCache(path)
-        c.put("fam", (2, 1), 5, -3)
-        c.put("fam", (2, 1), 5, -3)  # replay ignored
-        c2 = ResultCache(path)
-        assert c2.get("fam", (2, 1), 5) == -3
-        assert len(c2) == 1
-        with open(path) as fh:
-            assert len(fh.readlines()) == 1
-
-    def test_malformed_lines_skipped(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        with open(path, "w") as fh:
-            fh.write('{"family": "f", "t": [1, 1], "p": 5, "data": 2}\n')
-            fh.write("not json at all\n")
-            fh.write('{"missing": "keys"}\n')
-        c = ResultCache(path)
-        assert len(c) == 1 and c.malformed == 2
-
-    def test_census_replay_identical(self, tmp_path):
-        fam = default_elliptic_family()
-        path = str(tmp_path / "cache.jsonl")
-        cache = ResultCache(path)
-        rows1, _ = census(fam, [10], [5], 50, cache=cache)
-        replay = ResultCache(path)
-        assert len(replay) > 0
-        rows2, _ = census(fam, [10], [5], 50, cache=replay)
-        assert rows1[0].csv_row([5]) == rows2[0].csv_row([5])
 
 
 class TestCli:
@@ -171,6 +170,44 @@ class TestCli:
         cfg.write_text(json.dumps({"x": [10], "l": [5], "pcap": 50}))
         out = str(tmp_path / "out")
         assert main(["--config", str(cfg), "--out", out, "census"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, config, code",
+        [
+            (["sifted-class-set", "--l", "5", "--class", "0,2", "--Q", "200"], None, 2),
+            (["sifted-class-set", "--l", "2", "--class", "0,1", "--Q", "200"], None, 2),
+            (["sifted-class-set", "--l", "9", "--class", "0,1", "--Q", "200"], None, 2),
+            (["sifted-class-set", "--l", "17", "--class", "0,1", "--Q", "200"], None, 3),
+            (["census"], {"l": [9]}, 2),
+            (["--pcap", "0", "census"], None, 2),
+            (["--pcap", "-5", "census"], None, 2),
+            (["--workers", "0", "census"], None, 2),
+            (["census"], {"family": "default-g2"}, 2),
+            (["sifted-class-set", "--l", "5", "--class", "0,1", "--Q", "200"],
+             {"family": "default-g2"}, 2),
+            (["census"], {"cache": "results.jsonl"}, 2),
+            (["census"], {"x": [10], "colour": "blue"}, 2),
+            (["census"], [10], 2),
+            (["census"], {"l": 5}, 2),
+            (["census"], {"family": {"genus": 1}}, 2),
+            (["--lmax", "100", "census"], None, 3),
+            (["--out", "", "census"], None, 2),
+            (["--out", "{tmp}/file", "census"], None, 2),
+        ],
+    )
+    def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):
+        (tmp_path / "file").write_text("")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        # a flag in argv overrides the same flag in the prefix
+        prefix = ["--x", "10", "--pcap", "50", "--out", str(tmp_path / "out")]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            prefix += ["--config", str(cfg)]
+        assert main(prefix + argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_sifted_class_set_command(self, tmp_path):
         out = str(tmp_path / "out")

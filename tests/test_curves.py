@@ -4,13 +4,11 @@ import pytest
 
 from sievelab.curves import (
     BAD_SENTINEL,
-    FrobeniusRecord,
     ap_count,
     ap_count_pointloop,
     ap_table,
     default_elliptic_family,
     default_genus2_family,
-    frob_class,
     frobenius_invariants,
     genus2_counts,
     reduction_type,
@@ -18,6 +16,7 @@ from sievelab.curves import (
     surjectivity_verdict,
     CurveFamily,
 )
+from sievelab.groups import closure, gl2_elements, mat_inv, mat_mul
 from sievelab.polynomials import Poly
 
 
@@ -141,26 +140,42 @@ class TestGenus2:
             assert (a1 * a1 - (p * p + 1 - n2)) % 2 == 0
 
 
-class TestFrobClass:
-    def test_g1_key(self):
-        rec = FrobeniusRecord(7, (3,))
-        assert frob_class(rec, 3) == (0, 1)
-        assert frob_class(rec, 5) == (3, 2)
-
-    def test_g2_key(self):
-        rec = FrobeniusRecord(7, (0, -2))
-        assert frob_class(rec, 3) == (0, 1, 1)
-
-    def test_residual_characteristic_rejected(self):
-        with pytest.raises(ValueError, match="residual"):
-            frob_class(FrobeniusRecord(5, (1,)), 5)
+def _class(m, l):
+    """(trace, det) of a 2x2 matrix mod l."""
+    return ((m[0][0] + m[1][1]) % l, (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % l)
 
 
 class TestVerdict:
     def test_l3_coverage(self):
+        # the 2-Sylow subgroups of GL2(F_3) (normalisers of the nonsplit
+        # Cartan, order 16) are proper yet meet all six (tr, det) classes
+        mul = lambda a, b: mat_mul(a, b, 3)
+        sylow = closure([((1, 2), (1, 1)), ((1, 0), (0, 2))], mul)
+        conjugates = {
+            frozenset(mul(mul(g, h), mat_inv(g, 3)) for h in sylow)
+            for g in gl2_elements(3)
+        }
+        assert len(conjugates) == 3
         full = {(tr, d) for tr in range(3) for d in (1, 2)}
-        assert surjectivity_verdict(full, 3, 1) == "surjective"
-        assert surjectivity_verdict(full - {(0, 1)}, 3, 1) == "undecided"
+        for H in conjugates:
+            assert len(H) == 16
+            classes = {_class(m, 3) for m in H}
+            assert classes == full
+            assert surjectivity_verdict(classes, 3, 1) == "undecided"
+
+    def test_split_cartan_normaliser_undecided(self):
+        # N(C_s) = <diag(a, 1), diag(1, a), w> has order 2 (l - 1)^2; its
+        # nonsplit classes all have trace 0
+        for l, a in ((5, 2), (7, 3), (11, 2), (13, 2)):
+            gens = [((a, 0), (0, 1)), ((1, 0), (0, a)), ((0, 1), (1, 0))]
+            N = closure(gens, lambda x, y: mat_mul(x, y, l))
+            assert len(N) == 2 * (l - 1) ** 2
+            assert surjectivity_verdict({_class(m, l) for m in N}, l, 1) == "undecided"
+
+    def test_full_group_is_surjective(self):
+        for l in (5, 7, 11, 13):
+            classes = {_class(m, l) for m in gl2_elements(l)}
+            assert surjectivity_verdict(classes, l, 1) == "surjective"
 
     def test_g2_always_undecided(self):
         assert surjectivity_verdict({(0, 1, 1)}, 3, 2) == "undecided"
@@ -177,5 +192,5 @@ class TestVerdict:
         for p in range(5, 200):
             if all(p % d for d in range(2, p)) and p != 5:
                 if reduction_type(s, p) == "good":
-                    classes.add(frob_class(FrobeniusRecord(p, (ap_count(s, p),)), 5))
+                    classes.add((ap_count(s, p) % 5, p % 5))
         assert surjectivity_verdict(classes, 5, 1) == "surjective"
