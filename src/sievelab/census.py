@@ -33,6 +33,7 @@ class InfeasibleError(Exception):
 
 PCAP_LIMIT = 10**4
 L_LIMIT = 13
+X_LIMIT = 1000  # census and class sieve only: both hold all (2x + 1)^2 candidates
 
 
 @dataclass
@@ -78,11 +79,17 @@ def _check_l(l):
         raise ConfigError(f"l = {l} is not prime")
 
 
+def _check_x(x):
+    """Height bound of the census and the class sieve, else InfeasibleError."""
+    if x > X_LIMIT:
+        raise InfeasibleError(f"x = {x} exceeds feasibility limit {X_LIMIT}")
+
+
 def _table_worker(args):
     family_json, p = args
     from .curves import CurveFamily
 
-    return p, ap_table(CurveFamily.from_json(family_json), p).tolist()
+    return p, ap_table(CurveFamily.from_json(family_json), p)
 
 
 def frobenius_tables(family, pcap, workers=1, seed=0):
@@ -96,9 +103,7 @@ def frobenius_tables(family, pcap, workers=1, seed=0):
         fam_json = family.to_json()
         with multiprocessing.Pool(workers) as pool:
             result = dict(pool.map(_table_worker, [(fam_json, p) for p in order]))
-        import numpy as np
-
-        return {p: np.asarray(result[p]) for p in primes}
+        return {p: result[p] for p in primes}
     return {p: ap_table(family, p) for p in primes}
 
 
@@ -146,21 +151,23 @@ def point_class_sets(t, tables, l_values):
 def census(family, x_values, l_values, pcap, workers=1, seed=0):
     """CensusRow per x.  Verdicts are computed once at the largest x and
     restricted, which also enforces the monotone-containment invariant."""
-    tables = frobenius_tables(family, pcap, workers, seed)
+    _check_x(max(x_values))
+    return _census(family, x_values, l_values, frobenius_tables(family, pcap, workers, seed))
+
+
+def _census(family, x_values, l_values, tables):
     x_values = sorted(x_values)
-    points = enumerate_affine(1, x_values[-1], bad_locus=family.bad_locus)
+    points = [pt.coords[0] for pt in enumerate_affine(1, x_values[-1], bad_locus=family.bad_locus)]
     verdicts = {}
-    for pt in points:
-        t = pt.coords[0]
+    for t in points:
         cls = point_class_sets(t, tables, l_values)
         verdicts[t] = {
             l: surjectivity_verdict(cls[l], l, family.genus) for l in l_values
         }
     rows = []
-    from .heights import height_affine
-
     for x in x_values:
-        sub = [pt.coords[0] for pt in points if height_affine(pt) <= x]
+        # the height of t = n/d in lowest terms is max(|n|, d)
+        sub = [t for t in points if max(abs(t.numerator), t.denominator) <= x]
         surj = {l: 0 for l in l_values}
         und = {l: 0 for l in l_values}
         any_und = 0
@@ -222,6 +229,7 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     reduction is good there with a_p = tr (mod l); det = p = 1 (mod l) on
     the whole support, so C must have det = 1."""
     _check_l(l)
+    _check_x(x)
     tr0, det0 = class_key
     if det0 % l != 1:
         raise ConfigError(f"class determinant {det0} must be 1 mod l = {l}")
@@ -244,13 +252,14 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
 def exceptional_containment_check(family, x, l, pcap, Q, workers=1, seed=0):
     """Every census-undecided point survives at least one class sieve:
     the exceptional proxy sits inside the union of the Y_C."""
-    rows, verdicts = census(family, [x], [l], pcap, workers, seed)
+    _check_x(x)
+    tables = frobenius_tables(family, pcap, workers, seed)
+    _, verdicts = _census(family, [x], [l], tables)
     undecided = [t for t, v in verdicts.items() if v[l] != "surjective"]
-    support_primes = _support_primes(family, l, pcap, Q)
-    tables = {p: ap_table(family, p) for p in support_primes}
+    support = {p: tables[p] for p in _support_primes(family, l, pcap, Q)}
     # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
     failures = [
-        t for t in undecided if len({ap % l for _, ap in _good_aps(tables, t)}) == l
+        t for t in undecided if len({ap % l for _, ap in _good_aps(support, t)}) == l
     ]
     return len(undecided), failures
 

@@ -2,8 +2,12 @@
 
 Point counting is exhaustive (O(p) character sums for g=1, O(p^2) via an
 explicit quadratic extension for g=2) with desk-scale prime caps; Schoof-type
-algorithms are out of scope.  Good reduction uses the crude divisibility
-criterion on the discriminant, not minimal models.
+algorithms are out of scope.  ``ap_table`` gives a_p at every residue t mod p
+of a g=1 family in O(p log p): a twist moves each curve onto one of three
+one-parameter rows (j = 0, j = 1728, and y^2 = x^3 + cx + c), and each row is
+one FFT correlation of the quadratic character with a weighted value count.
+Good reduction uses the crude divisibility criterion on the discriminant, not
+minimal models.
 """
 
 from __future__ import annotations
@@ -308,28 +312,72 @@ def surjectivity_verdict(classes, l, g):
     return "undecided"
 
 
-def ap_table(family, p):
-    """a_p for every residue t mod p of a g=1 family, vectorized.
+def _eval_all_mod(poly, x, p):
+    """poly(x) mod p elementwise by numpy Horner (univariate, integer
+    coefficients)."""
+    coeffs = [0] * (poly.degree() + 1)
+    for (k,), c in poly.terms.items():
+        if c.denominator != 1:
+            raise ValueError("eval_mod needs integer coefficients")
+        coeffs[k] = c.numerator % p
+    v = np.zeros_like(x)
+    for c in reversed(coeffs):
+        v = (v * x + c) % p
+    return v
 
-    Returns an int array of length p with BAD_SENTINEL at residues where the
+
+def ap_table(family, p):
+    """a_p for every residue t mod p of a g=1 family, in O(p log p).
+
+    With S(A, B) = sum_x chi(x^3 + Ax + B), the twist x -> wx gives
+    S(A, B) = chi(w) S(A/w^2, B/w^3); w = B/A sends every curve with AB != 0
+    to S(c, c), c = A^3/B^2.  The rows S(c, c), S(0, B) and S(A, 0) over all
+    c, B, A are cyclic correlations of chi with weighted value counts, one
+    FFT each, so no (p x p) grid is built.
+
+    Returns an int64 array of length p with BAD_SENTINEL at residues where the
     specialization has bad reduction (discriminant vanishes mod p).
     """
     if family.genus != 1:
         raise ValueError("ap_table is g=1 only")
-    res = np.arange(p, dtype=np.int64)
-    A = np.array([family.A.eval_mod((t,), p) for t in range(p)], dtype=np.int64)
-    B = np.array([family.B.eval_mod((t,), p) for t in range(p)], dtype=np.int64)
-    delta = (-16 * (4 * A**3 % p + 27 * B**2)) % p
+    x = np.arange(p, dtype=np.int64)
+    A = _eval_all_mod(family.A, x, p)
+    B = _eval_all_mod(family.B, x, p)
     chi = np.full(p, -1, dtype=np.int64)
     chi[0] = 0
-    ys = np.arange(1, p, dtype=np.int64)
-    chi[(ys * ys) % p] = 1
-    x = np.arange(p, dtype=np.int64)
-    x3 = (x * x % p) * x % p
-    # f[t, x] = x^3 + A_t x + B_t mod p
-    f = (x3[None, :] + A[:, None] * x[None, :] + B[:, None]) % p
-    a = -chi[f].sum(axis=1)
-    a[delta == 0] = BAD_SENTINEL
+    chi[x[1:] * x[1:] % p] = 1
+    # inv[v] = v^(p-2): the inverse of every unit (Fermat)
+    inv, base, e = np.ones_like(x), x, p - 2
+    while e > 0:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    x3 = x * x % p * x % p
+    # S(c, c) = chi(-1) + sum_{x != -1} chi(x + 1) chi(x^3/(x + 1) + c)
+    y = x[1:]  # y = x + 1
+    weights = np.stack([
+        np.bincount(x3[:-1] * inv[y] % p, weights=chi[y], minlength=p),
+        np.bincount(x3, minlength=p),  # S(0, B) = sum_u #{x^3 = u} chi(u + B)
+        np.bincount(x * x % p, weights=chi, minlength=p),  # S(A, 0), x^3 + Ax = x (x^2 + A)
+    ])
+    # row[c] = sum_u w[u] chi(u + c mod p), read off a linear correlation with
+    # chi repeated twice; a power-of-two length >= 2p avoids wrap-around
+    n = 1 << (2 * p - 1).bit_length()
+    fw = np.fft.rfft(weights, n)
+    f = np.fft.irfft(np.conj(fw) * np.fft.rfft(np.tile(chi, 2), n), n)[:, :p]
+    rows = np.rint(f).astype(np.int64)
+    if np.abs(f - rows).max() >= 0.25:
+        raise AssertionError("FFT rounding residue too large")
+    generic, j0, j1728 = rows
+    generic += chi[p - 1]
+    A3 = A * A % p * A % p
+    twisted = chi[B * inv[A] % p] * generic[A3 * inv[B] % p * inv[B] % p]
+    a = -np.where(A == 0, j0[B], np.where(B == 0, j1728[A], twisted))
+    good = -16 * (4 * A3 + 27 * (B * B % p)) % p != 0
+    if np.any(a[good] ** 2 > 4 * p):
+        raise AssertionError("Hasse bound violated")
+    a[~good] = BAD_SENTINEL
     return a
 
 

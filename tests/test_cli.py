@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from sievelab.census import (
@@ -10,6 +11,7 @@ from sievelab.census import (
     InfeasibleError,
     census,
     exceptional_containment_check,
+    frobenius_tables,
     sifted_class_set,
 )
 from sievelab.cli import main
@@ -67,6 +69,12 @@ class TestCensus:
         rows1, _ = census(fam, [10], [5], 100, workers=1, seed=0)
         rows2, _ = census(fam, [10], [5], 100, workers=2, seed=99)
         assert rows1[0].csv_row([5]) == rows2[0].csv_row([5])
+        tables1 = frobenius_tables(fam, 100, workers=1, seed=0)
+        tables2 = frobenius_tables(fam, 100, workers=2, seed=99)
+        assert list(tables1) == list(tables2)
+        for p, table in tables1.items():
+            assert table.dtype == tables2[p].dtype == np.int64
+            assert np.array_equal(table, tables2[p])
 
 
 class TestClassSieving:
@@ -133,6 +141,20 @@ class TestClassSieving:
         assert n_undecided > 0
         assert failures == []
 
+    def test_containment_check_builds_each_table_once(self, monkeypatch):
+        from sievelab import census as census_mod
+
+        calls = []
+        real = census_mod.ap_table
+
+        def counting(family, p):
+            calls.append(p)
+            return real(family, p)
+
+        monkeypatch.setattr(census_mod, "ap_table", counting)
+        exceptional_containment_check(default_elliptic_family(), 20, 5, 1000, 200)
+        assert len(calls) == len(set(calls)) == 166  # the primes up to 1000 but 2 and 3
+
 
 class TestCli:
     def test_census_command(self, tmp_path):
@@ -193,6 +215,9 @@ class TestCli:
             (["--lmax", "100", "census"], None, 3),
             (["--out", "", "census"], None, 2),
             (["--out", "{tmp}/file", "census"], None, 2),
+            (["--x", "10,1001", "census"], None, 3),
+            (["--x", "1001", "sifted-class-set", "--l", "5", "--class", "0,1", "--Q", "200"],
+             None, 3),
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sievelab.curves import (
@@ -16,6 +17,7 @@ from sievelab.curves import (
     surjectivity_verdict,
     CurveFamily,
 )
+from sievelab.brun import primes_below
 from sievelab.groups import closure, gl2_elements, mat_inv, mat_mul
 from sievelab.polynomials import Poly
 
@@ -90,6 +92,34 @@ class TestApCount:
             ap_count(s, 2)
 
 
+def _ap_table_oracle(family, p):
+    """The (p x p) character-sum grid: a_p(t) = -sum_x chi(x^3 + A(t)x + B(t)),
+    with BAD_SENTINEL where the discriminant vanishes mod p."""
+    A = np.array([family.A.eval_mod((t,), p) for t in range(p)], dtype=np.int64)
+    B = np.array([family.B.eval_mod((t,), p) for t in range(p)], dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[0] = 0
+    chi[[y * y % p for y in range(1, p)]] = 1
+    x = np.arange(p, dtype=np.int64)
+    f = (x * x % p * x)[None, :] + A[:, None] * x[None, :] + B[:, None]
+    a = -chi[f % p].sum(axis=1)
+    a[-16 * (4 * A**3 + 27 * B**2) % p == 0] = BAD_SENTINEL
+    return a
+
+
+def _oracle_family(A, B):
+    return CurveFamily(1, A, B, (), Poly.const(1, 1), frozenset())
+
+
+_T = Poly.var(1, 0)
+# a generic family, and families with j = 0 (A = 0) and j = 1728 (B = 0)
+_ORACLE_FAMILIES = {
+    "generic": _oracle_family(_T * _T + 3 * _T - 1, _T**3 - 2 * _T + 5),
+    "j0": _oracle_family(Poly.const(1, 0), _T * _T + _T + 1),
+    "j1728": _oracle_family(_T**3 + 2, Poly.const(1, 0)),
+}
+
+
 class TestApTable:
     def test_matches_pointwise(self):
         fam = default_elliptic_family()
@@ -109,6 +139,31 @@ class TestApTable:
         fam = default_elliptic_family()
         table = ap_table(fam, 7)
         assert table[0] == BAD_SENTINEL and table[1] == BAD_SENTINEL
+
+    def test_default_family_matches_grid_oracle(self):
+        fam = default_elliptic_family()
+        for p in primes_below(2000)[1:]:
+            table = ap_table(fam, p)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, _ap_table_oracle(fam, p)), p
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_FAMILIES))
+    def test_special_families_match_grid_oracle(self, name):
+        fam = _ORACLE_FAMILIES[name]
+        for p in primes_below(500):
+            assert np.array_equal(ap_table(fam, p), _ap_table_oracle(fam, p)), p
+
+    @pytest.mark.parametrize("name", ["default", *sorted(_ORACLE_FAMILIES)])
+    def test_sample_matches_pointwise_oracles(self, name):
+        fam = _ORACLE_FAMILIES.get(name) or default_elliptic_family()
+        for p in (5, 7, 13, 31, 97):
+            table = ap_table(fam, p)
+            for t in (2, 3, 4, 6, 11, 96):
+                s = specialize(fam, (t,))
+                if reduction_type(s, p) == "good":
+                    assert table[t % p] == ap_count(s, p) == ap_count_pointloop(s, p)
+                else:
+                    assert table[t % p] == BAD_SENTINEL
 
 
 class TestGenus2:
@@ -171,6 +226,27 @@ class TestVerdict:
             N = closure(gens, lambda x, y: mat_mul(x, y, l))
             assert len(N) == 2 * (l - 1) ** 2
             assert surjectivity_verdict({_class(m, l) for m in N}, l, 1) == "undecided"
+
+    def test_more_proper_subgroups_undecided(self):
+        # g is a primitive root mod l, hence a nonsquare
+        for l, g in ((5, 2), (7, 3), (11, 2), (13, 2)):
+            upper = ((1, 1), (0, 1))
+            cartan_ns = [((a, g * b % l), (b, a)) for a in range(l) for b in range(l) if a or b]
+            subgroups = {
+                "Borel": ([((g, 0), (0, 1)), ((1, 0), (0, g)), upper], l * (l - 1) ** 2),
+                "nonsplit Cartan normaliser": (cartan_ns + [((1, 0), (0, l - 1))], 2 * (l * l - 1)),
+                "SL2": ([upper, ((1, 0), (1, 1))], l * (l * l - 1)),
+                # det image: the squares, a proper subgroup of the units
+                "SL2 . diag(g^2, 1)": (
+                    [upper, ((1, 0), (1, 1)), ((g * g % l, 0), (0, 1))],
+                    l * (l * l - 1) * (l - 1) // 2,
+                ),
+            }
+            for name, (gens, order) in subgroups.items():
+                H = closure(gens, lambda x, y: mat_mul(x, y, l))
+                assert len(H) == order, (l, name)
+                classes = {_class(m, l) for m in H}
+                assert surjectivity_verdict(classes, l, 1) == "undecided", (l, name)
 
     def test_full_group_is_surjective(self):
         for l in (5, 7, 11, 13):
