@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .finitefield import _prime_divisors
 from .polynomials import Poly
 
 PRIME_CAP_G1 = 10**4
@@ -59,16 +60,41 @@ class CurveFamily:
 
     @classmethod
     def from_json(cls, text):
+        """Parse a family document; ValueError on a malformed one."""
         doc = json.loads(text)
         g = doc["genus"]
+        if g not in (1, 2):
+            raise ValueError("genus must be 1 or 2")
         r = g * (g + 1) // 2
-        bad = Poly.from_terms(r, doc["bad_locus"])
-        excl = frozenset(doc["excluded_primes"])
+        bad = _poly_from_terms(doc["bad_locus"], "bad_locus", r)
+        if bad.is_zero():
+            raise ValueError("bad_locus must be nonzero")
+        excl = doc["excluded_primes"]
+        if not isinstance(excl, list) or not all(_is_int(p) for p in excl):
+            raise ValueError("excluded_primes must be a list of integers")
         if g == 1:
-            return cls(1, Poly.from_terms(1, doc["A"]), Poly.from_terms(1, doc["B"]),
-                       (), bad, excl)
-        quintic = tuple(Poly.from_terms(r, t) for t in doc["quintic"])
-        return cls(2, None, None, quintic, bad, excl)
+            A = _poly_from_terms(doc["A"], "A", 1)
+            B = _poly_from_terms(doc["B"], "B", 1)
+            return cls(1, A, B, (), bad, frozenset(excl))
+        quintic = tuple(_poly_from_terms(t, "quintic", r) for t in doc["quintic"])
+        return cls(2, None, None, quintic, bad, frozenset(excl))
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _poly_from_terms(terms, key, r):
+    """A polynomial from terms [coefficient, e_1, .., e_r], all integers,
+    exponents >= 0."""
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == r + 1 and all(_is_int(v) for v in t)
+        and min(t[1:]) >= 0
+        for t in terms
+    ):
+        raise ValueError(f"{key}: each term must be [integer coefficient, "
+                         f"{r} non-negative integer exponents]")
+    return Poly.from_terms(r, terms)
 
 
 def default_elliptic_family():
@@ -262,19 +288,10 @@ def frobenius_invariants(s, p):
 
 
 def _generates_units(values, l):
-    seen = {1}
-    frontier = {1}
-    gens = {v % l for v in values if v % l}
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in gens:
-                v = a * g % l
-                if v not in seen:
-                    seen.add(v)
-                    new.add(v)
-        frontier = new
-    return len(seen) == l - 1
+    """The values generate F_l^x iff, for every prime r | l - 1, some value
+    is not an r-th power, i.e. v^((l - 1)/r) != 1."""
+    units = {v % l for v in values if v % l}
+    return all(any(pow(v, (l - 1) // r, l) != 1 for v in units) for r in _prime_divisors(l - 1))
 
 
 def surjectivity_verdict(classes, l, g):

@@ -1,17 +1,26 @@
 """Matrix groups GL2/SL2 and GSp4/Sp4 over F_l: orders, classes, lemma checks.
 
-Matrices are dense tuples-of-tuples mod l; the symplectic form is the
-standard block J = [[0, -I], [I, 0]].  Brute-force operations are capped by
-group order; larger cases are served by formulas or char-poly statistics only.
+A matrix over F_l is an int64 code: its entries, row by row, as base-l digits
+with the first entry most significant, so sorted codes sort like the entry
+tuples; 4 x 4 codes fit int64 up to l = 13, and the order cap keeps g = 2 at
+l = 3.  A group is the sorted read-only array of its codes, built once per
+GroupSpec; products, inverses and conjugations act on whole code arrays.  The
+symplectic form is the standard block J = [[0, -I], [I, 0]].  Brute-force
+operations are capped by group order; larger cases are served by formulas or
+char-poly statistics only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from fractions import Fraction
+
+import numpy as np
 
 BRUTE_ORDER_CAP = 10**6
 SUBGROUP_ORDER_CAP = 10**4
+_BLOCK = 2**16  # products per broadcast multiplication in closure
 
 
 @dataclass(frozen=True)
@@ -28,114 +37,108 @@ class GroupSpec:
             raise ValueError("l = 2 unsupported")
 
 
-# ---------------------------------------------------------------- matrix ops
+# ---------------------------------------------------------------- matrix codes
 
-def mat_mul(a, b, l):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % l for j in range(n))
-        for i in range(n)
-    )
+def _digits(l, n):
+    return l ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
 
 
-def mat_neg(a, l):
-    return tuple(tuple((-v) % l for v in row) for row in a)
+def _encode(m, l):
+    """Codes of a stack (..., n, n) of integer matrices, reduced mod l."""
+    m = np.asarray(m, dtype=np.int64) % l
+    n = m.shape[-1]
+    return m.reshape(m.shape[:-2] + (n * n,)) @ _digits(l, n)
 
 
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _decode(codes, l, n):
+    codes = np.asarray(codes, dtype=np.int64)
+    return (codes[..., None] // _digits(l, n) % l).reshape(codes.shape + (n, n))
 
 
-def mat_det(a, l):
-    n = len(a)
-    if n == 2:
-        return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % l
-    # Gaussian elimination mod l
-    m = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % l), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % l
-        inv = pow(m[col][col], -1, l)
-        for r in range(col + 1, n):
-            f = m[r][col] * inv % l
-            if f:
-                for c in range(col, n):
-                    m[r][c] = (m[r][c] - f * m[col][c]) % l
-    return det % l
+def _J(g):
+    """Block antidiagonal form [[0, -I_g], [I_g, 0]]."""
+    I, Z = np.eye(g, dtype=np.int64), np.zeros((g, g), dtype=np.int64)
+    return np.block([[Z, -I], [I, Z]])
 
 
-def mat_inv(a, l):
-    n = len(a)
-    if n == 2:
-        d = mat_det(a, l)
-        di = pow(d, -1, l)
-        return (
-            (a[1][1] * di % l, (-a[0][1]) * di % l),
-            ((-a[1][0]) * di % l, a[0][0] * di % l),
-        )
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] % l)
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], -1, l)
-        m[col] = [v * inv % l for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [(v - f * w) % l for v, w in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+def _similitude(m, l):
+    """mu with m^T J m = mu J, for a stack of symplectic similitudes."""
+    g = m.shape[-1] // 2
+    return (np.swapaxes(m, -1, -2) @ _J(g) @ m)[..., g, 0] % l
 
 
-def mat_trace(a, l):
-    return sum(a[i][i] for i in range(len(a))) % l
+def _inverse(m, l):
+    """Inverse of a stack of GL2 matrices (adjugate over det) or of GSp4
+    similitudes (mu^-1 J^-1 m^T J, since J^-1 m^T J m = mu)."""
+    unit_inv = np.array([0] + [pow(v, -1, l) for v in range(1, l)], dtype=np.int64)
+    if m.shape[-1] == 2:
+        det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]) % l
+        adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
+        return adj.reshape(m.shape) * unit_inv[det][..., None, None] % l
+    J = _J(m.shape[-1] // 2)
+    return (-J @ np.swapaxes(m, -1, -2) @ J) * unit_inv[_similitude(m, l)][..., None, None] % l
 
 
-def charpoly_e1_e2(a, l):
-    """First two char-poly coefficients (trace, sum of 2x2 principal minors)."""
-    n = len(a)
-    e1 = mat_trace(a, l)
-    e2 = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            e2 += a[i][i] * a[j][j] - a[i][j] * a[j][i]
-    return e1, e2 % l
+def _pm1(codes, l, n):
+    """Canonical representative of {m, -m}: the smaller code."""
+    return np.minimum(codes, _encode(-_decode(codes, l, n), l))
 
 
-def symplectic_J(g):
-    """Block antidiagonal form [[0, -I_g], [I_g, 0]] as a 2g x 2g matrix."""
-    n = 2 * g
-    J = [[0] * n for _ in range(n)]
-    for i in range(g):
-        J[i][g + i] = -1
-        J[g + i][i] = 1
-    return tuple(tuple(row) for row in J)
+def _code_ops(l, n, pm1=False):
+    """Broadcasting (mul, inv) on codes of n x n matrices mod l, on the
+    quotient by +-1 when ``pm1``."""
+    canon = functools.partial(_pm1, l=l, n=n) if pm1 else (lambda c: c)
+
+    def mul(a, b):
+        return canon(_encode(_decode(a, l, n) @ _decode(b, l, n), l))
+
+    def inv(a):
+        return canon(_encode(_inverse(_decode(a, l, n), l), l))
+
+    return mul, inv
 
 
-def similitude_factor(m, l, g):
-    """mu with m^T J m = mu J, or None if m is not a symplectic similitude."""
-    n = 2 * g
-    J = symplectic_J(g)
-    mt = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
-    mj = mat_mul(mat_mul(mt, tuple(tuple(v % l for v in row) for row in J), l), m, l)
-    mu = None
-    for i in range(n):
-        for j in range(n):
-            expect = J[i][j] % l
-            if expect:
-                cand = mj[i][j] * pow(expect, -1, l) % l
-                if mu is None:
-                    mu = cand
-                elif cand != mu:
-                    return None
-            elif mj[i][j] % l:
-                return None
-    return mu
+def _transvection(v, l):
+    """T_v : x -> x + <x, v> v, the matrix I + (J v) v^T."""
+    v = np.array(v, dtype=np.int64)
+    return (np.eye(len(v), dtype=np.int64) + np.outer(_J(len(v) // 2) @ v, v)) % l
+
+
+_TRANSVECTION_VECTORS = {
+    1: [(1, 0), (0, 1)],
+    2: [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+        (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1)],
+}
+
+
+def _generators(spec):
+    """Transvections generating Sp_2g(F_l), with the similitudes
+    diag(d, .., d, 1, .., 1), d = 2 .. l - 1, for the full group."""
+    g = spec.g
+    mats = [_transvection(v, spec.l) for v in _TRANSVECTION_VECTORS[g]]
+    if spec.flavor == "gsp":
+        mats += [np.diag([d] * g + [1] * g) for d in range(2, spec.l)]
+    return _encode(np.array(mats), spec.l)
+
+
+def closure(generators, mul):
+    """Subgroup generated by a nonempty set, as a sorted array.
+
+    BFS in which each layer multiplies the frontier by every generator in
+    broadcast ``mul`` calls of at most _BLOCK products, which bounds the
+    memory of the decoded matrices; in a finite group the identity is a power.
+    """
+    gens = np.unique(np.asarray(generators))
+    seen = frontier = gens
+    step = max(1, _BLOCK // gens.size)
+    while frontier.size:
+        products = np.unique(np.concatenate([
+            mul(frontier[i:i + step, None], gens[None, :])
+            for i in range(0, frontier.size, step)
+        ]))
+        frontier = np.setdiff1d(products, seen, assume_unique=True)
+        seen = np.union1d(seen, frontier)
+    return seen
 
 
 # ------------------------------------------------------------- element sets
@@ -152,93 +155,40 @@ def group_order(spec):
     return order
 
 
-def gl2_elements(l):
-    out = []
-    rng = range(l)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if (a * d - b * c) % l:
-                        out.append(((a, b), (c, d)))
-    return out
-
-
-def sl2_elements(l):
-    return [m for m in gl2_elements(l) if mat_det(m, l) == 1]
-
-
-def transvection(v, l, g):
-    """T_v : x -> x + <x, v> v with the standard symplectic pairing."""
-    n = 2 * g
-    J = symplectic_J(g)
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        # <e_i, v> = sum_j J[i][j] v_j
-        pair = sum(J[i][j] * v[j] for j in range(n)) % l
-        for j in range(n):
-            T[i][j] = (T[i][j] + pair * v[j]) % l
-    return tuple(tuple(row) for row in T)
-
-
-def closure(generators, mul):
-    """BFS closure of a nonempty generating set under ``mul``: in a finite
-    group this is the generated subgroup (the identity is a power)."""
-    gens = list(generators)
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g_ in gens:
-                prod = mul(a, g_)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-        frontier = new
-    return seen
-
-
-def sp4_elements(l):
-    """Sp4(F_l) by generated closure from symplectic transvections."""
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    extra = [(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1)]
-    gens = [transvection(v, l, 2) for v in basis + extra]
-    elems = closure(gens, lambda a, b: mat_mul(a, b, l))
-    expect = group_order(GroupSpec(2, l, "sp"))
-    if len(elems) != expect:
-        raise AssertionError("transvection closure did not reach Sp4")
+@functools.cache
+def spec_elements(spec):
+    """Sorted read-only codes of a group: GL2/SL2 by filtering every 2 x 2
+    matrix on det, Sp4/GSp4 by closure; the smaller code of +-m for the
+    quotient."""
+    if group_order(spec) > BRUTE_ORDER_CAP:
+        raise ValueError("brute force infeasible")
+    l = spec.l
+    if spec.pm1_quotient:
+        base = spec_elements(replace(spec, pm1_quotient=False))
+        elems = np.unique(_pm1(base, l, 2 * spec.g))
+    elif spec.g == 1:
+        codes = np.arange(l**4, dtype=np.int64)
+        m = _decode(codes, l, 2)
+        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % l
+        elems = codes[det == 1] if spec.flavor == "sp" else codes[det != 0]
+    else:
+        elems = closure(_generators(spec), _code_ops(l, 4)[0])
+    if elems.size != group_order(spec):
+        raise AssertionError("element set does not match the order formula")
+    elems.flags.writeable = False
     return elems
 
 
-def gsp4_elements(l):
-    """GSp4(F_l) as the union of similitude-scaled copies of Sp4."""
-    sp = sp4_elements(l)
-    out = set()
-    for nu in range(1, l):
-        D = ((nu, 0, 0, 0), (0, nu, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        for m in sp:
-            out.add(mat_mul(D, m, l))
-    return out
+def gl2_elements(l):
+    return spec_elements(GroupSpec(1, l, "gsp"))
 
 
-def spec_elements(spec):
-    """Brute element set for a GroupSpec (g=1 any small l; g=2 via closure)."""
-    if group_order(spec) > BRUTE_ORDER_CAP:
-        raise ValueError("brute force infeasible")
-    if spec.g == 1:
-        elems = gl2_elements(spec.l) if spec.flavor == "gsp" else sl2_elements(spec.l)
-    else:
-        elems = gsp4_elements(spec.l) if spec.flavor == "gsp" else sp4_elements(spec.l)
-    if spec.pm1_quotient:
-        elems = {pm1_rep(m, spec.l) for m in elems}
-    return set(elems)
+def sl2_elements(l):
+    return spec_elements(GroupSpec(1, l, "sp"))
 
 
-def pm1_rep(m, l):
-    """Canonical representative of {m, -m}."""
-    neg = mat_neg(m, l)
-    return m if m <= neg else neg
+def sp4_elements(l):
+    return spec_elements(GroupSpec(2, l, "sp"))
 
 
 # --------------------------------------------------------------- class data
@@ -254,106 +204,73 @@ class ClassTable:
         return sum(self.entries.values())
 
 
-def find_generators(elements, mul):
-    """Greedy small generating set, verified by closure."""
-    elems = sorted(elements)
-    full = set(elements)
-    gens = []
-    have = {elems[0]} if elems else set()
-    for e in elems:
-        if e not in have:
-            gens.append(e)
-            have = closure(gens, mul)
-            if have == full:
-                break
-    return gens
+def _class_labels(elements, conjugators, mul, inv):
+    """Index of the smallest element of each element's conjugacy class.
 
-
-def conjugacy_classes(elements, mul, inv):
-    """Partition into conjugacy classes via orbit closure under generator
-    conjugation (the generators generate the group, so orbits are full)."""
-    gens = find_generators(elements, mul)
-    conj = [(g_, inv(g_)) for g_ in gens]
-    unassigned = set(elements)
-    classes = []
-    for e in sorted(elements):
-        if e not in unassigned:
-            continue
-        orbit = {e}
-        frontier = [e]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g_, gi in conj:
-                    y = mul(mul(g_, x), gi)
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        unassigned -= orbit
-        classes.append(orbit)
-    return classes
+    ``elements`` is a sorted group and ``conjugators`` generate it; the
+    classes are the connected components of the permutations x -> g x g^-1,
+    found by min-label propagation with pointer jumping.
+    """
+    perms = [np.searchsorted(elements, mul(mul(g, elements), inv(g))) for g in conjugators]
+    labels = np.arange(len(elements))
+    while True:
+        new = labels
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def class_table(spec, mode):
     """Class counts: true conjugacy classes (brute) or char-poly keys."""
+    l, n = spec.l, 2 * spec.g
     if mode == "brute":
-        if group_order(spec) > BRUTE_ORDER_CAP:
-            raise ValueError("brute force infeasible")
-        l = spec.l
         elems = spec_elements(spec)
-        if spec.pm1_quotient:
-            mul = lambda a, b: pm1_rep(mat_mul(a, b, l), l)
-            inv = lambda a: pm1_rep(mat_inv(a, l), l)
-        else:
-            mul = lambda a, b: mat_mul(a, b, l)
-            inv = lambda a: mat_inv(a, l)
-        classes = conjugacy_classes(elems, mul, inv)
-        entries = {}
-        for i, cls in enumerate(sorted(classes, key=lambda c: min(c))):
-            entries[("class", i, min(cls))] = len(cls)
+        labels = _class_labels(elems, _generators(spec), *_code_ops(l, n, spec.pm1_quotient))
+        reps, sizes = np.unique(labels, return_counts=True)
+        entries = {
+            ("class", i, tuple(map(tuple, _decode(elems[r], l, n).tolist()))): size
+            for i, (r, size) in enumerate(zip(reps.tolist(), sizes.tolist()))
+        }
         return ClassTable(spec, mode, entries)
     if mode == "charpoly":
         if spec.pm1_quotient:
             raise ValueError("charpoly keys are defined on the matrix groups")
-        l = spec.l
-        elems = spec_elements(spec)
-        entries = {}
-        for m in elems:
-            if spec.g == 1:
-                key = (mat_trace(m, l), mat_det(m, l))
-            else:
-                e1, e2 = charpoly_e1_e2(m, l)
-                key = (e1, e2, similitude_factor(m, l, 2))
-            entries[key] = entries.get(key, 0) + 1
-        return ClassTable(spec, mode, entries)
+        # keys (trace, det) for g=1 and (e1, e2, similitude) for g=2, where
+        # e2 = (tr(m)^2 - tr(m^2)) / 2 is the sum of the principal 2x2 minors
+        m = _decode(spec_elements(spec), l, n)
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        cols = [tr % l, (tr * tr - np.trace(m @ m, axis1=-2, axis2=-1)) // 2 % l]
+        if spec.g == 2:
+            cols.append(_similitude(m, l))
+        keys, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+        return ClassTable(spec, mode, dict(zip(map(tuple, keys.tolist()), counts.tolist())))
     raise ValueError("mode must be 'brute' or 'charpoly'")
 
 
 def charpoly_class_density(spec, delta):
     """Char-poly densities on the fixed-similitude coset det = delta.
 
-    g=1: keys are traces over the {det = delta} coset of GL2(F_l).
+    g=1: keys are traces over the {det = delta} coset of GL2(F_l), in closed
+    form: #{tr = t, det = delta} = l (l + chi(t^2 - 4 delta)) out of
+    |SL2(F_l)| = l (l^2 - 1).
     g=2: keys are (a1, a2) over the {similitude = delta} coset of GSp4(F_l).
     """
     l = spec.l
     if delta % l == 0:
         raise ValueError("delta must be a unit")
     delta = delta % l
-    counts = {}
-    total = 0
     if spec.g == 1:
-        for m in gl2_elements(l):
-            if mat_det(m, l) == delta:
-                total += 1
-                key = mat_trace(m, l)
-                counts[key] = counts.get(key, 0) + 1
-    else:
-        for m in gsp4_elements(l):
-            if similitude_factor(m, l, 2) == delta:
-                total += 1
-                key = charpoly_e1_e2(m, l)
-                counts[key] = counts.get(key, 0) + 1
+        chi = {0: 0, 1: 1, l - 1: -1}
+        return {
+            t: Fraction(l + chi[pow(t * t - 4 * delta, (l - 1) // 2, l)], l * l - 1)
+            for t in range(l)
+        }
+    entries = class_table(GroupSpec(2, l, "gsp"), "charpoly").entries
+    counts = {key[:2]: v for key, v in entries.items() if key[2] == delta}
+    total = sum(counts.values())
     return {k: Fraction(v, total) for k, v in sorted(counts.items())}
 
 
@@ -386,84 +303,61 @@ def property1_check(g, l_values):
 
 
 def all_subgroups(elements, mul):
-    """Every subgroup, by closure-BFS over one-element extensions."""
-    if len(elements) > SUBGROUP_ORDER_CAP:
+    """Every subgroup as a sorted array, by closure-BFS over one-element
+    extensions."""
+    elems = np.unique(np.asarray(elements))
+    if len(elems) > SUBGROUP_ORDER_CAP:
         raise ValueError("brute force infeasible")
-    elems = sorted(elements)
-    e = None
-    for cand in elems:
-        if all(mul(cand, x) == x for x in elems[:4]):
-            if all(mul(cand, x) == x for x in elems):
-                e = cand
-                break
-    if e is None:
+    e = elems[mul(elems, elems) == elems]  # the only idempotent of a group
+    if len(e) != 1:
         raise ValueError("no identity found")
-    found = {frozenset([e])}
-    frontier = [frozenset([e])]
+    found = {e.tobytes(): e}
+    frontier = [e]
     while frontier:
         new = []
         for H in frontier:
-            for g_ in elems:
-                if g_ not in H:
-                    H2 = frozenset(closure(set(H) | {g_}, mul))
-                    if H2 not in found:
-                        found.add(H2)
-                        new.append(H2)
+            for g_ in np.setdiff1d(elems, H, assume_unique=True):
+                H2 = closure(np.append(H, g_), mul)
+                if H2.tobytes() not in found:
+                    found[H2.tobytes()] = H2
+                    new.append(H2)
         frontier = new
-    return found
+    return list(found.values())
 
 
 def jordan_check_elements(elements, mul, inv):
-    """Direct finite verification of Jordan's lemma on one group:
-    every proper subgroup misses at least one conjugacy class."""
-    classes = conjugacy_classes(elements, mul, inv)
-    full = frozenset(elements)
-    for H in all_subgroups(elements, mul):
-        if H == full:
-            continue
-        if all(any(x in H for x in cls) for cls in classes):
-            return False
-    return True
+    """Direct finite verification of Jordan's lemma on one group: every
+    proper subgroup misses at least one conjugacy class.  ``mul`` and
+    ``inv`` must broadcast over arrays."""
+    elems = np.unique(np.asarray(elements))
+    labels = _class_labels(elems, elems, mul, inv)
+    n_classes = np.unique(labels).size
+    return not any(
+        len(H) < len(elems) and np.unique(labels[np.isin(elems, H)]).size == n_classes
+        for H in all_subgroups(elems, mul)
+    )
 
 
 def jordan_check(spec):
     if group_order(spec) > SUBGROUP_ORDER_CAP:
         raise ValueError("brute force infeasible")
-    l = spec.l
-    elems = spec_elements(spec)
-    if spec.pm1_quotient:
-        mul = lambda a, b: pm1_rep(mat_mul(a, b, l), l)
-        inv = lambda a: pm1_rep(mat_inv(a, l), l)
-    else:
-        mul = lambda a, b: mat_mul(a, b, l)
-        inv = lambda a: mat_inv(a, l)
-    return jordan_check_elements(elems, mul, inv)
+    return jordan_check_elements(
+        spec_elements(spec), *_code_ops(spec.l, 2 * spec.g, spec.pm1_quotient)
+    )
 
 
 def pm1_lifting_check(g, l):
     """g=1, l=3: any subgroup of GL2(F_3) surjecting mod +-1 is everything,
     checked over the full subgroup lattice.  g=2: the constructive witness,
-    namely that both block-antidiagonal matrices square to -1."""
+    namely that both block-antidiagonal matrices +-J square to -1."""
     if g == 1:
         if l != 3:
             raise ValueError("exhaustive check only for l = 3")
         elems = gl2_elements(3)
-        mul = lambda a, b: mat_mul(a, b, 3)
-        quotient_size = len({pm1_rep(m, 3) for m in elems})
-        for H in all_subgroups(elems, mul):
-            image = {pm1_rep(m, 3) for m in H}
-            if len(image) == quotient_size and len(H) != len(elems):
-                return False
-        return True
-    n = 2 * g
-    I = identity(g)
-    for sign in (1, -1):
-        M = [[0] * n for _ in range(n)]
-        for i in range(g):
-            M[i][g + i] = sign % l
-            M[g + i][i] = (-sign) % l
-        M = tuple(tuple(row) for row in M)
-        sq = mat_mul(M, M, l)
-        if sq != mat_neg(identity(n), l):
-            return False
-    return True
+        quotient_size = np.unique(_pm1(elems, 3, 2)).size
+        return not any(
+            np.unique(_pm1(H, 3, 2)).size == quotient_size and len(H) != len(elems)
+            for H in all_subgroups(elems, _code_ops(3, 2)[0])
+        )
+    minus_one = -np.eye(2 * g, dtype=np.int64) % l
+    return all(np.array_equal(M @ M % l, minus_one) for M in (_J(g), -_J(g)))

@@ -17,6 +17,8 @@ from sievelab.census import (
 from sievelab.cli import main
 from sievelab.curves import default_elliptic_family
 
+GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
+
 
 class TestConfigValidation:
     def _cfg(self, **kw):
@@ -218,6 +220,15 @@ class TestCli:
             (["--x", "10,1001", "census"], None, 3),
             (["--x", "1001", "sifted-class-set", "--l", "5", "--class", "0,1", "--Q", "200"],
              None, 3),
+        ] + [
+            ([command], {"family": {**GOOD_FAMILY, **bad}}, 2)
+            for command in ("census", "goodred")
+            for bad in (
+                {"A": [[1, 0, 0]]},  # two exponents for r = 1
+                {"bad_locus": [[1, -1]]},  # negative exponent
+                {"A": [[1.5, 1]]},  # non-integer coefficient
+                {"bad_locus": [[0, 1]]},  # zero bad locus
+            )
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):

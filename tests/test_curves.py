@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,8 @@ from sievelab.curves import (
     CurveFamily,
 )
 from sievelab.brun import primes_below
-from sievelab.groups import closure, gl2_elements, mat_inv, mat_mul
+from sievelab.curves import _generates_units
+from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
 from sievelab.polynomials import Poly
 
 
@@ -195,26 +198,64 @@ class TestGenus2:
             assert (a1 * a1 - (p * p + 1 - n2)) % 2 == 0
 
 
-def _class(m, l):
-    """(trace, det) of a 2x2 matrix mod l."""
-    return ((m[0][0] + m[1][1]) % l, (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % l)
+def _subgroup(gens, l):
+    """Codes of the subgroup of GL2(F_l) generated by 2 x 2 matrices."""
+    return closure(_encode(np.array(gens), l), _code_ops(l, 2)[0])
+
+
+def _classes(codes, l):
+    """The (trace, det) classes of a set of GL2(F_l) codes."""
+    m = _decode(codes, l, 2)
+    tr = (m[:, 0, 0] + m[:, 1, 1]) % l
+    det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % l
+    return set(zip(tr.tolist(), det.tolist()))
+
+
+def _projective_orders(codes, l):
+    """The set of orders of the images of the elements in PGL2(F_l)."""
+    mul = _code_ops(l, 2)[0]
+    orders = np.zeros(len(codes), dtype=np.int64)
+    power, k = codes, 1
+    while not orders.all():
+        m = _decode(power, l, 2)
+        scalar = (m[:, 0, 1] == 0) & (m[:, 1, 0] == 0) & (m[:, 0, 0] == m[:, 1, 1])
+        orders[scalar & (orders == 0)] = k
+        power, k = mul(power, codes), k + 1
+    return set(orders.tolist())
+
+
+# Lifts of generators of A4, S4 and A5 in PGL2(F_l), found by a one-off
+# random search over pairs (a, b) with a of projective order 2
+EXCEPTIONAL_LIFTS = {
+    (5, "A4"): [[[1, 0], [1, 4]], [[4, 3], [1, 3]]],
+    (5, "S4"): [[[1, 3], [4, 4]], [[0, 4], [3, 4]]],
+    (5, "A5"): [[[3, 0], [2, 2]], [[3, 1], [1, 0]]],
+    (7, "A4"): [[[1, 5], [1, 6]], [[6, 0], [2, 5]]],
+    (7, "S4"): [[[5, 6], [5, 2]], [[0, 2], [3, 4]]],
+    (11, "A4"): [[[9, 1], [3, 2]], [[0, 7], [1, 2]]],
+    (11, "S4"): [[[9, 3], [10, 2]], [[4, 7], [8, 2]]],
+    (11, "A5"): [[[8, 6], [2, 3]], [[5, 6], [2, 7]]],
+    (13, "A4"): [[[3, 7], [2, 10]], [[5, 8], [1, 7]]],
+    (13, "S4"): [[[5, 6], [7, 8]], [[2, 6], [7, 4]]],
+}
+# order and element orders, which single out each group among its order
+EXCEPTIONAL_GROUPS = {"A4": (12, {1, 2, 3}), "S4": (24, {1, 2, 3, 4}), "A5": (60, {1, 2, 3, 5})}
 
 
 class TestVerdict:
     def test_l3_coverage(self):
         # the 2-Sylow subgroups of GL2(F_3) (normalisers of the nonsplit
         # Cartan, order 16) are proper yet meet all six (tr, det) classes
-        mul = lambda a, b: mat_mul(a, b, 3)
-        sylow = closure([((1, 2), (1, 1)), ((1, 0), (0, 2))], mul)
+        mul, inv = _code_ops(3, 2)
+        sylow = _subgroup([[[1, 2], [1, 1]], [[1, 0], [0, 2]]], 3)
         conjugates = {
-            frozenset(mul(mul(g, h), mat_inv(g, 3)) for h in sylow)
-            for g in gl2_elements(3)
+            frozenset(mul(mul(g, sylow), inv(g)).tolist()) for g in gl2_elements(3)
         }
         assert len(conjugates) == 3
         full = {(tr, d) for tr in range(3) for d in (1, 2)}
         for H in conjugates:
             assert len(H) == 16
-            classes = {_class(m, 3) for m in H}
+            classes = _classes(np.array(sorted(H)), 3)
             assert classes == full
             assert surjectivity_verdict(classes, 3, 1) == "undecided"
 
@@ -222,36 +263,58 @@ class TestVerdict:
         # N(C_s) = <diag(a, 1), diag(1, a), w> has order 2 (l - 1)^2; its
         # nonsplit classes all have trace 0
         for l, a in ((5, 2), (7, 3), (11, 2), (13, 2)):
-            gens = [((a, 0), (0, 1)), ((1, 0), (0, a)), ((0, 1), (1, 0))]
-            N = closure(gens, lambda x, y: mat_mul(x, y, l))
+            N = _subgroup([[[a, 0], [0, 1]], [[1, 0], [0, a]], [[0, 1], [1, 0]]], l)
             assert len(N) == 2 * (l - 1) ** 2
-            assert surjectivity_verdict({_class(m, l) for m in N}, l, 1) == "undecided"
+            assert surjectivity_verdict(_classes(N, l), l, 1) == "undecided"
 
     def test_more_proper_subgroups_undecided(self):
         # g is a primitive root mod l, hence a nonsquare
         for l, g in ((5, 2), (7, 3), (11, 2), (13, 2)):
-            upper = ((1, 1), (0, 1))
-            cartan_ns = [((a, g * b % l), (b, a)) for a in range(l) for b in range(l) if a or b]
+            upper = [[1, 1], [0, 1]]
+            cartan_ns = [[[a, g * b % l], [b, a]] for a in range(l) for b in range(l) if a or b]
             subgroups = {
-                "Borel": ([((g, 0), (0, 1)), ((1, 0), (0, g)), upper], l * (l - 1) ** 2),
-                "nonsplit Cartan normaliser": (cartan_ns + [((1, 0), (0, l - 1))], 2 * (l * l - 1)),
-                "SL2": ([upper, ((1, 0), (1, 1))], l * (l * l - 1)),
+                "Borel": ([[[g, 0], [0, 1]], [[1, 0], [0, g]], upper], l * (l - 1) ** 2),
+                "nonsplit Cartan normaliser": (cartan_ns + [[[1, 0], [0, l - 1]]], 2 * (l * l - 1)),
+                "SL2": ([upper, [[1, 0], [1, 1]]], l * (l * l - 1)),
                 # det image: the squares, a proper subgroup of the units
                 "SL2 . diag(g^2, 1)": (
-                    [upper, ((1, 0), (1, 1)), ((g * g % l, 0), (0, 1))],
+                    [upper, [[1, 0], [1, 1]], [[g * g % l, 0], [0, 1]]],
                     l * (l * l - 1) * (l - 1) // 2,
                 ),
             }
             for name, (gens, order) in subgroups.items():
-                H = closure(gens, lambda x, y: mat_mul(x, y, l))
+                H = _subgroup(gens, l)
                 assert len(H) == order, (l, name)
-                classes = {_class(m, l) for m in H}
-                assert surjectivity_verdict(classes, l, 1) == "undecided", (l, name)
+                assert surjectivity_verdict(_classes(H, l), l, 1) == "undecided", (l, name)
+
+    def test_exceptional_images_undecided(self):
+        # the preimage in GL2(F_l) of A4, S4 or A5 in PGL2(F_l): all scalars
+        # (g is a primitive root) with the two lifts; order (l - 1) |G|
+        roots = {5: 2, 7: 3, 11: 2, 13: 2}
+        for (l, name), lifts in EXCEPTIONAL_LIFTS.items():
+            g = roots[l]
+            H = _subgroup([[[g, 0], [0, g]]] + lifts, l)
+            order, element_orders = EXCEPTIONAL_GROUPS[name]
+            assert len(H) == (l - 1) * order, (l, name)
+            assert _projective_orders(H, l) == element_orders, (l, name)
+            assert surjectivity_verdict(_classes(H, l), l, 1) == "undecided", (l, name)
 
     def test_full_group_is_surjective(self):
         for l in (5, 7, 11, 13):
-            classes = {_class(m, l) for m in gl2_elements(l)}
-            assert surjectivity_verdict(classes, l, 1) == "surjective"
+            assert surjectivity_verdict(_classes(gl2_elements(l), l), l, 1) == "surjective"
+
+    def test_generates_units_matches_closure(self):
+        # every subset of F_l^x for l = 5, 7; seeded random subsets for 11, 13
+        rng = random.Random(3)
+        for l in (5, 7, 11, 13):
+            units = list(range(1, l))
+            if l < 11:
+                subsets = [c for k in range(l) for c in itertools.combinations(units, k)]
+            else:
+                subsets = [rng.sample(units, rng.randint(1, 4)) for _ in range(300)]
+            for S in subsets:
+                full = bool(S) and len(closure(S, lambda a, b: a * b % l)) == l - 1
+                assert _generates_units(S, l) == full, (l, S)
 
     def test_g2_always_undecided(self):
         assert surjectivity_verdict({(0, 1, 1)}, 3, 2) == "undecided"

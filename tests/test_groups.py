@@ -1,27 +1,36 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sievelab.groups import (
     GroupSpec,
+    _code_ops,
+    _decode,
+    _encode,
+    _J,
+    _pm1,
+    _similitude,
+    _transvection,
     charpoly_class_density,
     class_table,
-    closure,
     gl2_elements,
     group_order,
     jordan_check,
     jordan_check_elements,
-    mat_det,
-    mat_inv,
-    mat_mul,
     pm1_lifting_check,
     property1_check,
-    similitude_factor,
     sl2_elements,
     sp4_elements,
-    symplectic_J,
-    transvection,
+    spec_elements,
 )
+
+
+def _preserves_form(m, l, mu=1):
+    """m^T J m = mu J mod l, for a stack of 4 x 4 matrices."""
+    J = _J(2)
+    return np.all((np.swapaxes(m, -1, -2) @ J @ m - mu * J) % l == 0)
 
 
 class TestOrders:
@@ -43,18 +52,32 @@ class TestOrders:
 
 
 class TestMatrixOps:
+    def test_codes_sort_like_entry_tuples(self):
+        codes = gl2_elements(5)
+        tuples = [tuple(row) for row in _decode(codes, 5, 2).reshape(-1, 4).tolist()]
+        assert tuples == sorted(tuples)
+        assert np.array_equal(_encode(_decode(codes, 5, 2), 5), codes)
+
     def test_inverse(self):
-        m = ((1, 2), (3, 4))
-        assert mat_mul(m, mat_inv(m, 5), 5) == ((1, 0), (0, 1))
+        mul, inv = _code_ops(5, 2)
+        m = _encode([[1, 2], [3, 4]], 5)
+        assert mul(m, inv(m)) == _encode(np.eye(2), 5)
+
+    def test_inverse_on_whole_groups(self):
+        for spec in (GroupSpec(1, 7, "gsp"), GroupSpec(2, 3, "gsp")):
+            n = 2 * spec.g
+            mul, inv = _code_ops(spec.l, n)
+            elems = spec_elements(spec)
+            assert np.all(mul(elems, inv(elems)) == _encode(np.eye(n), spec.l))
 
     def test_det_4x4(self):
-        J = tuple(tuple(v % 7 for v in row) for row in symplectic_J(2))
-        assert mat_det(J, 7) == 1
+        assert round(np.linalg.det(_J(2))) % 7 == 1
 
     def test_transvections_are_symplectic(self):
         for v in ((1, 0, 0, 0), (1, 1, 0, 1)):
-            T = transvection(v, 5, 2)
-            assert similitude_factor(T, 5, 2) == 1
+            T = _transvection(v, 5)
+            assert _similitude(T, 5) == 1
+            assert _preserves_form(T, 5)
 
 
 class TestSp4:
@@ -62,11 +85,25 @@ class TestSp4:
         elems = sp4_elements(3)
         assert len(elems) == 51840
         # every element preserves the form with multiplier 1
-        import random
-
+        assert _preserves_form(_decode(elems, 3, 4), 3)
         rng = random.Random(7)
-        for m in rng.sample(sorted(elems), 25):
-            assert similitude_factor(m, 3, 2) == 1
+        sample = np.array(rng.sample(elems.tolist(), 25))
+        assert np.all(_similitude(_decode(sample, 3, 4), 3) == 1)
+
+    def test_gsp4_similitudes(self):
+        m = _decode(spec_elements(GroupSpec(2, 3, "gsp")), 3, 4)
+        mu = _similitude(m, 3)
+        assert np.bincount(mu).tolist() == [0, 51840, 51840]
+        assert _preserves_form(m, 3, mu[:, None, None])
+
+    def test_element_sets_are_memoised_read_only(self):
+        for spec in (GroupSpec(1, 5, "gsp"), GroupSpec(2, 3, "sp"),
+                     GroupSpec(1, 5, "gsp", pm1_quotient=True)):
+            elems = spec_elements(spec)
+            assert spec_elements(spec) is elems
+            assert not elems.flags.writeable
+            with pytest.raises(ValueError):
+                elems[0] = 0
 
 
 class TestClassTable:
@@ -75,6 +112,15 @@ class TestClassTable:
             ct = class_table(GroupSpec(1, l, "gsp"), "brute")
             assert len(ct.entries) == l * l - 1
             assert ct.total == group_order(GroupSpec(1, l, "gsp"))
+
+    def test_brute_keys_are_class_minima(self):
+        ct = class_table(GroupSpec(1, 3, "gsp"), "brute")
+        keys = list(ct.entries)
+        assert [k[1] for k in keys] == list(range(8))
+        assert keys[0] == ("class", 0, ((0, 1), (1, 0)))
+        assert [k[2] for k in keys] == sorted(k[2] for k in keys)
+        # the identity is a class of its own
+        assert ct.entries[next(k for k in keys if k[2] == ((1, 0), (0, 1)))] == 1
 
     def test_sl2_trace_zero(self):
         ct = class_table(GroupSpec(1, 3, "sp"), "charpoly")
@@ -88,6 +134,7 @@ class TestClassTable:
     def test_charpoly_totals(self):
         ct = class_table(GroupSpec(2, 3, "gsp"), "charpoly")
         assert ct.total == 103680
+        assert len(ct.entries) == 18
 
 
 class TestDensities:
@@ -98,12 +145,19 @@ class TestDensities:
     def test_trace_two_includes_identity(self):
         d = charpoly_class_density(GroupSpec(1, 3, "gsp"), 1)
         # enumeration oracle over det=1 coset
-        count = sum(
-            1
-            for m in sl2_elements(3)
-            if (m[0][0] + m[1][1]) % 3 == 2
-        )
+        m = _decode(sl2_elements(3), 3, 2)
+        count = int(np.sum((m[:, 0, 0] + m[:, 1, 1]) % 3 == 2))
         assert d[2] == Fraction(count, 24)
+
+    def test_gl2_closed_form_matches_enumeration(self):
+        for l in (3, 5, 7, 11, 13):
+            m = _decode(gl2_elements(l), l, 2)
+            tr = (m[:, 0, 0] + m[:, 1, 1]) % l
+            det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % l
+            for delta in range(1, l):
+                counts = np.bincount(tr[det == delta], minlength=l)
+                want = {t: Fraction(int(c), int(counts.sum())) for t, c in enumerate(counts)}
+                assert charpoly_class_density(GroupSpec(1, l, "gsp"), delta) == want
 
     def test_sums_to_one(self):
         for delta in (1, 2):
@@ -137,8 +191,6 @@ class TestLemmas:
         assert pm1_lifting_check(2, 3)
 
     def test_pm1_sl2_image_is_proper(self):
-        from sievelab.groups import pm1_rep
-
-        image = {pm1_rep(m, 3) for m in sl2_elements(3)}
-        full = {pm1_rep(m, 3) for m in gl2_elements(3)}
+        image = np.unique(_pm1(sl2_elements(3), 3, 2))
+        full = np.unique(_pm1(gl2_elements(3), 3, 2))
         assert len(image) < len(full)
