@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .finitefield import ExtField
+import numpy as np
+
+from . import finitefield
 from .groups import GroupSpec, charpoly_class_density, group_order
 
 
@@ -50,50 +52,37 @@ class FFieldCensus:
 
 
 def ffield_specializations(family, q, n):
-    """All t in (F_{q^n})^r with bad_locus(t) != 0, as field-element tuples.
-
-    Ordered by the deterministic field-element encoding so parallel runs
-    merge identically.
-    """
-    fld = ExtField(q, n)
-    import itertools
-
-    out = []
-    for t in itertools.product(fld.elements(), repeat=family.r):
-        if family.bad_locus.eval_field(fld, t) != fld.zero:
-            out.append(t)
-    out.sort(key=lambda t: tuple(fld.encode(v) for v in t))
-    return fld, out
+    """All t in (F_{q^n})^r with bad_locus(t) != 0, as a (T, r) array of
+    element codes, rows in lexicographic order of their codes."""
+    fld = finitefield.field(q, n)
+    grid = np.indices((fld.order,) * family.r).reshape(family.r, -1)
+    return fld, grid[:, family.bad_locus.eval_field(fld, grid) != 0].T
 
 
 def ffield_frobenius(family, fld, t, l):
-    """Char-poly class of Frobenius for the specialization at t over fld.
+    """Char-poly classes of Frobenius at every row of a (T, r) code array t.
 
-    g=1: (a mod l, #fld mod l) with a = #fld + 1 - #E_t(fld), the curve
-    counted exhaustively through the explicit field model.
+    g=1: row i is (a mod l, #fld mod l) with a = #fld + 1 - #E_t(fld), the
+    curve counted through the field's square-root counts.
     """
     if fld.order % l == 0:
         raise ValueError("l divides the field order")
     if family.genus != 1:
         raise ValueError("field-model Frobenius implemented for genus 1")
-    if family.bad_locus.eval_field(fld, t) == fld.zero:
+    t = np.asarray(t).T
+    if np.any(family.bad_locus.eval_field(fld, t) == 0):
         raise ValueError("singular specialization")
-    A = family.A.eval_field(fld, t)
-    B = family.B.eval_field(fld, t)
+    A = np.broadcast_to(family.A.eval_field(fld, t), t.shape[1:])
+    B = np.broadcast_to(family.B.eval_field(fld, t), t.shape[1:])
     # delta = -16 (4A^3 + 27B^2) must be nonzero in the field
-    A3 = fld.mul(fld.mul(A, A), A)
-    B2 = fld.mul(B, B)
-    disc = fld.add(fld.mul(fld.from_int(4), A3), fld.mul(fld.from_int(27), B2))
-    if disc == fld.zero or fld.q == 2:
+    q = fld.q
+    disc = fld.add(fld.mul(4 % q, fld.mul(fld.mul(A, A), A)), fld.mul(27 % q, fld.mul(B, B)))
+    if np.any(disc == 0) or q == 2:
         raise ValueError("singular specialization")
-    nsq = fld.sqrt_counts()
-    count = 1  # point at infinity
-    for x in fld.elements():
-        x2 = fld.mul(x, x)
-        rhs = fld.add(fld.add(fld.mul(x2, x), fld.mul(A, x)), B)
-        count += nsq[rhs]
-    a = fld.order + 1 - count
-    return (a % l, fld.order % l)
+    # one curve at a time keeps temporaries at the size of the field
+    counts = [1 + fld.affine_points([b, a, 0, 1]) for a, b in zip(A, B)]
+    a = fld.order + 1 - np.array(counts, dtype=np.int64)
+    return np.stack([a % l, np.full_like(a, fld.order % l)], axis=1)
 
 
 def pm_class(key, l):
@@ -107,12 +96,13 @@ def pm_class(key, l):
 
 def _measure(family, q, n, l):
     fld, points = ffield_specializations(family, q, n)
-    counts = {}
-    for t in points:
-        key = pm_class(ffield_frobenius(family, fld, t, l), l)
-        counts[key] = counts.get(key, 0) + 1
+    keys, counts = np.unique(ffield_frobenius(family, fld, points, l), axis=0, return_counts=True)
+    tally = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        key = pm_class(key, l)
+        tally[key] = tally.get(key, 0) + count
     total = len(points)
-    freqs = {k: Fraction(v, total) for k, v in sorted(counts.items())}
+    freqs = {k: Fraction(v, total) for k, v in sorted(tally.items())}
     return total, freqs
 
 

@@ -1,11 +1,12 @@
 """Specialization of elliptic and genus-2 families, Frobenius traces, class tags.
 
-Point counting is exhaustive (O(p) character sums for g=1, O(p^2) via an
-explicit quadratic extension for g=2) with desk-scale prime caps; Schoof-type
-algorithms are out of scope.  ``ap_table`` gives a_p at every residue t mod p
-of a g=1 family in O(p log p): a twist moves each curve onto one of three
-one-parameter rows (j = 0, j = 1728, and y^2 = x^3 + cx + c), and each row is
-one FFT correlation of the quadratic character with a weighted value count.
+Point counting is exhaustive, with desk-scale prime caps: O(p) for g=1 and
+O(p^2) for g=2, as gathers of the square-root counts of F_p and F_{p^2} from
+``finitefield``.  Schoof-type algorithms are out of scope.  ``ap_table``
+gives a_p at every residue t mod p of a g=1 family in O(p log p): a twist
+moves each curve onto one of three one-parameter rows (j = 0, j = 1728, and
+y^2 = x^3 + cx + c), and each row is one FFT correlation of the quadratic
+character with a weighted value count.
 Good reduction uses the crude divisibility criterion on the discriminant, not
 minimal models.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .finitefield import _prime_divisors
+from .finitefield import _prime_divisors, field
 from .polynomials import Poly
 
 PRIME_CAP_G1 = 10**4
@@ -76,7 +77,12 @@ class CurveFamily:
             A = _poly_from_terms(doc["A"], "A", 1)
             B = _poly_from_terms(doc["B"], "B", 1)
             return cls(1, A, B, (), bad, frozenset(excl))
-        quintic = tuple(_poly_from_terms(t, "quintic", r) for t in doc["quintic"])
+        quintic = doc["quintic"]
+        if not isinstance(quintic, list) or len(quintic) != 6:
+            raise ValueError("quintic must list six coefficients, x^0 to x^5")
+        quintic = tuple(_poly_from_terms(t, "quintic", r) for t in quintic)
+        if quintic[5] != Poly.const(r, 1):
+            raise ValueError("quintic must be monic: its x^5 coefficient must be 1")
         return cls(2, None, None, quintic, bad, frozenset(excl))
 
 
@@ -197,27 +203,15 @@ def reduction_type(s, p):
     return "good" if _squarefree_mod_p(_quintic_mod_p(s, p), p) else "bad"
 
 
-def _legendre_table(p):
-    """chi[v] in {-1, 0, 1} for v in Z/p."""
-    chi = [-1] * p
-    chi[0] = 0
-    for y in range(1, p):
-        chi[y * y % p] = 1
-    return chi
-
-
 def ap_count(s, p):
-    """a_p = -sum_x chi(x^3 + Ax + B) over F_p (character-sum route)."""
+    """a_p = p - #{(x, y) in F_p^2 : y^2 = x^3 + Ax + B}, from the
+    square-root counts of the field F_p (no FFT, unlike ``ap_table``)."""
     _require_good(s, p)
     if p > PRIME_CAP_G1:
         raise ValueError("prime cap exceeded")
     a = s.A.numerator * pow(s.A.denominator, -1, p) % p
     b = s.B.numerator * pow(s.B.denominator, -1, p) % p
-    chi = _legendre_table(p)
-    total = 0
-    for x in range(p):
-        total += chi[(x * x % p * x + a * x + b) % p]
-    ap = -total
+    ap = p - field(p, 1).affine_points([b, a, 0, 1])
     if ap * ap > 4 * p:
         raise AssertionError("Hasse bound violated")
     return ap
@@ -244,30 +238,15 @@ def _require_good(s, p):
 
 def genus2_counts(s, p):
     """(n1, n2) = (#C(F_p), #C(F_{p^2})) for the hyperelliptic quintic model."""
-    from .finitefield import ExtField
-
     if p == 2:
         raise ValueError("p = 2 unsupported")
     _require_good(s, p)
     if p > PRIME_CAP_G2:
         raise ValueError("prime cap exceeded")
     coeffs = _quintic_mod_p(s, p)
-    chi = _legendre_table(p)
-    n1 = p + 1  # one point at infinity for deg 5
-    for x in range(p):
-        v = 0
-        for c in reversed(coeffs):
-            v = (v * x + c) % p
-        n1 += chi[v]
-    fld = ExtField.quadratic(p)
-    nsq = fld.sqrt_counts()
-    n2 = 1
-    cf = [fld.from_int(c) for c in coeffs]
-    for x in fld.elements():
-        v = fld.zero
-        for c in reversed(cf):
-            v = fld.add(fld.mul(v, x), c)
-        n2 += nsq[v]
+    # one point at infinity for degree 5
+    n1 = 1 + field(p, 1).affine_points(coeffs)
+    n2 = 1 + field(p, 2).affine_points(coeffs)
     a1 = p + 1 - n1
     if a1 * a1 > 16 * p:
         raise AssertionError("Weil bound violated")
@@ -352,8 +331,9 @@ def ap_table(family, p):
     c, B, A are cyclic correlations of chi with weighted value counts, one
     FFT each, so no (p x p) grid is built.
 
-    Returns an int64 array of length p with BAD_SENTINEL at residues where the
-    specialization has bad reduction (discriminant vanishes mod p).
+    Returns an int16 array of length p (|a_p| <= 2 sqrt(p) < 2^15) with
+    BAD_SENTINEL at residues where the specialization has bad reduction
+    (discriminant vanishes mod p).
     """
     if family.genus != 1:
         raise ValueError("ap_table is g=1 only")
@@ -395,7 +375,7 @@ def ap_table(family, p):
     if np.any(a[good] ** 2 > 4 * p):
         raise AssertionError("Hasse bound violated")
     a[~good] = BAD_SENTINEL
-    return a
+    return a.astype(np.int16)
 
 
-BAD_SENTINEL = np.iinfo(np.int64).min
+BAD_SENTINEL = np.iinfo(np.int16).min

@@ -1,59 +1,19 @@
-"""Explicit models of F_{q^n} = F_q[z]/(h) with q prime.
+"""F_{q^n} with q prime, elements as integer codes.
 
-Elements are coefficient tuples of length n.  The modulus is found by
-deterministic lexicographic search; quadratic extensions use z^2 - nu with nu
-the smallest quadratic nonresidue, matching the hand construction used for
-genus-2 point counts.
+The element d_0 + d_1 z + ... + d_{n-1} z^{n-1} of F_q[z]/(h) is the code
+sum d_i q^i, so codes run over 0..q^n - 1 and sort like the reversed digit
+tuples.  The modulus h is the lexicographically first monic polynomial of
+degree n for which z has order q^n - 1: h is primitive, every nonzero
+element is a power of z, and products go through exp/log tables.  Sums add
+base-q digits.  Both take numpy arrays of codes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-
-def _poly_mul_mod(a, b, h, q):
-    """Product of coefficient lists mod (h, q); h monic, ascending coeffs."""
-    n = len(h) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    # reduce by h
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - c * h[j]) % q
-    return out[:n] + [0] * (n - len(out))
-
-
-def _poly_powmod(base, e, h, q):
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, b, h, q)
-        b = _poly_mul_mod(b, b, h, q)
-        e >>= 1
-    n = len(h) - 1
-    result = (result + [0] * n)[:n]
-    return result
-
-
-def _is_irreducible(h, q):
-    """Monic h irreducible over F_q iff z^{q^n} = z mod h and z^{q^{n/p}} != z."""
-    n = len(h) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    if _poly_powmod(x, q**n, h, q) != (x + [0] * n)[:n]:
-        return False
-    for p in _prime_divisors(n):
-        if _poly_powmod(x, q ** (n // p), h, q) == (x + [0] * n)[:n]:
-            return False
-    return True
+import numpy as np
 
 
 def _prime_divisors(n):
@@ -70,75 +30,81 @@ def _prime_divisors(n):
     return out
 
 
-def find_irreducible(q, n):
-    """Lexicographically first monic irreducible of degree n over F_q."""
-    if n == 1:
-        return (0, 1)
-    for tail in itertools.product(range(q), repeat=n):
-        h = list(tail) + [1]
-        if _is_irreducible(h, q):
-            return tuple(h)
-    raise RuntimeError("no irreducible polynomial found")  # impossible
+def _matpow(m, e, q):
+    """m^e mod q for a square int64 matrix."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % q
+        m = m @ m % q
+        e >>= 1
+    return out
 
 
 class ExtField:
-    """F_{q^n} with elements as coefficient tuples of length n."""
+    """F_{q^n} = F_q[z]/(h), h primitive; elements are int codes."""
 
-    def __init__(self, q, n, modulus=None):
-        self.q = q
-        self.n = n
-        self.modulus = tuple(modulus) if modulus else find_irreducible(q, n)
-        if len(self.modulus) != n + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        self.zero = (0,) * n
-        self.one = tuple([1] + [0] * (n - 1))
-        self._sqrt_counts = None
-
-    @classmethod
-    def quadratic(cls, p):
-        """F_{p^2} = F_p[z]/(z^2 - nu), nu the smallest nonresidue."""
-        squares = {x * x % p for x in range(p)}
-        nu = next(v for v in range(2, p) if v not in squares)
-        return cls(p, 2, ((-nu) % p, 0, 1))
+    def __init__(self, q, n):
+        if q < 2 or _prime_divisors(q) != [q] or n < 1:
+            raise ValueError("need a prime q and n >= 1")
+        self.q, self.n = q, n
+        Q = q**n
+        eye = np.eye(n, dtype=np.int64)
+        for tail in itertools.product(range(q), repeat=n):
+            # multiplication by z on the basis 1, z, .., z^(n-1)
+            z = np.zeros((n, n), dtype=np.int64)
+            z[1:, :-1] = eye[1:, 1:]
+            z[:, -1] = np.negative(tail) % q
+            if np.array_equal(_matpow(z, Q - 1, q), eye) and not any(
+                np.array_equal(_matpow(z, (Q - 1) // r, q), eye) for r in _prime_divisors(Q - 1)
+            ):
+                break
+        self.modulus = (*tail, 1)
+        # walk the powers of z by doubling: rows k..2k-1 are rows 0..k-1 times z^k
+        powers, zk = eye[:1], z
+        while len(powers) < Q - 1:
+            powers = np.concatenate([powers, powers @ zk.T % q])
+            zk = zk @ zk % q
+        self._weights = q ** np.arange(n, dtype=np.int64)
+        self._exp = powers[: Q - 1] @ self._weights
+        self._log = np.zeros(Q, dtype=np.int64)
+        self._log[self._exp] = np.arange(Q - 1)
+        # y^2 = v has 2 roots when log v is even, none when odd; one root of
+        # each v in characteristic 2
+        self._sqrt = np.ones(Q, dtype=np.int64)
+        if q != 2:
+            self._sqrt[1:] = 2 - 2 * (self._log[1:] % 2)
+        for a in (self._exp, self._log, self._sqrt):
+            a.setflags(write=False)
 
     @property
     def order(self):
         return self.q**self.n
 
-    def from_int(self, k):
-        return tuple([k % self.q] + [0] * (self.n - 1))
+    def mul(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
 
     def add(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.q for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.q for x in a)
-
-    def mul(self, a, b):
-        return tuple(_poly_mul_mod(list(a), list(b), list(self.modulus), self.q))
-
-    def pow(self, a, e):
-        return tuple(_poly_powmod(list(a), e, list(self.modulus), self.q))
-
-    def elements(self):
-        for tup in itertools.product(range(self.q), repeat=self.n):
-            yield tup
+        a, b = np.asarray(a), np.asarray(b)
+        return sum((a // w + b // w) % self.q * w for w in self._weights)
 
     def sqrt_counts(self):
-        """Map v -> #{y : y^2 = v}; cached."""
-        if self._sqrt_counts is None:
-            counts = {v: 0 for v in self.elements()}
-            for y in self.elements():
-                counts[self.mul(y, y)] += 1
-            self._sqrt_counts = counts
-        return self._sqrt_counts
+        """#{y : y^2 = v} for every code v, as a read-only array."""
+        return self._sqrt
 
-    def encode(self, a):
-        """Deterministic integer index for ordering/serialization."""
-        k = 0
-        for c in reversed(a):
-            k = k * self.q + c
-        return k
+    def affine_points(self, coeffs):
+        """#{(x, y) : y^2 = f(x)} over the field, f from ascending
+        coefficient codes."""
+        x = np.arange(self.order)
+        v = 0
+        for c in reversed(coeffs):
+            v = self.add(self.mul(v, x), c)
+        return int(self.sqrt_counts()[v].sum())
+
+
+@functools.lru_cache(maxsize=32)
+def field(q, n):
+    """F_{q^n}, built once while it stays among the 32 most recently used."""
+    return ExtField(q, n)

@@ -122,12 +122,14 @@ class Poly:
         return out
 
     def eval_field(self, field, values):
-        """Evaluate at elements of an ExtField.  Requires integer coefficients."""
-        out = field.zero
+        """Evaluate at element codes of a ``finitefield.ExtField`` (numpy
+        arrays, one per variable, broadcast together).  Requires integer
+        coefficients."""
+        out = 0
         for exps, c in self.terms.items():
             if c.denominator != 1:
                 raise ValueError("eval_field needs integer coefficients")
-            term = field.from_int(c.numerator)
+            term = c.numerator % field.q
             for v, e in zip(values, exps):
                 for _ in range(e):
                     term = field.mul(term, v)

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab.census import (
     ConfigError,
@@ -15,9 +20,10 @@ from sievelab.census import (
     sifted_class_set,
 )
 from sievelab.cli import main
-from sievelab.curves import default_elliptic_family
+from sievelab.curves import default_elliptic_family, default_genus2_family
 
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
+GOOD_G2 = json.loads(default_genus2_family().to_json())
 
 
 class TestConfigValidation:
@@ -75,7 +81,7 @@ class TestCensus:
         tables2 = frobenius_tables(fam, 100, workers=2, seed=99)
         assert list(tables1) == list(tables2)
         for p, table in tables1.items():
-            assert table.dtype == tables2[p].dtype == np.int64
+            assert table.dtype == tables2[p].dtype == np.int16
             assert np.array_equal(table, tables2[p])
 
 
@@ -229,6 +235,13 @@ class TestCli:
                 {"A": [[1.5, 1]]},  # non-integer coefficient
                 {"bad_locus": [[0, 1]]},  # zero bad locus
             )
+        ] + [
+            (["goodred"], {"family": {**GOOD_G2, "quintic": quintic}}, 2)
+            for quintic in (
+                GOOD_G2["quintic"][:5],  # five coefficients
+                GOOD_G2["quintic"][:5] + [[[2, 0, 0, 0]]],  # leading coefficient 2
+                GOOD_G2["quintic"][:5] + [[[1, 1, 0, 0]]],  # leading coefficient t1
+            )
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):
@@ -255,3 +268,86 @@ class TestCli:
         with open(os.path.join(out, "class_set_l5_tr0.json")) as fh:
             doc = json.load(fh)
         assert doc["support"][0] == 11 and doc["count"] >= 0
+
+
+FLAG_VALUES = {
+    "--x": ["10", "5,20", "20,5", "", "a", "0", "-3"],
+    "--lmax": ["3", "5", "13", "2", "100", "x"],
+    "--pcap": ["50", "0", "-5", "100000", "q"],
+    "--out": ["out", "", "file"],
+    "--workers": ["1", "0", "-2", "w"],
+    "--seed": ["0", "7", "-1", "z"],
+    "--config": ["cfg.json", "missing.json", "."],
+}
+CLASS_SET_VALUES = {
+    "--l": ["5", "7", "3", "2", "9", "17", "x"],
+    "--class": ["0,1", "1,1", "3,1", "0,2", "1", "a,b", ""],
+    "--Q": ["200", "50", "2", "0", "-5", "x"],
+}
+CONFIG_VALUES = {
+    "family": ["default-g1", "default-g2", "missing.json", GOOD_FAMILY, GOOD_G2,
+               {"genus": 3}, {**GOOD_G2, "quintic": [[[1, 0, 0, 0]]]}, 7, [1]],
+    "x": [[10], [5, 20], [20, 5], [], [0], ["a"], 10],
+    "l": [[5], [3, 5], [9], [2], [17], 5, [], [5.0]],
+    "pcap": [50, 0, -1, 10**5, "50", 2.5, True],
+    "out": ["out", "", 5, "file"],
+    "workers": [1, 0, "1"],
+    "seed": [0, 3, -1, "s"],
+    "colour": ["blue"],
+}
+
+
+def _pairs(values):
+    """Some of the options in values, each with one of its values."""
+    return st.lists(
+        st.sampled_from(sorted(values)).flatmap(
+            lambda k: st.tuples(st.just(k), st.sampled_from(values[k]))),
+        max_size=3)
+
+
+class TestFrontDoorFuzz:
+    """Every argv and config built from the real flags, commands and keys
+    exits 0, 2 or 3, never with a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flags=_pairs(FLAG_VALUES),
+        command=st.sampled_from(["census", "goodred", "report", "sifted-class-set", "bogus"]),
+        class_set=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in CLASS_SET_VALUES.items()}),
+        config=st.one_of(
+            st.none(),
+            st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.none(), max_size=4).flatmap(
+                lambda d: st.fixed_dictionaries({k: st.sampled_from(CONFIG_VALUES[k]) for k in d})),
+            st.sampled_from([[10], "x", 5, "{not json"]),
+        ),
+    )
+    def test_exit_code_without_traceback(self, flags, command, class_set, config):
+        argv = [a for pair in flags for a in pair] + [command]
+        if command == "sifted-class-set":
+            argv += [a for pair in class_set.items() for a in pair]
+        # small sizes keep each example fast: the default pcap is 1000
+        if "--pcap" not in argv and not (isinstance(config, dict) and "pcap" in config):
+            argv = ["--pcap", "50"] + argv
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                open("file", "w").close()
+                if config is not None:
+                    with open("cfg.json", "w", encoding="utf-8") as fh:
+                        fh.write(config if config == "{not json" else json.dumps(config))
+                    if "--config" not in argv:
+                        argv = ["--config", "cfg.json"] + argv
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                        usage_error = False
+                    except SystemExit as e:  # argparse rejects the argv
+                        code, usage_error = e.code, True
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code and not usage_error:
+            assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

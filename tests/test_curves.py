@@ -147,7 +147,7 @@ class TestApTable:
         fam = default_elliptic_family()
         for p in primes_below(2000)[1:]:
             table = ap_table(fam, p)
-            assert table.dtype == np.int64
+            assert table.dtype == np.int16
             assert np.array_equal(table, _ap_table_oracle(fam, p)), p
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_FAMILIES))
