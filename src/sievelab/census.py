@@ -1,16 +1,21 @@
 """Experiment orchestration: the surjectivity census, class-set sieving,
 and the good-reduction floor, shared by the CLI and the test suite.
 
-The census enumerates parameters t of bounded height, gathers char-poly
-classes of Frobenius over all good primes up to a cap, and issues a
-per-(t, l) verdict.  A point enters the exceptional proxy when it is
-undecided for at least one l; verdicts depend only on (t, l, p-cap), so the
-proxy is monotone under enlarging the height window.
+The census holds the parameters t = num/den of bounded height as int64
+arrays and sweeps them through the a_p tables of the good primes up to a
+cap, one prime at a time.  Per l it ORs the witness bits of each class
+(a_p mod l, p mod l) into a uint16 state per point (``witness_lut``),
+from which the per-(t, l) verdict is read.  Certification only grows with
+the prime set, so points certified at every l >= 5 leave the sweep early.
+A point enters the exceptional proxy when it is undecided for at least one
+l; verdicts depend only on (t, l, p-cap), so the proxy is monotone under
+enlarging the height window.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -18,9 +23,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .brun import primes_below
-from .curves import BAD_SENTINEL, ap_table, surjectivity_verdict
-from .heights import enumerate_affine
+from .curves import BAD_SENTINEL, _pow_mod, ap_table
+from .finitefield import _prime_divisors
+from .heights import affine_line_points
 
 
 class ConfigError(Exception):
@@ -33,7 +41,7 @@ class InfeasibleError(Exception):
 
 PCAP_LIMIT = 10**4
 L_LIMIT = 13
-X_LIMIT = 1000  # census and class sieve only: both hold all (2x + 1)^2 candidates
+X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
 
 
 @dataclass
@@ -56,8 +64,8 @@ class ExperimentConfig:
             raise ConfigError("x values must be nonempty and strictly increasing")
         if any(x < 1 for x in self.x_values):
             raise ConfigError("x values must be >= 1")
-        if not self.l_values:
-            raise ConfigError("l values must be nonempty")
+        if not self.l_values or len(set(self.l_values)) != len(self.l_values):
+            raise ConfigError("l values must be nonempty and distinct")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.pcap < 1:
@@ -107,6 +115,45 @@ def frobenius_tables(family, pcap, workers=1, seed=0):
     return {p: ap_table(family, p) for p in primes}
 
 
+# Witness bits of a set of g = 1 classes mod l >= 5: bit d - 1 for each
+# determinant d seen (l - 1 <= 12 bits), then the three class witnesses of
+# ``curves.surjectivity_verdict``.  The bits of a set are the OR over its classes.
+SPLIT, NONSPLIT, EXCLUDER = 1 << 12, 1 << 13, 1 << 14
+REASONS = ("det", "split", "nonsplit", "excluder", "l3")  # code k >= 1 is REASONS[k - 1]
+
+
+@functools.cache
+def witness_lut(l):
+    """Read-only (l, l) uint16 table of the witness bits of the class
+    (tr, det), indexed [tr, det]; det = 0 (p = l) carries no bits."""
+    squares = {x * x % l for x in range(1, l)}
+    lut = np.zeros((l, l), dtype=np.uint16)
+    for tr in range(l):
+        for d in range(1, l):
+            disc, u = (tr * tr - 4 * d) % l, tr * tr * pow(d, -1, l) % l
+            lut[tr, d] = (
+                1 << (d - 1)
+                | SPLIT * (tr != 0 and disc in squares)
+                | NONSPLIT * (tr != 0 and disc != 0 and disc not in squares)
+                | EXCLUDER * (u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % l != 0)
+            )
+    lut.setflags(write=False)
+    return lut
+
+
+def witness_verdicts(state, l):
+    """``curves.surjectivity_verdict`` (g = 1, l >= 5) on an array of witness
+    states: 0 where 'surjective', else the reason code of the first missing
+    witness."""
+    dets_generate = np.ones(state.shape, dtype=bool)
+    for r in _prime_divisors(l - 1):  # as in curves._generates_units
+        non_rth = sum(1 << (v - 1) for v in range(1, l) if pow(v, (l - 1) // r, l) != 1)
+        dets_generate &= (state & non_rth) != 0
+    missing = [~dets_generate, (state & SPLIT) == 0, (state & NONSPLIT) == 0,
+               (state & EXCLUDER) == 0]
+    return np.select(missing, [1, 2, 3, 4], 0).astype(np.int8)
+
+
 @dataclass(frozen=True)
 class CensusRow:
     x: int
@@ -114,6 +161,7 @@ class CensusRow:
     surjective: dict  # l -> count
     undecided: dict  # l -> count
     undecided_any: int
+    reasons: dict  # l -> undecided counts, one per REASONS
 
     @property
     def fraction(self):
@@ -127,62 +175,80 @@ class CensusRow:
         return row
 
 
-def _good_aps(tables, t):
-    """(p, a_p) for every tabled prime p not dividing den(t) at which the
-    specialization at t has good reduction."""
-    num, den = t.numerator, t.denominator
-    for p, table in tables.items():
-        if den % p:
-            ap = int(table[num * pow(den, -1, p) % p])
-            if ap != BAD_SENTINEL:
-                yield p, ap
+def _sweep(num, den, tables, luts, certified=None):
+    """(P, len(luts)) uint16 states: for each point and each (l, l) table in
+    ``luts``, the OR of lut[a_p mod l, p mod l] over the tabled primes p
+    not dividing den at which the point has good reduction.
+
+    Every 8 primes, the points that ``certified(states)`` marks leave the
+    sweep; it must mark only points whose outcome no further bit changes.
+    """
+    state = np.zeros((len(num), len(luts)), dtype=np.uint16)
+    live = np.arange(len(num))
+    n, d, s = num, den, state
+    dmax = int(den.max(initial=0))
+    for k, (p, table) in enumerate(tables.items()):
+        if certified is not None and k % 8 == 0 and (done := certified(s)).any():
+            state[live[done]] = s[done]
+            live, n, d, s = live[~done], n[~done], d[~done], s[~done]
+        if not len(live):
+            break
+        inv = _pow_mod(np.arange(dmax + 1), p - 2, p)[d]  # 0 where p | den
+        ap = table[n % p * inv % p]
+        good = (inv != 0) & (ap != BAD_SENTINEL)
+        for j, lut in enumerate(luts):
+            s[:, j] |= lut[ap % len(lut), p % len(lut)] * good
+    state[live] = s
+    return state
 
 
-def point_class_sets(t, tables, l_values):
-    """Observed char-poly classes {(a_p mod l, p mod l)} per l for one t."""
-    classes = {l: set() for l in l_values}
-    for p, ap in _good_aps(tables, t):
-        for l in l_values:
-            if p != l:
-                classes[l].add((ap % l, p % l))
-    return classes
+def _reason_codes(num, den, tables, l_values):
+    """(P, len(l_values)) int8: 0 where 'surjective', else the reason code
+    of the first missing witness (REASONS); l = 3 is always 'l3'."""
+    big = [j for j, l in enumerate(l_values) if l != 3]
+
+    def codes(state):
+        per_l = [witness_verdicts(state[:, k], l_values[j]) for k, j in enumerate(big)]
+        return np.array(per_l, dtype=np.int8).reshape(len(big), len(state)).T
+
+    state = _sweep(
+        num, den, tables, [witness_lut(l_values[j]) for j in big],
+        certified=lambda s: ~codes(s).any(axis=1),
+    )
+    out = np.full((len(num), len(l_values)), REASONS.index("l3") + 1, dtype=np.int8)
+    out[:, big] = codes(state)
+    return out
+
+
+def _trace_lut(l):
+    """(l, l) table of the trace bit 1 << tr of the class (tr, det)."""
+    return np.repeat((1 << np.arange(l, dtype=np.uint16))[:, None], l, axis=1)
 
 
 def census(family, x_values, l_values, pcap, workers=1, seed=0):
-    """CensusRow per x.  Verdicts are computed once at the largest x and
-    restricted, which also enforces the monotone-containment invariant."""
+    """(rows, (num, den), surjective): a CensusRow per x, the points of
+    height <= max(x_values) as int64 arrays (by den, then num), and the
+    (points, l) bool matrix of 'surjective' verdicts.  Verdicts are
+    computed once at the largest x and restricted, which also enforces the
+    monotone-containment invariant."""
     _check_x(max(x_values))
-    return _census(family, x_values, l_values, frobenius_tables(family, pcap, workers, seed))
-
-
-def _census(family, x_values, l_values, tables):
-    x_values = sorted(x_values)
-    points = [pt.coords[0] for pt in enumerate_affine(1, x_values[-1], bad_locus=family.bad_locus)]
-    verdicts = {}
-    for t in points:
-        cls = point_class_sets(t, tables, l_values)
-        verdicts[t] = {
-            l: surjectivity_verdict(cls[l], l, family.genus) for l in l_values
-        }
+    tables = frobenius_tables(family, pcap, workers, seed)
+    num, den = affine_line_points(max(x_values), family.bad_locus)
+    reason = _reason_codes(num, den, tables, l_values)
+    height = np.maximum(np.abs(num), den)
     rows = []
-    for x in x_values:
-        # the height of t = n/d in lowest terms is max(|n|, d)
-        sub = [t for t in points if max(abs(t.numerator), t.denominator) <= x]
-        surj = {l: 0 for l in l_values}
-        und = {l: 0 for l in l_values}
-        any_und = 0
-        for t in sub:
-            bad_some = False
-            for l in l_values:
-                if verdicts[t][l] == "surjective":
-                    surj[l] += 1
-                else:
-                    und[l] += 1
-                    bad_some = True
-            if bad_some:
-                any_und += 1
-        rows.append(CensusRow(x, len(sub), surj, und, any_und))
-    return rows, verdicts
+    for x in sorted(x_values):
+        sub = reason[height <= x]
+        und = (sub != 0).sum(axis=0).tolist()
+        rows.append(CensusRow(
+            x, len(sub),
+            {l: len(sub) - u for l, u in zip(l_values, und)},
+            dict(zip(l_values, und)),
+            int((sub != 0).any(axis=1).sum()),
+            {l: np.bincount(sub[:, j], minlength=len(REASONS) + 1)[1:].tolist()
+             for j, l in enumerate(l_values)},
+        ))
+    return rows, (num, den), reason == 0
 
 
 @dataclass(frozen=True)
@@ -235,10 +301,9 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
         raise ConfigError(f"class determinant {det0} must be 1 mod l = {l}")
     support_primes = _support_primes(family, l, pcap, Q)
     tables = {p: ap_table(family, p) for p in support_primes}
-    count = sum(
-        all(ap % l != tr0 % l for _, ap in _good_aps(tables, pt.coords[0]))
-        for pt in enumerate_affine(1, x, bad_locus=family.bad_locus)
-    )
+    num, den = affine_line_points(x, family.bad_locus)
+    traces = _sweep(num, den, tables, [_trace_lut(l)])[:, 0]
+    count = int(np.count_nonzero((traces >> (tr0 % l)) & 1 == 0))
     # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}
     from .groups import GroupSpec, charpoly_class_density
 
@@ -251,17 +316,18 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
 
 def exceptional_containment_check(family, x, l, pcap, Q, workers=1, seed=0):
     """Every census-undecided point survives at least one class sieve:
-    the exceptional proxy sits inside the union of the Y_C."""
+    the exceptional proxy sits inside the union of the Y_C.  Returns the
+    number of undecided points and the (num, den) of those that fail."""
     _check_x(x)
     tables = frobenius_tables(family, pcap, workers, seed)
-    _, verdicts = _census(family, [x], [l], tables)
-    undecided = [t for t, v in verdicts.items() if v[l] != "surjective"]
+    num, den = affine_line_points(x, family.bad_locus)
+    undecided = _reason_codes(num, den, tables, [l])[:, 0] != 0
+    num, den = num[undecided], den[undecided]
     support = {p: tables[p] for p in _support_primes(family, l, pcap, Q)}
     # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
-    failures = [
-        t for t in undecided if len({ap % l for _, ap in _good_aps(support, t)}) == l
-    ]
-    return len(undecided), failures
+    traces = _sweep(num, den, support, [_trace_lut(l)])[:, 0]
+    failed = traces == (1 << l) - 1
+    return len(num), list(zip(num[failed].tolist(), den[failed].tolist()))
 
 
 # ----------------------------------------------------------------- artifacts
@@ -279,6 +345,16 @@ def write_census_csv(path, rows, l_values):
         w.writerow(header)
         for row in rows:
             w.writerow(row.csv_row(l_values))
+
+
+def write_reasons_csv(path, rows, l_values):
+    """Undecided counts per (x, l), split by the first missing witness."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "l", "undecided", *REASONS])
+        for row in rows:
+            for l in l_values:
+                w.writerow([row.x, l, row.undecided[l], *row.reasons[l]])
 
 
 def write_goodred_csv(path, censuses):

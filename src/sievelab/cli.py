@@ -23,6 +23,7 @@ from .census import (
     sifted_class_set,
     write_census_csv,
     write_goodred_csv,
+    write_reasons_csv,
 )
 from .curves import CurveFamily, default_elliptic_family, default_genus2_family
 
@@ -99,8 +100,9 @@ def load_config(args):
 
 
 def cmd_census(cfg, doc):
-    rows, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap, cfg.workers, cfg.seed)
+    rows, _, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap, cfg.workers, cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    write_reasons_csv(os.path.join(cfg.out_dir, "census_reasons.csv"), rows, cfg.l_values)
     path = os.path.join(cfg.out_dir, "census.csv")
     write_census_csv(path, rows, cfg.l_values)
     print(path)

@@ -308,6 +308,17 @@ def surjectivity_verdict(classes, l, g):
     return "undecided"
 
 
+def _pow_mod(base, e, p):
+    """base^e mod p elementwise by square-and-multiply (int64, p < 2^31)."""
+    out, base = np.ones_like(base), base % p
+    while e > 0:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def _eval_all_mod(poly, x, p):
     """poly(x) mod p elementwise by numpy Horner (univariate, integer
     coefficients)."""
@@ -343,13 +354,7 @@ def ap_table(family, p):
     chi = np.full(p, -1, dtype=np.int64)
     chi[0] = 0
     chi[x[1:] * x[1:] % p] = 1
-    # inv[v] = v^(p-2): the inverse of every unit (Fermat)
-    inv, base, e = np.ones_like(x), x, p - 2
-    while e > 0:
-        if e & 1:
-            inv = inv * base % p
-        base = base * base % p
-        e >>= 1
+    inv = _pow_mod(x, p - 2, p)  # the inverse of every unit (Fermat)
     x3 = x * x % p * x % p
     # S(c, c) = chi(-1) + sum_{x != -1} chi(x + 1) chi(x^3/(x + 1) + c)
     y = x[1:]  # y = x + 1

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
 
 
@@ -33,20 +35,6 @@ class ProjectivePoint:
 
     def to_json(self):
         return list(self.coords)
-
-
-@dataclass(frozen=True)
-class AffinePoint:
-    """Rational point of A^r(Q); coordinates stored as Fractions in lowest terms."""
-
-    coords: tuple
-
-    @property
-    def r(self):
-        return len(self.coords)
-
-    def to_json(self):
-        return [[c.numerator, c.denominator] for c in self.coords]
 
 
 def canonicalize(raw):
@@ -69,31 +57,6 @@ def canonicalize(raw):
 def height(p):
     """Absolute height over Q: max |coordinate| of the primitive representative."""
     return max(abs(c) for c in p.coords)
-
-
-class DefaultChart:
-    """The chart (t_1, ..., t_r) -> (d : n_1 : ... : n_r) with common denominator d."""
-
-    def to_projective(self, t):
-        coords = [Fraction(c) for c in t.coords]
-        d = 1
-        for c in coords:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return canonicalize((d, *(int(c * d) for c in coords)))
-
-    def from_projective(self, p):
-        """Inverse on the locus u0 != 0; raises off the chart."""
-        if p.coords[0] == 0:
-            raise ValueError("chart undefined here")
-        u0 = p.coords[0]
-        return AffinePoint(tuple(Fraction(c, u0) for c in p.coords[1:]))
-
-
-DEFAULT_CHART = DefaultChart()
-
-
-def height_affine(t, chart=DEFAULT_CHART):
-    return height(chart.to_projective(t))
 
 
 def _first_nonzero_positive(coords):
@@ -128,23 +91,41 @@ def count_projective(r, x):
     return len(enumerate_projective(r, x))
 
 
-def enumerate_affine(r, x, chart=DEFAULT_CHART, bad_locus=None):
-    """All t in A^r(Q) with chart height <= x and bad_locus(t) != 0.
+def affine_line_points(x, bad_locus):
+    """All t = num/den in A^1(Q) with height max(|num|, den) <= x and
+    bad_locus(t) != 0, as int64 arrays ordered by den, then num.
 
-    Derived from the projective enumeration: the default chart hits exactly
-    the canonical points with u0 > 0.  Deterministic order inherited.
+    These are the canonical points (den : num) of P^1(Q) with den > 0, in
+    the order of ``enumerate_projective``.  The bad locus is removed
+    exactly through its rational roots, so no value of it is formed in
+    fixed-width integers.
     """
-    if bad_locus is not None and bad_locus.is_zero():
+    if bad_locus.is_zero():
         raise ValueError("bad locus must be a nonzero polynomial")
-    out = []
-    for p in enumerate_projective(r, x):
-        if p.coords[0] == 0:
-            continue
-        t = chart.from_projective(p)
-        if bad_locus is not None and bad_locus(*t.coords) == 0:
-            continue
-        out.append(t)
-    return out
+    den, num = np.divmod(np.arange(x * (2 * x + 1)), 2 * x + 1)
+    den, num = den + 1, num - x
+    keep = np.gcd(num, den) == 1
+    for n, d in _rational_roots(bad_locus, x):
+        keep &= (num != n) | (den != d)
+    return num[keep], den[keep]
+
+
+def _rational_roots(poly, x):
+    """The roots n/d (lowest terms, d > 0) of a nonzero univariate
+    polynomial with max(|n|, d) <= x.  With the coefficients scaled to
+    integers and the factor t^k removed, n divides the lowest coefficient
+    and d the leading one (rational root theorem); each candidate is
+    checked in exact rationals."""
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    coeffs = {e: c * scale for (e,), c in poly.terms.items()}
+    low, top = coeffs[min(coeffs)], coeffs[max(coeffs)]
+    roots = [(0, 1)] if min(coeffs) > 0 else []
+    nums = [n for n in range(1, x + 1) if low % n == 0]
+    for d in range(1, x + 1):
+        if top % d == 0:
+            roots += [(s, d) for n in nums if math.gcd(n, d) == 1
+                      for s in (n, -n) if poly(Fraction(s, d)) == 0]
+    return roots
 
 
 @dataclass(frozen=True)

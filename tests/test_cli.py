@@ -1,9 +1,13 @@
 import contextlib
 import csv
+import functools
 import io
 import json
+import math
+import operator
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,16 +18,54 @@ from sievelab.census import (
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
+    _sweep,
     census,
     exceptional_containment_check,
     frobenius_tables,
     sifted_class_set,
+    witness_lut,
 )
 from sievelab.cli import main
-from sievelab.curves import default_elliptic_family, default_genus2_family
+from sievelab.curves import (
+    BAD_SENTINEL,
+    CurveFamily,
+    ap_table,
+    default_elliptic_family,
+    default_genus2_family,
+    surjectivity_verdict,
+)
+from sievelab.polynomials import Poly
 
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
 GOOD_G2 = json.loads(default_genus2_family().to_json())
+
+
+def _oracle_points(x, bad_locus):
+    """Every t in A^1(Q) of height <= x off the bad locus, as Fractions
+    ordered by denominator, then numerator."""
+    return [
+        Fraction(n, d)
+        for d in range(1, x + 1)
+        for n in range(-x, x + 1)
+        if math.gcd(n, d) == 1 and bad_locus(Fraction(n, d)) != 0
+    ]
+
+
+def _oracle_classes(points, tables, l_values):
+    """The per-point census loop: the classes (a_p mod l, p mod l) of each
+    t over the tabled primes, as one dict l -> set per point."""
+    out = []
+    for t in points:
+        classes = {l: set() for l in l_values}
+        for p, table in tables.items():
+            if t.denominator % p:
+                ap = int(table[t.numerator * pow(t.denominator, -1, p) % p])
+                if ap != BAD_SENTINEL:
+                    for l in l_values:
+                        if p != l:
+                            classes[l].add((ap % l, p % l))
+        out.append(classes)
+    return out
 
 
 class TestConfigValidation:
@@ -56,26 +98,76 @@ class TestConfigValidation:
 class TestCensus:
     def test_monotone_containment(self):
         fam = default_elliptic_family()
-        rows, verdicts = census(fam, [10, 20], [5], 200)
+        rows, (num, den), surjective = census(fam, [10, 20], [5], 200)
         # verdicts at the small window equal the restriction of the large one
-        rows_small, verdicts_small = census(fam, [10], [5], 200)
-        for t, v in verdicts_small.items():
-            assert verdicts[t][5] == v[5]
+        rows_small, (num_small, den_small), surjective_small = census(fam, [10], [5], 200)
+        small = np.maximum(np.abs(num), den) <= 10
+        assert np.array_equal(num[small], num_small)
+        assert np.array_equal(den[small], den_small)
+        assert np.array_equal(surjective[small], surjective_small)
         assert rows[0].n_points == rows_small[0].n_points
         assert rows[0].undecided_any == rows_small[0].undecided_any
 
     def test_b_count_matches_heights(self):
-        from sievelab.heights import enumerate_affine
-
         fam = default_elliptic_family()
-        rows, _ = census(fam, [15], [5], 100)
-        expected = len(enumerate_affine(1, 15, bad_locus=fam.bad_locus))
-        assert rows[0].n_points == expected
+        rows, _, _ = census(fam, [15], [5], 100)
+        assert rows[0].n_points == len(_oracle_points(15, fam.bad_locus))
+
+    @pytest.mark.parametrize("x, pcap, shift", [(60, 200, 0), (20, 1000, 0), (40, 40, 2)])
+    def test_verdicts_match_point_loop(self, x, pcap, shift):
+        # the default family at t + shift; with shift = 2 the residue 0 is a
+        # good one, so a point whose denominator p divides is read nowhere
+        s = Poly.var(1, 0) + shift
+        fam = CurveFamily(1, 3 * (1 - s) * s, 2 * (1 - s) ** 2 * s, (), s * (1 - s),
+                          frozenset({2, 3}))
+        l_values = (3, 5, 7, 11, 13)
+        rows, (num, den), surjective = census(fam, [x], l_values, pcap)
+        points = _oracle_points(x, fam.bad_locus)
+        assert num.tolist() == [t.numerator for t in points]
+        assert den.tolist() == [t.denominator for t in points]
+        tables = frobenius_tables(fam, pcap)
+        classes = _oracle_classes(points, tables, l_values)
+        expected = np.array(
+            [[surjectivity_verdict(c[l], l, 1) == "surjective" for l in l_values] for c in classes])
+        assert np.array_equal(surjective, expected)
+        assert expected[:, 1:].any() and not expected.all()
+        # without the early exit, each state is the OR of its classes' bits
+        luts = [witness_lut(l) for l in l_values[1:]]
+        states = _sweep(num, den, tables, luts)
+        for j, (l, lut) in enumerate(zip(l_values[1:], luts)):
+            want = [functools.reduce(operator.or_, (int(lut[k]) for k in c[l]), 0) for c in classes]
+            assert states[:, j].tolist() == want, l
+
+    def test_exact_bad_locus_at_x_limit(self):
+        # degree 7 with the root -907/953: the homogenised locus reaches
+        # about 10^21 at height 1000, beyond int64
+        t = Poly.var(1, 0)
+        bad = t * (t - 1) * (953 * t + 907) * (t**4 + 3)
+        fam = CurveFamily.from_json(json.dumps({**GOOD_FAMILY, "bad_locus": bad.to_terms()}))
+        rows, _, _ = census(fam, [1000], [5], 5)
+        # brute: the locus at every coprime (n, d) in the box; a nonzero
+        # value mod q is nonzero, and each zero mod q is settled in Fractions
+        d, n = np.divmod(np.arange(1000 * 2001), 2001)
+        d, n = d + 1, n - 1000
+        coprime = np.gcd(n, d) == 1
+        n, d = n[coprime], d[coprime]
+        q = 2**31 - 1
+        values = np.zeros_like(n)
+        for (e,), c in bad.terms.items():
+            term = np.full_like(n, int(c) % q)
+            for v, k in ((n % q, e), (d, 7 - e)):
+                for _ in range(k):
+                    term = term * v % q
+            values = (values + term) % q
+        roots = [Fraction(a, b) for a, b in zip(n[values == 0].tolist(), d[values == 0].tolist())
+                 if bad(Fraction(a, b)) == 0]
+        assert sorted(roots) == [Fraction(-907, 953), 0, 1]
+        assert rows[0].n_points == len(n) - len(roots)
 
     def test_workers_deterministic(self):
         fam = default_elliptic_family()
-        rows1, _ = census(fam, [10], [5], 100, workers=1, seed=0)
-        rows2, _ = census(fam, [10], [5], 100, workers=2, seed=99)
+        rows1, _, _ = census(fam, [10], [5], 100, workers=1, seed=0)
+        rows2, _, _ = census(fam, [10], [5], 100, workers=2, seed=99)
         assert rows1[0].csv_row([5]) == rows2[0].csv_row([5])
         tables1 = frobenius_tables(fam, 100, workers=1, seed=0)
         tables2 = frobenius_tables(fam, 100, workers=2, seed=99)
@@ -96,13 +188,9 @@ class TestClassSieving:
         rep = sifted_class_set(fam, 20, 5, (2, 1), 1000, 12)
         assert rep.support == (11,)
         # direct per-point oracle
-        from sievelab.curves import ap_table, BAD_SENTINEL
-        from sievelab.heights import enumerate_affine
-
         table = ap_table(fam, 11)
         count = 0
-        for pt in enumerate_affine(1, 20, bad_locus=fam.bad_locus):
-            t = pt.coords[0]
+        for t in _oracle_points(20, fam.bad_locus):
             if t.denominator % 11 == 0:
                 count += 1
                 continue
@@ -115,13 +203,11 @@ class TestClassSieving:
     def test_multi_prime_support_matches_exhaustive_sieve(self, l, Q):
         # the Omega_{p,C} formulation: every (b, r b) in (Z/p)^2 with b a unit
         # and a good a_p(r) = tr mod l, sifted through sieve.sifted_set
-        from sievelab.curves import ap_table, BAD_SENTINEL
-        from sievelab.heights import enumerate_affine
         from sievelab.sieve import SieveSupport, SievingSet, sifted_set
 
         fam = default_elliptic_family()
-        points = enumerate_affine(1, 20, bad_locus=fam.bad_locus)
-        F = lambda pt: (pt.coords[0].denominator, pt.coords[0].numerator)
+        points = _oracle_points(20, fam.bad_locus)
+        F = lambda t: (t.denominator, t.numerator)
         support = None
         tables = {}
         for tr in range(l):
@@ -171,6 +257,22 @@ class TestCli:
         with open(os.path.join(out, "census.csv")) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "x" and rows[1][0] == "10"
+
+    def test_census_reasons_sidecar(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["--x", "20,40", "--lmax", "13", "--pcap", "200", "--out", out, "census"]) == 0
+        with open(os.path.join(out, "census.csv")) as fh:
+            census_rows = {r["x"]: r for r in csv.DictReader(fh)}
+        with open(os.path.join(out, "census_reasons.csv")) as fh:
+            reasons = list(csv.DictReader(fh))
+        assert [(r["x"], r["l"]) for r in reasons] == [
+            (x, l) for x in ("20", "40") for l in ("3", "5", "7", "11", "13")]
+        kinds = ("det", "split", "nonsplit", "excluder", "l3")
+        for r in reasons:
+            assert r["undecided"] == census_rows[r["x"]][f"undecided_l{r['l']}"]
+            assert sum(int(r[k]) for k in kinds) == int(r["undecided"])
+            assert (int(r["l3"]) == int(r["undecided"])) if r["l"] == "3" else r["l3"] == "0"
+        assert any(int(r["undecided"]) for r in reasons if r["l"] != "3")
 
     def test_goodred_and_report_idempotent(self, tmp_path):
         out = str(tmp_path / "out")
@@ -242,6 +344,8 @@ class TestCli:
                 GOOD_G2["quintic"][:5] + [[[2, 0, 0, 0]]],  # leading coefficient 2
                 GOOD_G2["quintic"][:5] + [[[1, 1, 0, 0]]],  # leading coefficient t1
             )
+        ] + [
+            (["census"], {"l": [5, 5]}, 2),
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):

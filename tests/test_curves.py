@@ -20,6 +20,7 @@ from sievelab.curves import (
     CurveFamily,
 )
 from sievelab.brun import primes_below
+from sievelab.census import witness_lut, witness_verdicts
 from sievelab.curves import _generates_units
 from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
 from sievelab.polynomials import Poly
@@ -240,6 +241,26 @@ EXCEPTIONAL_LIFTS = {
 }
 # order and element orders, which single out each group among its order
 EXCEPTIONAL_GROUPS = {"A4": (12, {1, 2, 3}), "S4": (24, {1, 2, 3, 4}), "A5": (60, {1, 2, 3, 5})}
+ROOTS = {5: 2, 7: 3, 11: 2, 13: 2}  # a primitive root mod l, hence a nonsquare
+
+
+def _proper_subgroups(l):
+    """Generators and order of proper subgroups of GL2(F_l), by name."""
+    g = ROOTS[l]
+    upper = [[1, 1], [0, 1]]
+    cartan_ns = [[[a, g * b % l], [b, a]] for a in range(l) for b in range(l) if a or b]
+    return {
+        "split Cartan normaliser": (
+            [[[g, 0], [0, 1]], [[1, 0], [0, g]], [[0, 1], [1, 0]]], 2 * (l - 1) ** 2),
+        "Borel": ([[[g, 0], [0, 1]], [[1, 0], [0, g]], upper], l * (l - 1) ** 2),
+        "nonsplit Cartan normaliser": (cartan_ns + [[[1, 0], [0, l - 1]]], 2 * (l * l - 1)),
+        "SL2": ([upper, [[1, 0], [1, 1]]], l * (l * l - 1)),
+        # det image: the squares, a proper subgroup of the units
+        "SL2 . diag(g^2, 1)": (
+            [upper, [[1, 0], [1, 1]], [[g * g % l, 0], [0, 1]]],
+            l * (l * l - 1) * (l - 1) // 2,
+        ),
+    }
 
 
 class TestVerdict:
@@ -260,29 +281,17 @@ class TestVerdict:
             assert surjectivity_verdict(classes, 3, 1) == "undecided"
 
     def test_split_cartan_normaliser_undecided(self):
-        # N(C_s) = <diag(a, 1), diag(1, a), w> has order 2 (l - 1)^2; its
+        # N(C_s) = <diag(g, 1), diag(1, g), w> has order 2 (l - 1)^2; its
         # nonsplit classes all have trace 0
-        for l, a in ((5, 2), (7, 3), (11, 2), (13, 2)):
-            N = _subgroup([[[a, 0], [0, 1]], [[1, 0], [0, a]], [[0, 1], [1, 0]]], l)
-            assert len(N) == 2 * (l - 1) ** 2
+        for l in ROOTS:
+            gens, order = _proper_subgroups(l)["split Cartan normaliser"]
+            N = _subgroup(gens, l)
+            assert len(N) == order
             assert surjectivity_verdict(_classes(N, l), l, 1) == "undecided"
 
     def test_more_proper_subgroups_undecided(self):
-        # g is a primitive root mod l, hence a nonsquare
-        for l, g in ((5, 2), (7, 3), (11, 2), (13, 2)):
-            upper = [[1, 1], [0, 1]]
-            cartan_ns = [[[a, g * b % l], [b, a]] for a in range(l) for b in range(l) if a or b]
-            subgroups = {
-                "Borel": ([[[g, 0], [0, 1]], [[1, 0], [0, g]], upper], l * (l - 1) ** 2),
-                "nonsplit Cartan normaliser": (cartan_ns + [[[1, 0], [0, l - 1]]], 2 * (l * l - 1)),
-                "SL2": ([upper, [[1, 0], [1, 1]]], l * (l * l - 1)),
-                # det image: the squares, a proper subgroup of the units
-                "SL2 . diag(g^2, 1)": (
-                    [upper, [[1, 0], [1, 1]], [[g * g % l, 0], [0, 1]]],
-                    l * (l * l - 1) * (l - 1) // 2,
-                ),
-            }
-            for name, (gens, order) in subgroups.items():
+        for l in ROOTS:
+            for name, (gens, order) in _proper_subgroups(l).items():
                 H = _subgroup(gens, l)
                 assert len(H) == order, (l, name)
                 assert surjectivity_verdict(_classes(H, l), l, 1) == "undecided", (l, name)
@@ -290,9 +299,8 @@ class TestVerdict:
     def test_exceptional_images_undecided(self):
         # the preimage in GL2(F_l) of A4, S4 or A5 in PGL2(F_l): all scalars
         # (g is a primitive root) with the two lifts; order (l - 1) |G|
-        roots = {5: 2, 7: 3, 11: 2, 13: 2}
         for (l, name), lifts in EXCEPTIONAL_LIFTS.items():
-            g = roots[l]
+            g = ROOTS[l]
             H = _subgroup([[[g, 0], [0, g]]] + lifts, l)
             order, element_orders = EXCEPTIONAL_GROUPS[name]
             assert len(H) == (l - 1) * order, (l, name)
@@ -315,6 +323,28 @@ class TestVerdict:
             for S in subsets:
                 full = bool(S) and len(closure(S, lambda a, b: a * b % l)) == l - 1
                 assert _generates_units(S, l) == full, (l, S)
+
+    def test_witness_bits_match_reference(self):
+        # the OR of the per-class witness bits gives the reference verdict,
+        # on seeded random class sets and on every subgroup built above
+        rng = random.Random(11)
+        for l in ROOTS:
+            cases = [
+                {(rng.randrange(l), rng.randrange(1, l)) for _ in range(rng.randint(1, 12))}
+                for _ in range(400)
+            ]
+            gens = [gens for gens, _ in _proper_subgroups(l).values()]
+            gens += [[[[ROOTS[l], 0], [0, ROOTS[l]]]] + lifts
+                     for (l2, _), lifts in EXCEPTIONAL_LIFTS.items() if l2 == l]
+            cases += [_classes(_subgroup(g, l), l) for g in gens]
+            cases.append(_classes(gl2_elements(l), l))
+            lut = witness_lut(l)
+            for classes in cases:
+                state = np.bitwise_or.reduce([lut[tr, d] for tr, d in classes])
+                want = surjectivity_verdict(classes, l, 1) == "surjective"
+                assert (witness_verdicts(np.array([state]), l)[0] == 0) == want, (l, classes)
+            verdicts = {surjectivity_verdict(c, l, 1) for c in cases}
+            assert verdicts == {"surjective", "undecided"}, l
 
     def test_g2_always_undecided(self):
         assert surjectivity_verdict({(0, 1, 1)}, 3, 2) == "undecided"

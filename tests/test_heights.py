@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sievelab.heights import (
-    DEFAULT_CHART,
-    AffinePoint,
+    affine_line_points,
     canonicalize,
     count_projective,
-    enumerate_affine,
     enumerate_projective,
     height,
-    height_affine,
     schanuel_check,
     SCHANUEL_C1,
 )
@@ -46,19 +43,6 @@ class TestCanonicalize:
 class TestHeight:
     def test_height_of_fraction(self):
         assert height(canonicalize((3, 2))) == 3
-        assert height_affine(AffinePoint((Fraction(2, 3),))) == 3
-
-    def test_integer_height(self):
-        assert height_affine(AffinePoint((Fraction(7),))) == 7
-
-    def test_chart_roundtrip(self):
-        t = AffinePoint((Fraction(3, 4), Fraction(-1, 2)))
-        assert DEFAULT_CHART.from_projective(DEFAULT_CHART.to_projective(t)) == t
-
-    def test_chart_undefined_at_infinity(self):
-        p = canonicalize((0, 1))
-        with pytest.raises(ValueError, match="chart undefined"):
-            DEFAULT_CHART.from_projective(p)
 
 
 class TestEnumeration:
@@ -78,20 +62,35 @@ class TestEnumeration:
         assert all(height(p) <= 7 for p in enumerate_projective(1, 7))
 
     def test_affine_counts(self):
-        # r=1, x=1: {0, 1, -1}
-        assert len(enumerate_affine(1, 1)) == 3
-        assert len(enumerate_affine(2, 1)) == 9
+        # x=1: {0, 1, -1}
+        num, den = affine_line_points(1, Poly.const(1, 1))
+        assert list(zip(num.tolist(), den.tolist())) == [(-1, 1), (0, 1), (1, 1)]
 
     def test_affine_bad_locus(self):
         t = Poly.var(1, 0)
-        pts = enumerate_affine(1, 2, bad_locus=t * (1 - t))
-        vals = {p.coords[0] for p in pts}
-        assert Fraction(0) not in vals and Fraction(1) not in vals
-        assert len(pts) == 5  # -1, 2, -2, 1/2, -1/2
+        num, den = affine_line_points(2, t * (1 - t))
+        assert list(zip(num.tolist(), den.tolist())) == [(-2, 1), (-1, 1), (2, 1), (-1, 2), (1, 2)]
+
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), min_size=1, max_size=3),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any),
+        st.integers(1, 12),
+    )
+    def test_affine_matches_fraction_enumeration(self, factors, extra, x):
+        # linear factors (d t - n) put rational roots in and out of the box;
+        # the extra factor adds coefficients without (usually) adding roots
+        t = Poly.var(1, 0)
+        bad = Poly.univariate(extra)
+        for n, d in factors:
+            bad = bad * (d * t - n)
+        num, den = affine_line_points(x, bad)
+        points = [(n, d) for d in range(1, x + 1) for n in range(-x, x + 1)
+                  if math.gcd(n, d) == 1 and bad(Fraction(n, d)) != 0]
+        assert list(zip(num.tolist(), den.tolist())) == points
 
     def test_zero_bad_locus_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_affine(1, 2, bad_locus=Poly.const(1, 0))
+            affine_line_points(2, Poly.const(1, 0))
 
 
 class TestSchanuel:
