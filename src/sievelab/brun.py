@@ -10,24 +10,21 @@ d >= D; the sandwich is only guaranteed when D exceeds every contributing d.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .heights import enumerate_projective
+from .heights import enumerate_projective, smallest_prime_factors
 from .sieve import local_density
 
 
 def primes_below(n):
-    n = max(n, 2)
-    sieve = bytearray([1]) * n
-    sieve[0:2] = b"\x00\x00"
-    for k in range(2, math.isqrt(n) + 1):
-        if sieve[k]:
-            sieve[k * k :: k] = b"\x00" * len(sieve[k * k :: k])
-    return [i for i in range(n) if sieve[i]]
+    """The primes p < n, as a list of ints."""
+    spf = smallest_prime_factors(n - 1)
+    return (np.flatnonzero(spf[2:] == np.arange(2, spf.size)) + 2).tolist()
 
 
 @dataclass(frozen=True)
@@ -103,22 +100,16 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None, compute_exact=True):
 
     ``sets_by_prime`` maps each support prime to its SievingSet.  With
     b = None the coefficients are the full Moebius weights and
-    lower = exact = upper.
+    lower = exact = upper.  ``F`` maps a point to an integer vector (entries
+    within int64) with the sieving sets' dimension; any other length raises
+    ValueError.
     """
     primes = sorted(support.primes)
     for p in primes:
         if p not in sets_by_prime:
             raise ValueError(f"missing sieving set for support prime {p}")
     n = len(X)
-    # per-prime hit masks as python-int bitsets
-    masks = {}
-    for p in primes:
-        s = sets_by_prime[p]
-        m = 0
-        for i, u in enumerate(X):
-            if tuple(c % p for c in F(u)) in s.residues:
-                m |= 1 << i
-        masks[p] = m
+    masks = _hit_masks(X, F, [sets_by_prime[p] for p in primes])
 
     H = Fraction(n)
     densities = {p: local_density(sets_by_prime[p]) for p in primes}
@@ -163,6 +154,49 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None, compute_exact=True):
         if not (lower <= exact <= upper) and (D is None or b is None):
             raise AssertionError("sandwich violated with untruncated-valid coefficients")
     return SandwichReport(main, lower, upper, r_plus, r_minus, exact)
+
+
+def _hit_masks(X, F, sets):
+    """Per-prime bitsets (Python ints, bit i for X[i]) of the points whose
+    image F(u) reduces into the prime's Omega_p.
+
+    F is called once per point; the images form one int64 (n, dim) array.
+    Residue vectors mod p are compared by their codes sum_i v_i p^i.
+    """
+    if not sets:
+        return {}
+    dim = sets[0].dim
+    if any(s.dim != dim for s in sets):
+        raise ValueError("sieving sets of different dimensions")
+
+    def image(u):
+        v = F(u)
+        if len(v) != dim:
+            raise ValueError(f"F gave {len(v)} coordinates, the sieving sets have {dim}")
+        return v
+
+    n = len(X)
+    flat = itertools.chain.from_iterable(map(image, X))
+    pts = np.fromiter(flat, dtype=np.int64, count=n * dim).reshape(n, dim)
+    masks = {}
+    for s in sets:
+        p = s.p
+        if p**dim > 2**63:
+            raise ValueError(f"residue codes mod {p} in dimension {dim} exceed int64")
+        omega = np.array(list(s.residues), dtype=np.int64).reshape(-1, dim)
+        omega = omega[((omega >= 0) & (omega < p)).all(axis=1)]
+        hit = np.isin(_residue_codes(pts, p), _residue_codes(omega, p), kind="sort")
+        masks[p] = int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+    return masks
+
+
+def _residue_codes(v, p):
+    """sum_i (v[:, i] mod p) p^i for an (m, dim) int64 array, by Horner."""
+    code = v[:, -1] % p
+    for i in range(v.shape[1] - 2, -1, -1):
+        code *= p
+        code += v[:, i] % p
+    return code
 
 
 @dataclass(frozen=True)
@@ -234,8 +268,8 @@ def good_reduction_census(family, x, Q):
     support = tuple(
         p for p in primes_below(int(Q)) if p not in family.excluded_primes
     )
-    if r == 1 and x > 200:
-        count = _census_r1_numpy(f, x, support)
+    if r == 1:
+        count = _census_r1_bitset(f, x, support)
     else:
         count = 0
         for pt in enumerate_projective(r, x):
@@ -245,31 +279,51 @@ def good_reduction_census(family, x, Q):
     return GoodReductionCensus(x, int(Q), count, floor, kappa, support)
 
 
-def _census_r1_numpy(f, x, support):
+def _census_r1_bitset(f, x, support):
+    """Count the canonical points (a : b) of P^1(Q) of height <= x with
+    f(a, b) != 0 mod every support prime.
+
+    Each a > 0 owns one bit row over b in [-x, x], packed little-endian.
+    Per prime p and residue a mod p there is one packed allowed row; the
+    row of a is the AND of its primes' rows, AND-NOT the "q | b" row of
+    each prime factor q of a (gcd(a, b) = 1).  a = 0 gives only (0 : 1).
+    The modulus 1 with its all-ones row heads the primes, so the AND is
+    never empty and the padding bits stay 0.  Rows take about
+    sum_{p in support} p (2x + 1) / 8 bytes; the "q | b" rows are kept
+    for q <= sqrt(x) only.
+    """
     b = np.arange(-x, x + 1, dtype=np.int64)
-    tables = {}
-    bmod = {}
-    for p in support:
-        a_res = np.arange(p, dtype=np.int64)
-        tab = np.empty((p, p), dtype=bool)
-        for ar in range(p):
-            row = np.array([f.eval_mod((ar, br), p) for br in range(p)])
-            tab[ar] = row != 0
-        tables[p] = tab
-        bmod[p] = (b % p).astype(np.intp)
-    count = 0
-    # a = 0 contributes only the canonical point (0, 1)
-    if all(tables[p][0][1 % p] for p in support):
-        count += 1
+    moduli = np.array([1, *support], dtype=np.int64)
+    starts = np.cumsum(moduli) - moduli
+    rows = np.empty((int(moduli.sum()), (b.size + 7) // 8), dtype=np.uint8)
+    rows[0] = np.packbits(np.ones(b.size, dtype=bool), bitorder="little")
+    zero_ok = True
+    for p, start in zip(support, starts[1:].tolist()):
+        grid = np.arange(p, dtype=np.int64)
+        ok = np.broadcast_to(f.eval_mod((grid[:, None], grid[None, :]), p) != 0, (p, p))
+        zero_ok = zero_ok and bool(ok[0, 1 % p])
+        rows[start : start + p] = np.packbits(ok[:, b % p], axis=1, bitorder="little")
+    picks = np.arange(1, x + 1)[:, None] % moduli
+    picks += starts
+
+    def coprime(q):
+        """Packed row of "q does not divide b"; b = -x + i, so q | b iff i = x mod q."""
+        not_q = np.ones(b.size, dtype=bool)
+        not_q[x % q :: q] = False
+        return np.packbits(not_q, bitorder="little")
+
+    spf = smallest_prime_factors(x)
+    small = {q: coprime(q) for q in range(2, math.isqrt(x) + 1) if spf[q] == q}
+    count = int(zero_ok)
     for a in range(1, x + 1):
-        mask = None
-        for p in support:
-            ok = tables[p][a % p][bmod[p]]
-            mask = ok if mask is None else (mask & ok)
-        if mask is None:
-            mask = np.ones_like(b, dtype=bool)
-        mask &= np.gcd(a, b) == 1
-        count += int(mask.sum())
+        row = np.bitwise_and.reduce(rows[picks[a - 1]], axis=0)
+        m = a
+        while m > 1:
+            q = int(spf[m])
+            row &= small[q] if q in small else coprime(q)  # at most one q > sqrt(x)
+            while m % q == 0:
+                m //= q
+        count += int(np.bitwise_count(row).sum())
     return count
 
 

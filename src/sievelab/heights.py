@@ -19,7 +19,7 @@ import numpy as np
 SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectivePoint:
     """Primitive, sign-normalized integer coordinates of a point of P^r(Q)."""
 
@@ -87,8 +87,52 @@ def enumerate_projective(r, x):
 
 
 def count_projective(r, x):
-    """|B(x)| without materializing points (same loop, count only)."""
-    return len(enumerate_projective(r, x))
+    """|B(x)| in closed form, without enumerating points.
+
+    Moebius inversion over the common divisor d of the nonzero vectors of
+    [-x, x]^{r+1}, halved for the sign:
+    |B(x)| = sum_{d <= x} mu(d) ((2 floor(x/d) + 1)^{r+1} - 1) / 2.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    x = int(x)
+    if x < 1:
+        raise ValueError("height bound must be >= 1")
+    mu = mobius(x)
+    return sum(
+        int(mu[d]) * ((2 * (x // d) + 1) ** (r + 1) - 1) // 2
+        for d in np.flatnonzero(mu).tolist()
+    )
+
+
+def smallest_prime_factors(n):
+    """int64 array s with s[k] the least prime factor of k, for 2 <= k <= n
+    (s[0] = 0, s[1] = 1).  The lab's one primes sieve."""
+    n = max(n, 1)
+    spf = np.arange(n + 1, dtype=np.int64)
+    for k in range(2, math.isqrt(n) + 1):
+        if spf[k] == k:
+            multiples = spf[k * k :: k]
+            np.minimum(multiples, k, out=multiples)
+    return spf
+
+
+def mobius(n):
+    """int64 array of mu(k) for 0 <= k <= n (mu(0) = 0), from the least
+    prime factor: mu(k) = 0 if p^2 | k, else -mu(k / p), with p = spf(k)."""
+    spf = smallest_prime_factors(n)
+    mu = np.ones(spf.size, dtype=np.int64)
+    mu[0] = 0
+    rest = np.arange(spf.size)
+    rest[0] = 1
+    live = rest > 1
+    while live.any():
+        p = spf[rest[live]]
+        q = rest[live] // p
+        mu[live] *= np.where(q % p == 0, 0, -1)
+        rest[live] = q
+        live = rest > 1
+    return mu
 
 
 def affine_line_points(x, bad_locus):

@@ -110,14 +110,21 @@ class Poly:
         return out
 
     def eval_mod(self, values, p):
-        """Evaluate at integer residues mod p.  Requires integer coefficients."""
+        """Evaluate at integers mod p.  The values may be ints or int64
+        numpy arrays (broadcast together, each product reduced mod p, so
+        p < 3 * 10^9 stays exact).  Requires integer coefficients."""
         out = 0
         for exps, c in self.terms.items():
             if c.denominator != 1:
                 raise ValueError("eval_mod needs integer coefficients")
             term = c.numerator % p
             for v, e in zip(values, exps):
-                term = term * pow(v % p, e, p) % p
+                if isinstance(v, int):
+                    term = term * pow(v % p, e, p) % p
+                else:
+                    v = v % p
+                    for _ in range(e):
+                        term = term * v % p
             out = (out + term) % p
         return out
 

@@ -1,8 +1,13 @@
+import dataclasses
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sievelab import brun
 from sievelab.brun import (
     brun_coefficients,
     density_condition_check,
@@ -14,11 +19,40 @@ from sievelab.brun import (
     sandwich,
 )
 from sievelab.curves import default_elliptic_family
+from sievelab.heights import enumerate_projective
+from sievelab.polynomials import Poly
 from sievelab.sieve import SieveSupport, SievingSet
 
 
 def _omega_zero(p):
     return SievingSet(p, 1, frozenset({(0,)}))
+
+
+def _loop_masks(X, F, sets):
+    """Oracle for ``brun._hit_masks``: one residue tuple per point and prime."""
+    masks = {}
+    for s in sets:
+        m = 0
+        for i, u in enumerate(X):
+            if tuple(c % s.p for c in F(u)) in s.residues:
+                m |= 1 << i
+        masks[s.p] = m
+    return masks
+
+
+@functools.lru_cache(maxsize=None)
+def _points(x):
+    return enumerate_projective(1, x)
+
+
+def _family(name):
+    """The default family; under t -> t + 2 (bad locus (t + 2)(-1 - t), so
+    t = 0, the point (1 : 0), is good at every prime); and with bad locus
+    t(5t - 1), whose point at infinity (0 : 1) is bad mod 5."""
+    t = Poly.var(1, 0)
+    bad = {"default": None, "shifted": (t + 2) * (-1 - t), "infinity": t * (5 * t - 1)}[name]
+    fam = default_elliptic_family()
+    return fam if bad is None else dataclasses.replace(fam, bad_locus=bad)
 
 
 class TestCoefficients:
@@ -82,6 +116,57 @@ class TestSandwich:
         rep = self._run(500, 20, b=2)
         assert rep.remainder_plus >= 0 and rep.remainder_minus >= 0
 
+    @pytest.mark.parametrize("D, b", [(None, 1), (None, 2), (None, 3), (None, None), (200, 2)])
+    @pytest.mark.parametrize("height", [0, 60])
+    def test_array_masks_match_point_loop(self, monkeypatch, D, b, height):
+        f = default_elliptic_family().bad_locus.homogenize()
+        primes = (5, 7, 11, 13)
+        sets = {
+            p: SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
+            for p in primes
+        }
+        support = SieveSupport(primes, 17)
+        X = _points(height) if height else []
+        F = operator.attrgetter("coords")
+        masks = brun._hit_masks(X, F, list(sets.values()))
+        assert masks == _loop_masks(X, F, list(sets.values()))
+        rep = sandwich(X, F, sets, support, D=D, b=b)
+        monkeypatch.setattr(brun, "_hit_masks", _loop_masks)
+        assert rep == sandwich(X, F, sets, support, D=D, b=b)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_hit_masks_match_point_loop(self, p, dim, data):
+        # residues outside [0, p) are never hit, as in the tuple lookup
+        vec = st.tuples(*[st.integers(-2 * p, 2 * p)] * dim)
+        residues = data.draw(st.frozensets(vec, max_size=12))
+        X = data.draw(st.lists(vec, max_size=40))
+        sets = [SievingSet(p, dim, residues), SievingSet(11, dim, frozenset())]
+        assert brun._hit_masks(X, lambda u: u, sets) == _loop_masks(X, lambda u: u, sets)
+
+    def test_mixed_length_images_rejected(self):
+        support = SieveSupport((5,), 7)
+        sets = {5: _omega_zero(5)}
+        with pytest.raises(ValueError, match="coordinates"):
+            sandwich([1, 2, 3], lambda t: (t,) if t < 3 else (t, t), sets, support)
+        with pytest.raises(ValueError, match="coordinates"):
+            sandwich([1, 2, 3], lambda t: (t, t), sets, support)
+
+    def test_int64_code_overflow_rejected(self):
+        support = SieveSupport((2**31 - 1,), 2**31)
+        sets = {2**31 - 1: SievingSet(2**31 - 1, 3, frozenset({(0, 0, 0)}))}
+        with pytest.raises(ValueError, match="int64"):
+            sandwich([1, 2], lambda t: (t, t, t), sets, support)
+
+    def test_mixed_dimension_sets_rejected(self):
+        support = SieveSupport((5, 7), 11)
+        sets = {5: _omega_zero(5), 7: SievingSet(7, 2, frozenset({(0, 0)}))}
+        with pytest.raises(ValueError, match="dimensions"):
+            sandwich([1, 2, 3], lambda t: (t,), sets, support)
+
     def test_missing_set_rejected(self):
         support = SieveSupport((2, 3), 5)
         with pytest.raises(ValueError, match="missing sieving set"):
@@ -119,6 +204,24 @@ class TestGoodReduction:
             if all(f.eval_mod(pt.coords, p) != 0 for p in support)
         )
         assert c_numpy.count == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 80),
+        st.integers(2, 40),
+        st.sampled_from(["default", "shifted", "infinity"]),
+    )
+    @example(1, 2, "default")  # empty support
+    @example(1, 40, "shifted")  # primes wider than the row of b
+    @example(80, 40, "infinity")
+    def test_bitset_matches_brute(self, x, Q, name):
+        fam = _family(name)
+        f = fam.bad_locus.homogenize()
+        support = [p for p in primes_below(Q) if p not in fam.excluded_primes]
+        brute = sum(
+            1 for pt in _points(x) if all(f.eval_mod(pt.coords, p) != 0 for p in support)
+        )
+        assert good_reduction_census(fam, x, Q).count == brute
 
     def test_kappa_and_support(self):
         fam = default_elliptic_family()

@@ -10,7 +10,9 @@ from sievelab.heights import (
     count_projective,
     enumerate_projective,
     height,
+    mobius,
     schanuel_check,
+    smallest_prime_factors,
     SCHANUEL_C1,
 )
 from sievelab.polynomials import Poly
@@ -61,6 +63,17 @@ class TestEnumeration:
     def test_heights_bounded(self):
         assert all(height(p) <= 7 for p in enumerate_projective(1, 7))
 
+    @pytest.mark.parametrize("r, xmax", [(1, 40), (2, 8), (3, 4)])
+    def test_closed_form_count_matches_enumeration(self, r, xmax):
+        for x in range(1, xmax + 1):
+            assert count_projective(r, x) == len(enumerate_projective(r, x))
+
+    def test_count_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            count_projective(0, 5)
+        with pytest.raises(ValueError):
+            count_projective(1, 0)
+
     def test_affine_counts(self):
         # x=1: {0, 1, -1}
         num, den = affine_line_points(1, Poly.const(1, 1))
@@ -91,6 +104,25 @@ class TestEnumeration:
     def test_zero_bad_locus_rejected(self):
         with pytest.raises(ValueError):
             affine_line_points(2, Poly.const(1, 0))
+
+
+class TestPrimeSieve:
+    def test_smallest_prime_factors(self):
+        spf = smallest_prime_factors(500)
+        assert spf[:2].tolist() == [0, 1]
+        for k in range(2, 501):
+            assert spf[k] == min(p for p in range(2, k + 1) if k % p == 0)
+
+    def test_mobius(self):
+        from sympy import mobius as sympy_mobius
+
+        mu = mobius(500)
+        assert mu[0] == 0
+        assert [int(m) for m in mu[1:]] == [int(sympy_mobius(k)) for k in range(1, 501)]
+
+    def test_tiny_bounds(self):
+        assert smallest_prime_factors(1).tolist() == [0, 1]
+        assert mobius(1).tolist() == [0, 1]
 
 
 class TestSchanuel:
