@@ -260,6 +260,8 @@ def good_reduction_census(family, x, Q):
     Support: primes p < Q not in the family's excluded set.  The condition is
     f(t) != 0 mod p with f the homogenized bad-locus polynomial; kappa = deg f.
     """
+    if x < 1:
+        raise ValueError("height bound must be >= 1")
     f = family.bad_locus.homogenize()
     if f.is_zero():
         raise ValueError("bad-reduction polynomial is zero")

@@ -319,20 +319,6 @@ def _pow_mod(base, e, p):
     return out
 
 
-def _eval_all_mod(poly, x, p):
-    """poly(x) mod p elementwise by numpy Horner (univariate, integer
-    coefficients)."""
-    coeffs = [0] * (poly.degree() + 1)
-    for (k,), c in poly.terms.items():
-        if c.denominator != 1:
-            raise ValueError("eval_mod needs integer coefficients")
-        coeffs[k] = c.numerator % p
-    v = np.zeros_like(x)
-    for c in reversed(coeffs):
-        v = (v * x + c) % p
-    return v
-
-
 def ap_table(family, p):
     """a_p for every residue t mod p of a g=1 family, in O(p log p).
 
@@ -349,8 +335,8 @@ def ap_table(family, p):
     if family.genus != 1:
         raise ValueError("ap_table is g=1 only")
     x = np.arange(p, dtype=np.int64)
-    A = _eval_all_mod(family.A, x, p)
-    B = _eval_all_mod(family.B, x, p)
+    A = np.broadcast_to(family.A.eval_mod((x,), p), x.shape)
+    B = np.broadcast_to(family.B.eval_mod((x,), p), x.shape)
     chi = np.full(p, -1, dtype=np.int64)
     chi[0] = 0
     chi[x[1:] * x[1:] % p] = 1

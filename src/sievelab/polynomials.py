@@ -119,12 +119,9 @@ class Poly:
                 raise ValueError("eval_mod needs integer coefficients")
             term = c.numerator % p
             for v, e in zip(values, exps):
-                if isinstance(v, int):
-                    term = term * pow(v % p, e, p) % p
-                else:
-                    v = v % p
-                    for _ in range(e):
-                        term = term * v % p
+                v = v % p
+                for _ in range(e):
+                    term = term * v % p
             out = (out + term) % p
         return out
 

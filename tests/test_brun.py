@@ -223,6 +223,11 @@ class TestGoodReduction:
         )
         assert good_reduction_census(fam, x, Q).count == brute
 
+    @pytest.mark.parametrize("x", [0, -3])
+    def test_height_bound_below_one_rejected(self, x):
+        with pytest.raises(ValueError, match="height bound"):
+            good_reduction_census(default_elliptic_family(), x, 10)
+
     def test_kappa_and_support(self):
         fam = default_elliptic_family()
         c = good_reduction_census(fam, 100, 10)
