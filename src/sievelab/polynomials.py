@@ -113,17 +113,19 @@ class Poly:
         """Evaluate at integers mod p.  The values may be ints or int64
         numpy arrays (broadcast together, each product reduced mod p, so
         p < 3 * 10^9 stays exact).  Requires integer coefficients."""
+        powers = [[1, v % p] for v in values]  # powers[i][e] = values[i]^e mod p
         out = 0
         for exps, c in self.terms.items():
             if c.denominator != 1:
                 raise ValueError("eval_mod needs integer coefficients")
             term = c.numerator % p
-            for v, e in zip(values, exps):
-                v = v % p
-                for _ in range(e):
-                    term = term * v % p
-            out = (out + term) % p
-        return out
+            for pw, e in zip(powers, exps):
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1] % p)
+                if e:
+                    term = term * pw[e] % p
+            out = out + term  # a sum of terms < p, reduced once
+        return out % p
 
     def eval_field(self, field, values):
         """Evaluate at element codes of a ``finitefield.ExtField`` (numpy
