@@ -349,11 +349,3 @@ def density_condition_check(densities, w, Q, kappa, C):
 def implied_s_threshold(kappa, C):
     """The sandwich theorem's s-threshold for a measured envelope constant C."""
     return 9 * kappa + 1 + 10 * math.log(C)
-
-
-def q_x_relationship_warning(Q, s, r, x, d=1):
-    """Warn (not error) when Q^{s(d(r+1)+1)} exceeds sqrt(x); the relationship
-    between Q and x is known not to be sharp, so this is advisory only."""
-    if Q ** (s * (d * (r + 1) + 1)) > math.sqrt(x):
-        return f"Q^(s(d(r+1)+1)) = {Q ** (s * (d * (r + 1) + 1)):.3g} exceeds sqrt(x) = {math.sqrt(x):.3g}"
-    return None

@@ -42,6 +42,10 @@ class InfeasibleError(Exception):
 PCAP_LIMIT = 10**4
 L_LIMIT = 13
 X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
+# goodred, by the family's r: packed bit rows for r = 1; for r = 3 a loop
+# over all (2x + 1)^4 tuples of P^3(Q), which on a 2-core machine took
+# 1.4 s at x = 15 and 19 s at x = 16, the first x with a support prime
+GOODRED_X_LIMIT = {1: 10**4, 3: 15}
 
 
 @dataclass
@@ -91,6 +95,15 @@ def _check_x(x):
     """Height bound of the census and the class sieve, else InfeasibleError."""
     if x > X_LIMIT:
         raise InfeasibleError(f"x = {x} exceeds feasibility limit {X_LIMIT}")
+
+
+def check_goodred_x(family, x):
+    """Height bound of goodred for the family's r, else InfeasibleError."""
+    limit = GOODRED_X_LIMIT[family.r]
+    if x > limit:
+        raise InfeasibleError(
+            f"x = {x} exceeds goodred feasibility limit {limit} for r = {family.r}"
+        )
 
 
 def _table_worker(args):

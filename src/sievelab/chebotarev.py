@@ -8,6 +8,7 @@ matrix-group tables, and track the q^{-n/2} deviation envelope across n.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import finitefield
+from .curves import _quintic_counts, _squarefree_mod_p
 from .groups import GroupSpec, charpoly_class_density, group_order
 
 
@@ -125,26 +127,29 @@ def chebotarev_report(family, q, l, n_range):
     for n in n_range:
         delta = pow(q, n, l)
         total, freqs = _measure(family, q, n, l)
+        predicted, deviation = None, None
         if family.genus == 1:
             dens = charpoly_class_density(spec, delta)
-            predicted = {}
-            for tr, v in dens.items():
-                key = pm_class((tr, delta), l)
-                predicted[key] = predicted.get(key, Fraction(0)) + v
-        else:
-            predicted = None
-        if predicted is None:
-            deviation = None
-        else:
-            keys = set(freqs) | set(predicted)
-            deviation = max(
-                abs(freqs.get(k, Fraction(0)) - predicted.get(k, Fraction(0)))
-                for k in keys
-            )
+            predicted, deviation = _predict(freqs, {(tr, delta): v for tr, v in dens.items()}, l)
         out.append(
             FFieldCensus(q, n, l, total, freqs, predicted, deviation, tuple(warnings))
         )
     return out
+
+
+def _predict(freqs, dens, l):
+    """(predicted, deviation): class densities keyed (tr, det) or
+    (a1, a2, similitude), folded through ``pm_class``, and max
+    |freq - predicted| over the keys of both."""
+    predicted = {}
+    for key, v in dens.items():
+        key = pm_class(key, l)
+        predicted[key] = predicted.get(key, Fraction(0)) + v
+    deviation = max(
+        abs(freqs.get(k, Fraction(0)) - predicted.get(k, Fraction(0)))
+        for k in set(freqs) | set(predicted)
+    )
+    return predicted, deviation
 
 
 def envelope_check(censuses):
@@ -165,41 +170,33 @@ def genus2_census(family, q, l):
     """Char-poly class census for a genus-2 family over the base field F_q.
 
     Classes are (a1 mod l, a2 mod l, q mod l); predictions come from the
-    similitude = q coset of GSp4(F_l) when l = 3, else None.  Field
-    extensions (n > 1) are out of reach for the quintic point counts and
-    raise.
+    similitude = q coset of GSp4(F_l) when l = 3, else None.  Each t in
+    F_q^r off the bad locus is reduced mod q directly: the quintic's
+    coefficients are evaluated mod q, and a curve with bad reduction there
+    raises.  Field extensions (n > 1) are out of reach for the quintic
+    point counts.
     """
-    from .curves import frobenius_invariants, specialize
-
     if family.genus != 2:
         raise ValueError("genus-2 family required")
     if q == 2 or q % l == 0:
         raise ValueError("invalid base characteristic")
-    import itertools
-
     counts = {}
     total = 0
     for t in itertools.product(range(q), repeat=family.r):
         if family.bad_locus.eval_mod(t, q) == 0:
             continue
-        s = specialize(family, t)
-        a1, a2 = frobenius_invariants(s, q)
+        coeffs = [c.eval_mod(t, q) for c in family.quintic]
+        if q in family.excluded_primes or not _squarefree_mod_p(coeffs, q):
+            raise ValueError("bad reduction")
+        n1, n2 = _quintic_counts(coeffs, q)
+        a1 = q + 1 - n1
+        a2 = (a1 * a1 - (q * q + 1 - n2)) // 2
         key = pm_class((a1 % l, a2 % l, q % l), l)
         counts[key] = counts.get(key, 0) + 1
         total += 1
     freqs = {k: Fraction(v, total) for k, v in sorted(counts.items())}
-    predicted = None
+    predicted, deviation = None, None
     if l == 3:
-        spec = GroupSpec(2, l, "gsp")
-        dens = charpoly_class_density(spec, q % l)
-        predicted = {}
-        for (e1, e2), v in dens.items():
-            key = pm_class((e1, e2, q % l), l)
-            predicted[key] = predicted.get(key, Fraction(0)) + v
-    deviation = None
-    if predicted is not None:
-        keys = set(freqs) | set(predicted)
-        deviation = max(
-            abs(freqs.get(k, Fraction(0)) - predicted.get(k, Fraction(0))) for k in keys
-        )
+        dens = charpoly_class_density(GroupSpec(2, l, "gsp"), q % l)
+        predicted, deviation = _predict(freqs, {(*k, q % l): v for k, v in dens.items()}, l)
     return FFieldCensus(q, 1, l, total, freqs, predicted, deviation)

@@ -19,6 +19,7 @@ from .census import (
     InfeasibleError,
     L_LIMIT,
     census,
+    check_goodred_x,
     merged_report,
     sifted_class_set,
     write_census_csv,
@@ -96,10 +97,10 @@ def load_config(args):
         seed=pick(args.seed, "seed", 0),
     )
     cfg.validate()
-    return cfg, doc
+    return cfg
 
 
-def cmd_census(cfg, doc):
+def cmd_census(cfg):
     rows, _, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap, cfg.workers, cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_reasons_csv(os.path.join(cfg.out_dir, "census_reasons.csv"), rows, cfg.l_values)
@@ -109,7 +110,7 @@ def cmd_census(cfg, doc):
     return EXIT_OK
 
 
-def cmd_sifted_class_set(cfg, doc, l, class_key, Q):
+def cmd_sifted_class_set(cfg, l, class_key, Q):
     x = max(cfg.x_values)
     rep = sifted_class_set(cfg.family, x, l, class_key, cfg.pcap, Q)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -120,7 +121,8 @@ def cmd_sifted_class_set(cfg, doc, l, class_key, Q):
     return EXIT_OK
 
 
-def cmd_goodred(cfg, doc):
+def cmd_goodred(cfg):
+    check_goodred_x(cfg.family, max(cfg.x_values))
     out = []
     for x in cfg.x_values:
         Q = max(2, int(x**0.5))
@@ -132,7 +134,7 @@ def cmd_goodred(cfg, doc):
     return EXIT_OK
 
 
-def cmd_report(cfg, doc):
+def cmd_report(cfg):
     try:
         text = merged_report(cfg.out_dir)
     except FileNotFoundError as e:
@@ -169,21 +171,21 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, doc = load_config(args)
+        cfg = load_config(args)
         if args.command in ("census", "sifted-class-set") and cfg.family.genus != 1:
             raise ConfigError(f"{args.command} needs a genus-1 family")
         if args.command == "census":
-            return cmd_census(cfg, doc)
+            return cmd_census(cfg)
         if args.command == "sifted-class-set":
             try:
                 tr, det = (int(v) for v in args.class_key.split(","))
             except ValueError:
                 raise ConfigError("--class must be TR,DET")
-            return cmd_sifted_class_set(cfg, doc, args.l, (tr, det), args.Q)
+            return cmd_sifted_class_set(cfg, args.l, (tr, det), args.Q)
         if args.command == "goodred":
-            return cmd_goodred(cfg, doc)
+            return cmd_goodred(cfg)
         if args.command == "report":
-            return cmd_report(cfg, doc)
+            return cmd_report(cfg)
         raise ConfigError(f"unknown command {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -241,9 +241,14 @@ def genus2_counts(s, p):
     if p == 2:
         raise ValueError("p = 2 unsupported")
     _require_good(s, p)
+    return _quintic_counts(_quintic_mod_p(s, p), p)
+
+
+def _quintic_counts(coeffs, p):
+    """(n1, n2) for y^2 = quintic with coefficients mod an odd prime p,
+    known to be squarefree; asserts the Weil bound and the a2 parity."""
     if p > PRIME_CAP_G2:
         raise ValueError("prime cap exceeded")
-    coeffs = _quintic_mod_p(s, p)
     # one point at infinity for degree 5
     n1 = 1 + field(p, 1).affine_points(coeffs)
     n2 = 1 + field(p, 2).affine_points(coeffs)
@@ -254,16 +259,6 @@ def genus2_counts(s, p):
     if twice_a2 % 2:
         raise AssertionError("a2 parity identity violated")
     return n1, n2
-
-
-def frobenius_invariants(s, p):
-    """(a1, a2) from the zeta data; g=1 gives (a_p,), g=2 gives (a1, a2)."""
-    if s.family.genus == 1:
-        return (ap_count(s, p),)
-    n1, n2 = genus2_counts(s, p)
-    a1 = p + 1 - n1
-    a2 = (a1 * a1 - (p * p + 1 - n2)) // 2
-    return (a1, a2)
 
 
 def _generates_units(values, l):

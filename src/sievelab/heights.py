@@ -29,30 +29,6 @@ class ProjectivePoint:
         if not any(self.coords):
             raise ValueError("not a projective point")
 
-    @property
-    def r(self):
-        return len(self.coords) - 1
-
-    def to_json(self):
-        return list(self.coords)
-
-
-def canonicalize(raw):
-    """Unique primitive, sign-normalized representative of a projective point."""
-    coords = tuple(int(c) for c in raw)
-    if not any(coords):
-        raise ValueError("not a projective point")
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
-    coords = tuple(c // g for c in coords)
-    for c in coords:
-        if c:
-            if c < 0:
-                coords = tuple(-v for v in coords)
-            break
-    return ProjectivePoint(coords)
-
 
 def height(p):
     """Absolute height over Q: max |coordinate| of the primitive representative."""
@@ -170,25 +146,3 @@ def _rational_roots(poly, x):
             roots += [(s, d) for n in nums if math.gcd(n, d) == 1
                       for s in (n, -n) if poly(Fraction(s, d)) == 0]
     return roots
-
-
-@dataclass(frozen=True)
-class SchanuelReport:
-    r: int
-    x: int
-    count: int
-    main_term: float
-    deviation: float  # |count - main| / (x log x) for r=1; count/x^{r+1} otherwise
-
-
-def schanuel_check(r, x):
-    """Compare the exact count against the leading-term growth c_r x^{r+1}."""
-    if r not in (1, 2, 3):
-        raise ValueError("r must be in {1, 2, 3}")
-    count = count_projective(r, x)
-    if r == 1:
-        main = SCHANUEL_C1 * x * x
-        dev = abs(count - main) / (x * math.log(x)) if x > 1 else abs(count - main)
-        return SchanuelReport(r, x, count, main, dev)
-    ratio = count / x ** (r + 1)
-    return SchanuelReport(r, x, count, float("nan"), ratio)

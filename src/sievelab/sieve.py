@@ -2,14 +2,12 @@
 
 All densities and L(Q) values are exact rationals: the verification oracles
 are equality tests against enumeration, and floats would poison them.  The
-implied constant of the large-sieve upper bound is surfaced as a report flag,
-never applied.
+implied constant of the large-sieve upper bound is never applied.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -55,26 +53,6 @@ def local_density(s):
     return Fraction(s.cardinality, s.p**s.dim)
 
 
-def sifted_set(X, F, sets, support):
-    """Points of X whose reduction avoids Omega_p for every support prime.
-
-    Primes in the support without a sieving set impose no condition.
-    Preserves the input order of X.
-    """
-    for s in sets:
-        if s.p not in support.primes:
-            raise ValueError("support mismatch")
-    out = []
-    for x in X:
-        v = F(x)
-        for s in sets:
-            if tuple(c % s.p for c in v) in s.residues:
-                break
-        else:
-            out.append(x)
-    return out
-
-
 def large_sieve_L(support, densities):
     """L(Q) = sum over squarefree support products a <= Q of prod nu/(1-nu).
 
@@ -111,79 +89,3 @@ def large_sieve_bound(x, Q, r, L_of_Q):
         raise ValueError("L(Q) must be positive")
     num = max(Fraction(x) ** (r + 1), Fraction(Q) ** (2 * (r + 1)))
     return num / Fraction(L_of_Q)
-
-
-def _is_squarefree(d):
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
-def crt_density_check(sets, verify=True, max_enum=10**6):
-    """Composite density over d = prod p via 1 - nu_d = prod (1 - nu_p).
-
-    With ``verify`` the identity is checked against direct enumeration of
-    (Z/d)^dim whenever that fits under ``max_enum`` tuples (d <= 1000 in the
-    intended range).  The combined Omega_d is the CRT union: a tuple is
-    forbidden mod d iff it is forbidden mod some p | d.
-    """
-    import itertools
-
-    d = 1
-    for s in sets:
-        d *= s.p
-    if not _is_squarefree(d):
-        raise ValueError("modulus must be squarefree")
-    dims = {s.dim for s in sets}
-    if len(dims) != 1:
-        raise ValueError("mixed dimensions")
-    dim = dims.pop()
-    comp = Fraction(1)
-    for s in sets:
-        comp *= 1 - local_density(s)
-    nu_d = 1 - comp
-    if verify and d**dim <= max_enum:
-        hit = 0
-        for v in itertools.product(range(d), repeat=dim):
-            if any(tuple(c % s.p for c in v) in s.residues for s in sets):
-                hit += 1
-        if Fraction(hit, d**dim) != nu_d:
-            raise AssertionError("CRT density identity failed")
-    return nu_d
-
-
-@dataclass(frozen=True)
-class SieveReport:
-    sifted_count: int
-    L_of_Q: Fraction
-    bound: Fraction
-    densities: tuple  # ((p, Fraction), ...)
-    constant_note: str = "bound valid up to a fixed constant depending on (K, r, phi)"
-    footnotes: tuple = field(default_factory=tuple)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "sifted_count": self.sifted_count,
-                "L_of_Q": f"{self.L_of_Q.numerator}/{self.L_of_Q.denominator}",
-                "bound": f"{self.bound.numerator}/{self.bound.denominator}",
-                "densities": [
-                    [p, f"{nu.numerator}/{nu.denominator}"] for p, nu in self.densities
-                ],
-                "constant_note": self.constant_note,
-                "footnotes": list(self.footnotes),
-            },
-            sort_keys=True,
-        )
-
-
-def sieve_report(X, F, sets, support, x, r):
-    """Run the sift and assemble the serializable report."""
-    survivors = sifted_set(X, F, sets, support)
-    densities = tuple(sorted((s.p, local_density(s)) for s in sets))
-    L = large_sieve_L(support, dict(densities))
-    bound = large_sieve_bound(x, support.Q, r, L)
-    return SieveReport(len(survivors), L, bound, densities)

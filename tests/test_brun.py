@@ -15,7 +15,6 @@ from sievelab.brun import (
     implied_s_threshold,
     lattice_remainder_audit,
     primes_below,
-    q_x_relationship_warning,
     sandwich,
 )
 from sievelab.curves import default_elliptic_family
@@ -97,8 +96,11 @@ class TestSandwich:
         return sandwich(X, lambda t: (t,), sets, support, D=D, b=b)
 
     def test_untruncated_equality(self):
-        rep = self._run(100, 10)
-        assert rep.lower == rep.exact == rep.upper == 22
+        # empty support, the parity sieve, Eratosthenes to 7 and to 10
+        for n, Q, survivors in ((10, 2, 10), (10, 3, 5), (30, 7, 8), (100, 10, 22)):
+            rep = self._run(n, Q)
+            assert rep.lower == rep.exact == rep.upper == survivors
+            assert survivors == sum(all(t % p for p in primes_below(Q)) for t in range(1, n + 1))
         assert rep.main_term == Fraction(160, 7)
 
     def test_acceptance_configuration(self):
@@ -250,7 +252,3 @@ class TestEnvelope:
     def test_s_threshold_shape(self):
         assert implied_s_threshold(2, 1.0) == 19
         assert implied_s_threshold(2, math.e) == pytest.approx(29.0)
-
-    def test_qx_warning(self):
-        assert q_x_relationship_warning(10, 2, 1, 100) is not None
-        assert q_x_relationship_warning(2, 1, 1, 10**9) is None

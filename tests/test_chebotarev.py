@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,8 +13,15 @@ from sievelab.chebotarev import (
     genus2_census,
     pm_class,
 )
-from sievelab.curves import default_elliptic_family, default_genus2_family
+from sievelab.curves import (
+    default_elliptic_family,
+    default_genus2_family,
+    genus2_counts,
+    reduction_type,
+    specialize,
+)
 from sievelab.finitefield import field
+from sievelab.polynomials import Poly
 
 
 class TestSpecializations:
@@ -100,3 +111,34 @@ class TestGenus2Census:
         census = genus2_census(default_genus2_family(), 7, 5)
         assert census.predicted is None
         assert sum(census.frequencies.values()) == 1
+
+    @pytest.mark.parametrize("q, l", [(5, 3), (7, 3), (11, 5)])
+    def test_matches_specialization_oracle(self, q, l):
+        # per point over Q: specialize, check good reduction, count, and
+        # take a2 from (n1, n2)
+        fam = default_genus2_family()
+        counts = {}
+        for t in itertools.product(range(q), repeat=3):
+            if fam.bad_locus(*t) % q == 0:
+                continue
+            s = specialize(fam, t)
+            assert reduction_type(s, q) == "good"
+            n1, n2 = genus2_counts(s, q)
+            a1 = q + 1 - n1
+            a2 = (a1 * a1 - (q * q + 1 - n2)) // 2
+            key = pm_class((a1 % l, a2 % l, q % l), l)
+            counts[key] = counts.get(key, 0) + 1
+        total = sum(counts.values())
+        census = genus2_census(fam, q, l)
+        assert census.n_points == total
+        assert census.frequencies == {k: Fraction(v, total) for k, v in counts.items()}
+
+    def test_bad_reduction_rejected(self):
+        g2 = default_genus2_family()
+        with pytest.raises(ValueError, match="bad reduction"):
+            genus2_census(dataclasses.replace(g2, excluded_primes=frozenset({2, 5})), 5, 3)
+        # y^2 = x^5 is singular at every t; a constant bad locus lets each t reach the check
+        zero, one = Poly.const(3, 0), Poly.const(3, 1)
+        cusp = dataclasses.replace(g2, quintic=(zero,) * 5 + (one,), bad_locus=one)
+        with pytest.raises(ValueError, match="bad reduction"):
+            genus2_census(cusp, 5, 3)

@@ -202,8 +202,9 @@ class TestClassSieving:
     @pytest.mark.parametrize("l, Q", [(5, 200), (7, 300)])
     def test_multi_prime_support_matches_exhaustive_sieve(self, l, Q):
         # the Omega_{p,C} formulation: every (b, r b) in (Z/p)^2 with b a unit
-        # and a good a_p(r) = tr mod l, sifted through sieve.sifted_set
-        from sievelab.sieve import SieveSupport, SievingSet, sifted_set
+        # and a good a_p(r) = tr mod l, counted by the exact term of brun.sandwich
+        from sievelab.brun import sandwich
+        from sievelab.sieve import SieveSupport, SievingSet
 
         fam = default_elliptic_family()
         points = _oracle_points(20, fam.bad_locus)
@@ -217,7 +218,7 @@ class TestClassSieving:
                 assert len(support) > 1
                 tables = {p: ap_table(fam, p) for p in support}
             assert rep.support == support
-            sets = []
+            sets = {}
             for p in support:
                 omega = {
                     (b, r * b % p)
@@ -225,9 +226,9 @@ class TestClassSieving:
                     if tables[p][r] != BAD_SENTINEL and int(tables[p][r]) % l == tr
                     for b in range(1, p)
                 }
-                sets.append(SievingSet(p, 2, frozenset(omega)))
-            expected = sifted_set(points, F, sets, SieveSupport(support, Q))
-            assert rep.count == len(expected)
+                sets[p] = SievingSet(p, 2, frozenset(omega))
+            expected = sandwich(points, F, sets, SieveSupport(support, Q)).exact
+            assert rep.count == expected
 
     def test_containment_cross_check(self):
         fam = default_elliptic_family()
@@ -346,6 +347,7 @@ class TestCli:
             )
         ] + [
             (["census"], {"l": [5, 5]}, 2),
+            (["--x", "16", "goodred"], {"family": "default-g2"}, 3),
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):

@@ -12,7 +12,6 @@ from sievelab.curves import (
     ap_table,
     default_elliptic_family,
     default_genus2_family,
-    frobenius_invariants,
     genus2_counts,
     reduction_type,
     specialize,
@@ -185,7 +184,6 @@ class TestGenus2:
         g2 = default_genus2_family()
         s = specialize(g2, (2, 3, 4))
         assert genus2_counts(s, 7) == (8, 46)
-        assert frobenius_invariants(s, 7) == (0, -2)
 
     def test_weil_and_parity_over_range(self):
         g2 = default_genus2_family()

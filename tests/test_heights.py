@@ -6,45 +6,20 @@ from hypothesis import given, strategies as st
 
 from sievelab.heights import (
     affine_line_points,
-    canonicalize,
     count_projective,
     enumerate_projective,
     height,
     mobius,
-    schanuel_check,
-    smallest_prime_factors,
+    ProjectivePoint,
     SCHANUEL_C1,
+    smallest_prime_factors,
 )
 from sievelab.polynomials import Poly
 
 
-class TestCanonicalize:
-    def test_primitive_sign_normalized(self):
-        p = canonicalize((-2, 4))
-        assert p.coords == (1, -2)
-
-    def test_gcd_removed(self):
-        assert canonicalize((6, 9)).coords == (2, 3)
-
-    def test_leading_zero_skipped(self):
-        assert canonicalize((0, -3)).coords == (0, 1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            canonicalize((0, 0))
-
-    @given(
-        st.lists(st.integers(-50, 50), min_size=2, max_size=4).filter(lambda v: any(v)),
-        st.integers(1, 9),
-    )
-    def test_scale_invariance(self, coords, k):
-        assert canonicalize(coords) == canonicalize([k * c for c in coords])
-        assert canonicalize(coords) == canonicalize([-k * c for c in coords])
-
-
 class TestHeight:
     def test_height_of_fraction(self):
-        assert height(canonicalize((3, 2))) == 3
+        assert height(ProjectivePoint((3, 2))) == 3
 
 
 class TestEnumeration:
@@ -126,13 +101,12 @@ class TestPrimeSieve:
 
 
 class TestSchanuel:
+    # |B(x)| on P^1(Q) against Schanuel's leading term (12 / pi^2) x^2
     def test_x_500_within_5_percent(self):
-        rep = schanuel_check(1, 500)
-        assert rep.count == 304464
-        main = SCHANUEL_C1 * 500**2
-        assert abs(rep.count / main - 1) <= 0.05
+        count = count_projective(1, 500)
+        assert count == 304464
+        assert abs(count / (SCHANUEL_C1 * 500**2) - 1) <= 0.05
 
     def test_deviation_normalization(self):
-        rep = schanuel_check(1, 100)
         main = SCHANUEL_C1 * 100**2
-        assert abs(rep.count - main) <= 10 * 100 * math.log(100)
+        assert abs(count_projective(1, 100) - main) <= 10 * 100 * math.log(100)

@@ -1,59 +1,21 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sievelab.brun import sandwich
 from sievelab.sieve import (
     SieveSupport,
     SievingSet,
-    crt_density_check,
     large_sieve_L,
     large_sieve_bound,
     local_density,
-    sieve_report,
-    sifted_set,
 )
 
 
-def _omega_zero(p, dim=1):
-    return SievingSet(p, dim, frozenset({(0,) * dim}))
-
-
-class TestSiftedSet:
-    def test_parity_sieve(self):
-        X = list(range(1, 11))
-        support = SieveSupport((2,), 10)
-        out = sifted_set(X, lambda t: (t,), [_omega_zero(2)], support)
-        assert out == [1, 3, 5, 7, 9]
-
-    def test_empty_support_is_vacuous(self):
-        X = list(range(1, 11))
-        support = SieveSupport((), 10)
-        assert sifted_set(X, lambda t: (t,), [], support) == X
-
-    def test_eratosthenes_pattern(self):
-        X = list(range(1, 31))
-        support = SieveSupport((2, 3, 5), 7)
-        sets = [_omega_zero(p) for p in (2, 3, 5)]
-        out = sifted_set(X, lambda t: (t,), sets, support)
-        assert out == [1, 7, 11, 13, 17, 19, 23, 29]
-
-    def test_support_mismatch(self):
-        support = SieveSupport((2,), 10)
-        with pytest.raises(ValueError, match="support mismatch"):
-            sifted_set([1], lambda t: (t,), [_omega_zero(3)], support)
-
-    def test_antitone_in_support(self):
-        X = list(range(1, 101))
-        small = SieveSupport((2,), 10)
-        big = SieveSupport((2, 3), 10)
-        s_small = sifted_set(X, lambda t: (t,), [_omega_zero(2)], small)
-        s_big = sifted_set(
-            X, lambda t: (t,), [_omega_zero(2), _omega_zero(3)], big
-        )
-        assert set(s_big) <= set(s_small)
+def _omega_zero(p):
+    return SievingSet(p, 1, frozenset({(0,)}))
 
 
 class TestLocalDensity:
@@ -143,55 +105,9 @@ class TestBound:
         X = list(range(1, 201))
         primes = (2, 3, 5, 7)
         support = SieveSupport(primes, 11)
-        sets = [_omega_zero(p) for p in primes]
-        survivors = sifted_set(X, lambda t: (t,), sets, support)
-        dens = {p: local_density(s) for p, s in zip(primes, sets)}
+        sets = {p: _omega_zero(p) for p in primes}
+        survivors = sandwich(X, lambda t: (t,), sets, support).exact
+        dens = {p: local_density(s) for p, s in sets.items()}
         L = large_sieve_L(support, dens)
         bound = large_sieve_bound(200, 11, 0, L)  # r=0: counting integers
-        assert len(survivors) <= 30 * bound
-
-
-class TestCrtDensity:
-    def test_two_prime_identity(self):
-        s2 = _omega_zero(2)
-        s3 = _omega_zero(3)
-        assert crt_density_check([s2, s3]) == Fraction(2, 3)
-
-    def test_single_prime_unchanged(self):
-        s = SievingSet.from_predicate(5, 1, lambda v: v[0] in (1, 2))
-        assert crt_density_check([s]) == Fraction(2, 5)
-
-    def test_product_locus_d15(self):
-        sets = [
-            SievingSet.from_predicate(p, 2, lambda v, p=p: v[0] * v[1] % p == 0)
-            for p in (3, 5)
-        ]
-        nu = crt_density_check(sets, verify=True)
-        # independent enumeration of (Z/15)^2
-        hit = sum(
-            1
-            for a in range(15)
-            for b in range(15)
-            if a * b % 3 == 0 or a * b % 5 == 0
-        )
-        assert nu == Fraction(hit, 225)
-
-    def test_non_squarefree_rejected(self):
-        s = _omega_zero(2)
-        with pytest.raises(ValueError):
-            crt_density_check([s, s])
-
-
-class TestReport:
-    def test_json_shape(self):
-        X = list(range(1, 31))
-        primes = (2, 3)
-        support = SieveSupport(primes, 10)
-        sets = [_omega_zero(p) for p in primes]
-        rep = sieve_report(X, lambda t: (t,), sets, support, 30, 0)
-        import json
-
-        doc = json.loads(rep.to_json())
-        assert doc["sifted_count"] == 10
-        assert doc["L_of_Q"] == "3/1"
-        assert [2, "1/2"] in doc["densities"]
+        assert survivors <= 30 * bound
