@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sievelab import brun
 from sievelab.brun import sandwich
 from sievelab.sieve import (
     SieveSupport,
@@ -16,6 +17,48 @@ from sievelab.sieve import (
 
 def _omega_zero(p):
     return SievingSet(p, 1, frozenset({(0,)}))
+
+
+def _sifted(X, F, sets, support):
+    """Points of X that no support prime sieves out, read off the hit masks;
+    their count is checked against the sandwich's exact count."""
+    sets_by_prime = {s.p: s for s in sets}
+    masks = brun._hit_masks(X, F, [sets_by_prime[p] for p in sorted(support.primes)])
+    hit = 0
+    for m in masks.values():
+        hit |= m
+    out = [u for i, u in enumerate(X) if not hit >> i & 1]
+    assert len(out) == sandwich(X, F, sets_by_prime, support).exact
+    return out
+
+
+class TestSiftedSet:
+    def test_parity_sieve(self):
+        X = list(range(1, 11))
+        support = SieveSupport((2,), 10)
+        out = _sifted(X, lambda t: (t,), [_omega_zero(2)], support)
+        assert out == [1, 3, 5, 7, 9]
+
+    def test_empty_support_is_vacuous(self):
+        X = list(range(1, 11))
+        support = SieveSupport((), 10)
+        assert _sifted(X, lambda t: (t,), [], support) == X
+
+    def test_eratosthenes_pattern(self):
+        X = list(range(1, 31))
+        support = SieveSupport((2, 3, 5), 7)
+        sets = [_omega_zero(p) for p in (2, 3, 5)]
+        out = _sifted(X, lambda t: (t,), sets, support)
+        assert out == [1, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_antitone_in_support(self):
+        X = list(range(1, 101))
+        small = SieveSupport((2,), 10)
+        big = SieveSupport((2, 3), 10)
+        s_small = _sifted(X, lambda t: (t,), [_omega_zero(2)], small)
+        s_big = _sifted(X, lambda t: (t,), [_omega_zero(2), _omega_zero(3)], big)
+        assert set(s_big) <= set(s_small)
+        assert len(s_big) < len(s_small)
 
 
 class TestLocalDensity:
