@@ -8,7 +8,6 @@ matrix-group tables, and track the q^{-n/2} deviation envelope across n.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,7 +57,9 @@ def ffield_specializations(family, q, n):
     element codes, rows in lexicographic order of their codes."""
     fld = finitefield.field(q, n)
     grid = np.indices((fld.order,) * family.r).reshape(family.r, -1)
-    return fld, grid[:, family.bad_locus.eval_field(fld, grid) != 0].T
+    # a constant bad locus evaluates to a scalar; the mask needs one entry per t
+    good = np.broadcast_to(family.bad_locus.eval_field(fld, grid) != 0, grid.shape[1:])
+    return fld, grid[:, good].T
 
 
 def ffield_frobenius(family, fld, t, l):
@@ -81,9 +82,7 @@ def ffield_frobenius(family, fld, t, l):
     disc = fld.add(fld.mul(4 % q, fld.mul(fld.mul(A, A), A)), fld.mul(27 % q, fld.mul(B, B)))
     if np.any(disc == 0) or q == 2:
         raise ValueError("singular specialization")
-    # one curve at a time keeps temporaries at the size of the field
-    counts = [1 + fld.affine_points([b, a, 0, 1]) for a, b in zip(A, B)]
-    a = fld.order + 1 - np.array(counts, dtype=np.int64)
+    a = fld.order - fld.affine_points([B, A, 0, 1])
     return np.stack([a % l, np.full_like(a, fld.order % l)], axis=1)
 
 
@@ -96,16 +95,20 @@ def pm_class(key, l):
     return (rep,) + tuple(key[1:])
 
 
-def _measure(family, q, n, l):
-    fld, points = ffield_specializations(family, q, n)
-    keys, counts = np.unique(ffield_frobenius(family, fld, points, l), axis=0, return_counts=True)
+def _frequencies(classes, l):
+    """Frequencies of the rows of a (T, k) class array, folded through
+    ``pm_class``, as exact Fractions in sorted key order."""
+    keys, counts = np.unique(classes, axis=0, return_counts=True)
     tally = {}
     for key, count in zip(keys.tolist(), counts.tolist()):
         key = pm_class(key, l)
         tally[key] = tally.get(key, 0) + count
-    total = len(points)
-    freqs = {k: Fraction(v, total) for k, v in sorted(tally.items())}
-    return total, freqs
+    return {k: Fraction(v, len(classes)) for k, v in sorted(tally.items())}
+
+
+def _measure(family, q, n, l):
+    fld, points = ffield_specializations(family, q, n)
+    return len(points), _frequencies(ffield_frobenius(family, fld, points, l), l)
 
 
 def chebotarev_report(family, q, l, n_range):
@@ -170,33 +173,29 @@ def genus2_census(family, q, l):
     """Char-poly class census for a genus-2 family over the base field F_q.
 
     Classes are (a1 mod l, a2 mod l, q mod l); predictions come from the
-    similitude = q coset of GSp4(F_l) when l = 3, else None.  Each t in
-    F_q^r off the bad locus is reduced mod q directly: the quintic's
-    coefficients are evaluated mod q, and a curve with bad reduction there
-    raises.  Field extensions (n > 1) are out of reach for the quintic
-    point counts.
+    similitude = q coset of GSp4(F_l) when l = 3, else None.  The t in
+    F_q^r off the bad locus come from ``ffield_specializations`` and are
+    reduced mod q directly: the quintic's coefficients are evaluated mod q
+    as arrays, a curve with bad reduction there raises, and every curve is
+    counted in one batched call.  Field extensions (n > 1) are out of reach
+    for the quintic point counts.
     """
     if family.genus != 2:
         raise ValueError("genus-2 family required")
     if q == 2 or q % l == 0:
         raise ValueError("invalid base characteristic")
-    counts = {}
-    total = 0
-    for t in itertools.product(range(q), repeat=family.r):
-        if family.bad_locus.eval_mod(t, q) == 0:
-            continue
-        coeffs = [c.eval_mod(t, q) for c in family.quintic]
-        if q in family.excluded_primes or not _squarefree_mod_p(coeffs, q):
-            raise ValueError("bad reduction")
-        n1, n2 = _quintic_counts(coeffs, q)
-        a1 = q + 1 - n1
-        a2 = (a1 * a1 - (q * q + 1 - n2)) // 2
-        key = pm_class((a1 % l, a2 % l, q % l), l)
-        counts[key] = counts.get(key, 0) + 1
-        total += 1
-    freqs = {k: Fraction(v, total) for k, v in sorted(counts.items())}
+    _, t = ffield_specializations(family, q, 1)
+    coeffs = [np.broadcast_to(c.eval_mod(t.T, q), len(t)) for c in family.quintic]
+    if len(t) and q in family.excluded_primes:
+        raise ValueError("bad reduction")
+    if not all(_squarefree_mod_p(row, q) for row in np.stack(coeffs, axis=1).tolist()):
+        raise ValueError("bad reduction")
+    n1, n2 = _quintic_counts(coeffs, q)
+    a1 = q + 1 - n1
+    a2 = (a1 * a1 - (q * q + 1 - n2)) // 2
+    freqs = _frequencies(np.stack([a1 % l, a2 % l, np.full_like(a1, q % l)], axis=1), l)
     predicted, deviation = None, None
     if l == 3:
         dens = charpoly_class_density(GroupSpec(2, l, "gsp"), q % l)
         predicted, deviation = _predict(freqs, {(*k, q % l): v for k, v in dens.items()}, l)
-    return FFieldCensus(q, 1, l, total, freqs, predicted, deviation)
+    return FFieldCensus(q, 1, l, len(t), freqs, predicted, deviation)

@@ -246,17 +246,23 @@ def genus2_counts(s, p):
 
 def _quintic_counts(coeffs, p):
     """(n1, n2) for y^2 = quintic with coefficients mod an odd prime p,
-    known to be squarefree; asserts the Weil bound and the a2 parity."""
+    known to be squarefree; asserts the Weil bound and the a2 parity.
+
+    Like ``ExtField.affine_points``, each coefficient is an int or a
+    length-T array (one curve per row, counted in blocks of at most
+    ``finitefield._BLOCK`` grid cells); n1 and n2 are then length-T int64
+    arrays, and the asserts hold on every row.
+    """
     if p > PRIME_CAP_G2:
         raise ValueError("prime cap exceeded")
     # one point at infinity for degree 5
     n1 = 1 + field(p, 1).affine_points(coeffs)
     n2 = 1 + field(p, 2).affine_points(coeffs)
     a1 = p + 1 - n1
-    if a1 * a1 > 16 * p:
+    if np.any(a1 * a1 > 16 * p):
         raise AssertionError("Weil bound violated")
     twice_a2 = a1 * a1 - (p * p + 1 - n2)
-    if twice_a2 % 2:
+    if np.any(twice_a2 % 2):
         raise AssertionError("a2 parity identity violated")
     return n1, n2
 

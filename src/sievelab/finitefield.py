@@ -15,6 +15,8 @@ import itertools
 
 import numpy as np
 
+_BLOCK = 2**14  # grid cells per Horner block in affine_points
+
 
 def _prime_divisors(n):
     out = []
@@ -96,12 +98,28 @@ class ExtField:
 
     def affine_points(self, coeffs):
         """#{(x, y) : y^2 = f(x)} over the field, f from ascending
-        coefficient codes."""
+        coefficient codes.
+
+        Each coefficient is an int or a length-T code array, broadcast
+        together; row i of the arrays is the curve y^2 = f_i(x).  Returns an
+        int for scalar coefficients, else a length-T int64 array of counts.
+        Horner runs over the (T, field order) grid in blocks of whole rows,
+        at most _BLOCK cells each (one row when a row alone is larger), so
+        the temporaries stay small however many curves there are.
+        """
+        coeffs = [np.asarray(c) for c in coeffs]
+        shape = np.broadcast_shapes(*(c.shape for c in coeffs))
+        cols = [np.broadcast_to(c, shape).reshape(-1, 1) for c in coeffs]
         x = np.arange(self.order)
-        v = 0
-        for c in reversed(coeffs):
-            v = self.add(self.mul(v, x), c)
-        return int(self.sqrt_counts()[v].sum())
+        sqrt = self.sqrt_counts()
+        counts = np.empty(len(cols[0]), dtype=np.int64)
+        step = max(1, _BLOCK // self.order)
+        for i in range(0, len(counts), step):
+            v = 0
+            for c in reversed(cols):
+                v = self.add(self.mul(v, x), c[i:i + step])
+            counts[i:i + step] = sqrt[v].sum(axis=1)
+        return counts if shape else int(counts[0])
 
 
 @functools.lru_cache(maxsize=32)

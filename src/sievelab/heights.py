@@ -30,11 +30,6 @@ class ProjectivePoint:
             raise ValueError("not a projective point")
 
 
-def height(p):
-    """Absolute height over Q: max |coordinate| of the primitive representative."""
-    return max(abs(c) for c in p.coords)
-
-
 def _first_nonzero_positive(coords):
     for c in coords:
         if c:

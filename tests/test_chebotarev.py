@@ -35,6 +35,11 @@ class TestSpecializations:
         _, pts = ffield_specializations(fam, 5, 2)
         assert len(pts) == 23
 
+    def test_constant_bad_locus_keeps_every_t(self):
+        fam = dataclasses.replace(default_elliptic_family(), bad_locus=Poly.const(1, 1))
+        _, pts = ffield_specializations(fam, 5, 2)
+        assert pts.tolist() == [[t] for t in range(25)]
+
     def test_degenerate_g2_base(self):
         g2 = default_genus2_family()
         _, pts = ffield_specializations(g2, 3, 1)
@@ -56,6 +61,19 @@ class TestFrobenius:
         fam = default_elliptic_family()
         fld, pts = ffield_specializations(fam, 5, 2)
         assert np.all(ffield_frobenius(fam, fld, pts[:5], 3)[:, 1] == 25 % 3)
+
+    @pytest.mark.parametrize("l", [3, 5])
+    def test_batched_count_matches_per_curve_oracle(self, l):
+        # the one-curve-at-a-time count, over F_{7^3}, whose 341 curves span
+        # several Horner blocks
+        fam = default_elliptic_family()
+        fld, pts = ffield_specializations(fam, 7, 3)
+        A = np.broadcast_to(fam.A.eval_field(fld, pts.T), len(pts))
+        B = np.broadcast_to(fam.B.eval_field(fld, pts.T), len(pts))
+        counts = [1 + fld.affine_points([b, a, 0, 1]) for a, b in zip(A, B)]
+        a = fld.order + 1 - np.array(counts, dtype=np.int64)
+        expected = np.stack([a % l, np.full_like(a, fld.order % l)], axis=1)
+        assert np.array_equal(ffield_frobenius(fam, fld, pts, l), expected)
 
     def test_l_dividing_order_rejected(self):
         fam = default_elliptic_family()
@@ -142,3 +160,16 @@ class TestGenus2Census:
         cusp = dataclasses.replace(g2, quintic=(zero,) * 5 + (one,), bad_locus=one)
         with pytest.raises(ValueError, match="bad reduction"):
             genus2_census(cusp, 5, 3)
+
+    def test_bad_reduction_in_a_later_row_rejected(self):
+        # y^2 = x^5 - (t1 - 3) is singular mod 7 only at t1 = 3; the first
+        # row of the batch, t = (0, 0, 0), is good
+        g2 = default_genus2_family()
+        zero, one = Poly.const(3, 0), Poly.const(3, 1)
+        shift = Poly.const(3, 3) - Poly.var(3, 0)
+        fam = dataclasses.replace(g2, quintic=(shift,) + (zero,) * 4 + (one,), bad_locus=one)
+        with pytest.raises(ValueError, match="bad reduction"):
+            genus2_census(fam, 7, 3)
+        # off the singular fibre every curve is good and counted
+        census = genus2_census(dataclasses.replace(fam, bad_locus=-shift), 7, 3)
+        assert census.n_points == 6 * 7 * 7

@@ -17,7 +17,7 @@ from sievelab.curves import (
     reduction_type,
     specialize,
 )
-from sievelab.finitefield import ExtField, field
+from sievelab.finitefield import _BLOCK, ExtField, field
 
 SMALL_FIELDS = [(2, 3), (3, 3), (5, 2), (7, 2)]
 
@@ -88,6 +88,36 @@ class TestArithmetic:
 
 
 class TestPointCounts:
+    @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(11, 2)])
+    def test_batched_count_matches_per_row_calls(self, q, n):
+        """Array coefficients, mixed with scalar ones as in [B, A, 0, 1],
+        count each row as its own scalar call would; T spans several
+        Horner blocks."""
+        fld = field(q, n)
+        rows = max(1, _BLOCK // fld.order)
+        rng = np.random.default_rng(q * 10 + n)
+        T = 2 * rows + 3
+        B, A, C = (rng.integers(0, fld.order, T) for _ in range(3))
+        for coeffs in ([B, A, 0, 1], [C, 0, A, 1, B, 1]):
+            batched = fld.affine_points(coeffs)
+            assert batched.dtype == np.int64 and batched.shape == (T,)
+            scalar = {}  # one scalar call per distinct row
+            for i, got in enumerate(batched.tolist()):
+                row = tuple(c if np.isscalar(c) else int(c[i]) for c in coeffs)
+                if row not in scalar:
+                    scalar[row] = fld.affine_points(list(row))
+                assert got == scalar[row]
+
+    def test_batched_count_edge_shapes(self):
+        fld = field(7, 2)
+        empty = np.zeros(0, dtype=np.int64)
+        out = fld.affine_points([empty, empty, 0, 1])
+        assert out.dtype == np.int64 and out.shape == (0,)
+        # scalar coefficients give a Python int, as before batching
+        scalar = fld.affine_points([3, 2, 0, 1])
+        assert type(scalar) is int
+        assert fld.affine_points([np.array([3]), 2, 0, 1]).tolist() == [scalar]
+
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_extension_classes_follow_the_frobenius_recurrence(self, t):
         """a_{q^(k+1)} = a_q a_{q^k} - q a_{q^(k-1)}, with a_1 = 2, a_q = ap_count;

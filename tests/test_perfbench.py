@@ -21,6 +21,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ["sandwich", "--x", "20", "--depths", "1"],
         ["chebotarev", "--q", "5", "--l", "3", "--n", "1"],
         ["genus2_census", "--q", "5", "--l", "3"],
+        # F_{7^3}: 341 curves over 343 cells each span several Horner blocks
+        pytest.param(["chebotarev", "--q", "7", "--l", "3", "--n", "3"],
+                     id="chebotarev-multiblock"),
     ],
     ids=lambda argv: argv[0],
 )
