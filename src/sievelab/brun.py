@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heights import enumerate_projective, smallest_prime_factors
+from .heights import smallest_prime_factors
 from .sieve import local_density
 
 
@@ -73,7 +73,7 @@ class SandwichReport:
     upper: Fraction
     remainder_plus: Fraction
     remainder_minus: Fraction
-    exact: int  # None when not computed
+    exact: int
 
     def to_json(self):
         import json
@@ -95,7 +95,7 @@ class SandwichReport:
         )
 
 
-def sandwich(X, F, sets_by_prime, support, D=None, b=None, compute_exact=True):
+def sandwich(X, F, sets_by_prime, support, D=None, b=None):
     """Bonferroni sandwich on |sifted set| with exact congruence sums S_d.
 
     ``sets_by_prime`` maps each support prime to its SievingSet.  With
@@ -145,14 +145,12 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None, compute_exact=True):
     for p in primes:
         main *= 1 - densities[p]
 
-    exact = None
-    if compute_exact:
-        hit_any = 0
-        for p in primes:
-            hit_any |= masks[p]
-        exact = (full & ~hit_any).bit_count()
-        if not (lower <= exact <= upper) and (D is None or b is None):
-            raise AssertionError("sandwich violated with untruncated-valid coefficients")
+    hit_any = 0
+    for p in primes:
+        hit_any |= masks[p]
+    exact = (full & ~hit_any).bit_count()
+    if not (lower <= exact <= upper) and (D is None or b is None):
+        raise AssertionError("sandwich violated with untruncated-valid coefficients")
     return SandwichReport(main, lower, upper, r_plus, r_minus, exact)
 
 
@@ -199,42 +197,44 @@ def _residue_codes(v, p):
     return code
 
 
+C_AUDIT = 8.0  # the constant of the remainder audit's bound
+
+
 @dataclass(frozen=True)
 class RemainderAudit:
     d: int
     x: int
     r: int
     measured: Fraction  # r_d = |{u in B(x): u mod d in Omega_d}| - nu_d |B(x)|
-    bound: float  # C_audit * |B(x)| * relative-error shape (see audit docstring)
-    c_audit: float
+    bound: float  # C_AUDIT * |B(x)| * relative-error shape (see audit docstring)
     ok: bool
 
 
-def lattice_remainder_audit(d, omega_d, x, r, c_audit=8.0):
+def lattice_remainder_audit(d, omega_d, x, r):
     """Measure the congruence remainder over the lattice ball [-x, x]^{r+1}.
 
     The remainder lemma lives on the full lattice ball, not on the primitive
-    point set (which carries a constant-order congruence bias).  Shape of the
-    relative error: d^2 log x / x when r = 1, else d^{r+1} / x (field degree 1
-    throughout; d here is the modulus).
+    point set (which carries a constant-order congruence bias).  A residue
+    tuple w in [0, d)^{r+1} is hit by prod_i N(w_i) vectors, N(c) the number
+    of v in [-x, x] with v = c mod d; other tuples are never hit.  Shape of
+    the relative error: d^2 log x / x when r = 1, else d^{r+1} / x (field
+    degree 1 throughout; d here is the modulus).
     """
-    import itertools
-
     B = (2 * x + 1) ** (r + 1)
     if d == 1:
-        return RemainderAudit(1, x, r, Fraction(0), 0.0, c_audit, True)
+        return RemainderAudit(1, x, r, Fraction(0), 0.0, True)
     hit = 0
-    for v in itertools.product(range(-x, x + 1), repeat=r + 1):
-        if tuple(c % d for c in v) in omega_d:
-            hit += 1
+    for w in omega_d:
+        if len(w) == r + 1 and all(0 <= c < d for c in w):
+            hit += math.prod((x - c) // d - (-x - 1 - c) // d for c in w)
     nu_d = Fraction(len(omega_d), d ** (r + 1))
     measured = Fraction(hit) - nu_d * B
     if r == 1:
         shape = d * d * math.log(x) / x if x > 1 else float(d * d)
     else:
         shape = d ** (r + 1) / x
-    bound = c_audit * B * shape
-    return RemainderAudit(d, x, r, measured, bound, c_audit, abs(measured) <= bound)
+    bound = C_AUDIT * B * shape
+    return RemainderAudit(d, x, r, measured, bound, abs(measured) <= bound)
 
 
 @dataclass(frozen=True)
@@ -270,42 +270,42 @@ def good_reduction_census(family, x, Q):
     support = tuple(
         p for p in primes_below(int(Q)) if p not in family.excluded_primes
     )
-    if r == 1:
-        count = _census_r1_bitset(f, x, support)
-    else:
-        count = 0
-        for pt in enumerate_projective(r, x):
-            if all(f.eval_mod(pt.coords, p) != 0 for p in support):
-                count += 1
+    count = _census_bitset(f, r, x, support)
     floor = x ** (r + 1) / math.log(Q) ** kappa if Q > 1 else float("inf")
     return GoodReductionCensus(x, int(Q), count, floor, kappa, support)
 
 
-def _census_r1_bitset(f, x, support):
-    """Count the canonical points (a : b) of P^1(Q) of height <= x with
-    f(a, b) != 0 mod every support prime.
+def _census_bitset(f, r, x, support):
+    """Count the canonical points (c : b) of P^r(Q) of height <= x, c the
+    first r coordinates, with f(c, b) != 0 mod every support prime.
 
-    Each a > 0 owns one bit row over b in [-x, x], packed little-endian.
-    Per prime p and residue a mod p there is one packed allowed row; the
-    row of a is the AND of its primes' rows, AND-NOT the "q | b" row of
-    each prime factor q of a (gcd(a, b) = 1).  a = 0 gives only (0 : 1).
-    The modulus 1 with its all-ones row heads the primes, so the AND is
-    never empty and the padding bits stay 0.  Rows take about
-    sum_{p in support} p (2x + 1) / 8 bytes; the "q | b" rows are kept
-    for q <= sqrt(x) only.
+    Each prefix c != 0 (first nonzero entry positive) owns one bit row over
+    b in [-x, x], packed little-endian.  Per prime p and residue c mod p
+    there is one packed allowed row; the row of c is the AND of its primes'
+    rows, AND-NOT the "q | b" row of each prime factor q of gcd(c) (the
+    point is primitive).  c = 0 gives only (0 : ... : 0 : 1).  The modulus
+    1 with its all-ones row heads the primes, so the AND is never empty and
+    the padding bits stay 0.  Rows take about sum_{p in support} p^r
+    (2x + 1) / 8 bytes; the "q | b" rows are kept for q <= sqrt(x) only.
     """
     b = np.arange(-x, x + 1, dtype=np.int64)
     moduli = np.array([1, *support], dtype=np.int64)
-    starts = np.cumsum(moduli) - moduli
-    rows = np.empty((int(moduli.sum()), (b.size + 7) // 8), dtype=np.uint8)
+    sizes = moduli**r
+    starts = np.cumsum(sizes) - sizes
+    rows = np.empty((int(sizes.sum()), (b.size + 7) // 8), dtype=np.uint8)
     rows[0] = np.packbits(np.ones(b.size, dtype=bool), bitorder="little")
     zero_ok = True
     for p, start in zip(support, starts[1:].tolist()):
-        grid = np.arange(p, dtype=np.int64)
-        ok = np.broadcast_to(f.eval_mod((grid[:, None], grid[None, :]), p) != 0, (p, p))
+        grid = (p,) * (r + 1)
+        ok = np.broadcast_to(f.eval_mod(np.indices(grid, sparse=True), p) != 0, grid)
+        ok = ok.reshape(p**r, p)  # row = mixed-radix code of c mod p, column = b mod p
         zero_ok = zero_ok and bool(ok[0, 1 % p])
-        rows[start : start + p] = np.packbits(ok[:, b % p], axis=1, bitorder="little")
-    picks = np.arange(1, x + 1)[:, None] % moduli
+        rows[start : start + p**r] = np.packbits(ok[:, b % p], axis=1, bitorder="little")
+    # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
+    c = (np.indices((b.size,) * r).reshape(r, -1).T - x)[b.size**r // 2 + 1 :]
+    picks = c[:, 0, None] % moduli  # the mixed-radix code of c mod each modulus
+    for i in range(1, r):
+        picks = picks * moduli + c[:, i, None] % moduli
     picks += starts
 
     def coprime(q):
@@ -317,14 +317,13 @@ def _census_r1_bitset(f, x, support):
     spf = smallest_prime_factors(x)
     small = {q: coprime(q) for q in range(2, math.isqrt(x) + 1) if spf[q] == q}
     count = int(zero_ok)
-    for a in range(1, x + 1):
-        row = np.bitwise_and.reduce(rows[picks[a - 1]], axis=0)
-        m = a
-        while m > 1:
-            q = int(spf[m])
+    for pick, g in zip(picks, np.gcd.reduce(c, axis=1).tolist()):
+        row = np.bitwise_and.reduce(rows[pick], axis=0)
+        while g > 1:
+            q = int(spf[g])
             row &= small[q] if q in small else coprime(q)  # at most one q > sqrt(x)
-            while m % q == 0:
-                m //= q
+            while g % q == 0:
+                g //= q
         count += int(np.bitwise_count(row).sum())
     return count
 

@@ -42,9 +42,10 @@ class InfeasibleError(Exception):
 PCAP_LIMIT = 10**4
 L_LIMIT = 13
 X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
-# goodred, by the family's r: packed bit rows for r = 1; for r = 3 a loop
-# over all (2x + 1)^4 tuples of P^3(Q), which on a 2-core machine took
-# 1.4 s at x = 15 and 19 s at x = 16, the first x with a support prime
+# goodred, by the family's r: one packed bit row over the last coordinate
+# per prefix, about (2x + 1)^r / 2 rows.  On a 2-core machine the default
+# genus-2 count took 0.13 s at x = 15 and 2.1 s at x = 40; the r = 3 cap
+# stays at 15, the last x before its support holds a prime
 GOODRED_X_LIMIT = {1: 10**4, 3: 15}
 
 
@@ -72,6 +73,9 @@ class ExperimentConfig:
             raise ConfigError("l values must be nonempty and distinct")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise InfeasibleError(f"workers = {self.workers} exceeds the {cpus} CPUs")
         if self.pcap < 1:
             raise ConfigError("pcap must be >= 1")
         if self.pcap > PCAP_LIMIT:

@@ -25,6 +25,7 @@ from .polynomials import Poly
 
 PRIME_CAP_G1 = 10**4
 PRIME_CAP_G2 = 300
+MAX_DEGREE = 64  # total degree of a family polynomial; the default families stay <= 9
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _is_int(v):
 
 def _poly_from_terms(terms, key, r):
     """A polynomial from terms [coefficient, e_1, .., e_r], all integers,
-    exponents >= 0."""
+    exponents >= 0, total degree <= MAX_DEGREE."""
     if not isinstance(terms, list) or not all(
         isinstance(t, list) and len(t) == r + 1 and all(_is_int(v) for v in t)
         and min(t[1:]) >= 0
@@ -100,6 +101,8 @@ def _poly_from_terms(terms, key, r):
     ):
         raise ValueError(f"{key}: each term must be [integer coefficient, "
                          f"{r} non-negative integer exponents]")
+    if any(sum(t[1:]) > MAX_DEGREE for t in terms):
+        raise ValueError(f"{key}: a term has total degree above {MAX_DEGREE}")
     return Poly.from_terms(r, terms)
 
 

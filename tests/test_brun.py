@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from sievelab.brun import (
     primes_below,
     sandwich,
 )
-from sievelab.curves import default_elliptic_family
+from sievelab.curves import default_elliptic_family, default_genus2_family
 from sievelab.heights import enumerate_projective
 from sievelab.polynomials import Poly
 from sievelab.sieve import SieveSupport, SievingSet
@@ -40,18 +42,36 @@ def _loop_masks(X, F, sets):
 
 
 @functools.lru_cache(maxsize=None)
-def _points(x):
-    return enumerate_projective(1, x)
+def _points(x, r=1):
+    return enumerate_projective(r, x)
 
 
 def _family(name):
     """The default family; under t -> t + 2 (bad locus (t + 2)(-1 - t), so
-    t = 0, the point (1 : 0), is good at every prime); and with bad locus
-    t(5t - 1), whose point at infinity (0 : 1) is bad mod 5."""
+    t = 0, the point (1 : 0), is good at every prime); with bad locus
+    t(5t - 1), whose point at infinity (0 : 1) is bad mod 5; and three
+    genus-2 families with no excluded primes."""
     t = Poly.var(1, 0)
-    bad = {"default": None, "shifted": (t + 2) * (-1 - t), "infinity": t * (5 * t - 1)}[name]
+    t1, t2, t3 = (Poly.var(3, i) for i in range(3))
+    bad = {
+        "default": None,
+        "shifted": (t + 2) * (-1 - t),
+        "infinity": t * (5 * t - 1),
+        "g2-quadric": t1 * t1 + t2 * t3 + 1,
+        "g2-product": (t1 - 2) * (t2 + t3) - 1,
+        "g2-cubic": t1 * t2 * t3 - 3,
+    }[name]
+    if name.startswith("g2"):
+        return dataclasses.replace(default_genus2_family(), bad_locus=bad, excluded_primes=frozenset())
     fam = default_elliptic_family()
     return fam if bad is None else dataclasses.replace(fam, bad_locus=bad)
+
+
+def _audit_hits(d, omega_d, x, r):
+    """Oracle for the hit count of ``lattice_remainder_audit``: every vector
+    of [-x, x]^{r+1}, reduced mod d and looked up in Omega_d."""
+    box = itertools.product(range(-x, x + 1), repeat=r + 1)
+    return sum(tuple(c % d for c in v) in omega_d for v in box)
 
 
 class TestCoefficients:
@@ -190,14 +210,22 @@ class TestRemainderAudit:
         audit = lattice_remainder_audit(6, omega, 60, 1)
         assert audit.ok
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 3), st.integers(1, 6), st.data())
+    def test_closed_form_matches_box_loop(self, d, r, x, data):
+        # tuples of the wrong length or with entries outside [0, d) are never hit
+        entry = st.lists(st.integers(-1, d), min_size=r, max_size=r + 2).map(tuple)
+        omega = data.draw(st.frozensets(entry, max_size=10))
+        nu_d = Fraction(len(omega), d ** (r + 1))
+        expected = _audit_hits(d, omega, x, r) - nu_d * (2 * x + 1) ** (r + 1)
+        assert lattice_remainder_audit(d, omega, x, r).measured == expected
+
 
 class TestGoodReduction:
     def test_small_census_matches_brute(self):
         fam = default_elliptic_family()
         c_numpy = good_reduction_census(fam, 250, 15)
         # brute force via the projective enumeration
-        from sievelab.heights import enumerate_projective
-
         f = fam.bad_locus.homogenize()
         support = [p for p in primes_below(15) if p not in fam.excluded_primes]
         brute = sum(
@@ -209,21 +237,35 @@ class TestGoodReduction:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(1, 80),
-        st.integers(2, 40),
-        st.sampled_from(["default", "shifted", "infinity"]),
+        st.one_of(
+            st.tuples(
+                st.integers(1, 80),
+                st.integers(2, 40),
+                st.sampled_from(["default", "shifted", "infinity"]),
+            ),
+            st.tuples(
+                st.integers(1, 6),
+                st.integers(2, 12),
+                st.sampled_from(["g2-quadric", "g2-product", "g2-cubic"]),
+            ),
+        )
     )
-    @example(1, 2, "default")  # empty support
-    @example(1, 40, "shifted")  # primes wider than the row of b
-    @example(80, 40, "infinity")
-    def test_bitset_matches_brute(self, x, Q, name):
+    @example((1, 2, "default"))  # empty support
+    @example((1, 40, "shifted"))  # primes wider than the row of b
+    @example((80, 40, "infinity"))
+    @example((1, 12, "g2-quadric"))  # r = 3, primes wider than the row of b
+    @example((6, 12, "g2-product"))
+    @example((6, 12, "g2-cubic"))
+    def test_bitset_matches_brute(self, case):
+        x, Q, name = case
         fam = _family(name)
         f = fam.bad_locus.homogenize()
         support = [p for p in primes_below(Q) if p not in fam.excluded_primes]
-        brute = sum(
-            1 for pt in _points(x) if all(f.eval_mod(pt.coords, p) != 0 for p in support)
-        )
-        assert good_reduction_census(fam, x, Q).count == brute
+        coords = tuple(np.array([pt.coords for pt in _points(x, fam.r)]).T)
+        good = np.ones(coords[0].size, dtype=bool)
+        for p in support:
+            good &= f.eval_mod(coords, p) != 0
+        assert good_reduction_census(fam, x, Q).count == int(good.sum())
 
     @pytest.mark.parametrize("x", [0, -3])
     def test_height_bound_below_one_rejected(self, x):

@@ -34,6 +34,7 @@ from sievelab.curves import (
     default_genus2_family,
     surjectivity_verdict,
 )
+from sievelab.heights import count_projective
 from sievelab.polynomials import Poly
 
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
@@ -348,6 +349,13 @@ class TestCli:
         ] + [
             (["census"], {"l": [5, 5]}, 2),
             (["--x", "16", "goodred"], {"family": "default-g2"}, 3),
+            # polynomial degrees above curves.MAX_DEGREE: a hang in eval_mod's
+            # power list, an OverflowError and a ZeroDivisionError in the floor
+            (["census"], {"family": {**GOOD_FAMILY, "A": [[1, 100000000]]}}, 2),
+            (["--x", "100", "goodred"],
+             {"family": {**GOOD_FAMILY, "bad_locus": [[1, 1500], [1, 0]]}}, 2),
+            (["--x", "5", "goodred"],
+             {"family": {**GOOD_FAMILY, "bad_locus": [[1, 3000], [1, 0]]}}, 2),
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):
@@ -363,6 +371,29 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_workers_above_cpu_count_exit_3(self, tmp_path, capsys, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        workers = str((os.cpu_count() or 1) + 1)
+        argv = ["--x", "10", "--pcap", "50", "--workers", workers, "--out", str(tmp_path), "census"]
+        assert main(argv) == 3
+        _, err = capsys.readouterr()
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_goodred_genus2_counts_every_point(self, tmp_path):
+        # for x <= 15 the default genus-2 support is empty, so the count is |B(x)|
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "default-g2"}))
+        out = str(tmp_path / "out")
+        assert main(["--x", "1,5,15", "--out", out, "--config", str(cfg), "goodred"]) == 0
+        with open(os.path.join(out, "goodred.csv")) as fh:
+            counts = [int(row["count"]) for row in csv.DictReader(fh)]
+        assert counts == [40, 6928, 427968] == [count_projective(3, x) for x in (1, 5, 15)]
 
     def test_sifted_class_set_command(self, tmp_path):
         out = str(tmp_path / "out")
