@@ -4,9 +4,10 @@ and the good-reduction floor, shared by the CLI and the test suite.
 The census holds the parameters t = num/den of bounded height as int64
 arrays and sweeps them through the a_p tables of the good primes up to a
 cap, one prime at a time.  Per l it ORs the witness bits of each class
-(a_p mod l, p mod l) into a uint16 state per point (``witness_lut``),
-from which the per-(t, l) verdict is read.  Certification only grows with
-the prime set, so points certified at every l >= 5 leave the sweep early.
+(a_p mod l, p mod l) into a uint8 state per point (``witness_lut``), one
+bit per condition of the verdict, which one table reads (``VERDICT``).
+Certification only grows with the prime set, so points certified at every
+l >= 5 leave the sweep early.
 A point enters the exceptional proxy when it is undecided for at least one
 l; verdicts depend only on (t, l, p-cap), so the proxy is monotone under
 enlarging the height window.
@@ -40,6 +41,8 @@ class InfeasibleError(Exception):
 
 
 PCAP_LIMIT = 10**4
+# the class sieve's trace bits fill a uint16 (l <= 16); time and memory at
+# the caps were measured up to 13.  The witness state does not limit l.
 L_LIMIT = 13
 X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
 # goodred, by the family's r: one packed bit row over the last coordinate
@@ -132,43 +135,39 @@ def frobenius_tables(family, pcap, workers=1, seed=0):
     return {p: ap_table(family, p) for p in primes}
 
 
-# Witness bits of a set of g = 1 classes mod l >= 5: bit d - 1 for each
-# determinant d seen (l - 1 <= 12 bits), then the three class witnesses of
-# ``curves.surjectivity_verdict``.  The bits of a set are the OR over its classes.
-SPLIT, NONSPLIT, EXCLUDER = 1 << 12, 1 << 13, 1 << 14
+# Witness bits of a set of g = 1 classes mod l >= 5, one per condition of
+# ``curves.surjectivity_verdict``.  Unit bit i: some det is not an r_i-th
+# power, r_i the i-th prime divisor of l - 1; every unit det sets the bits
+# i >= omega(l - 1), and omega(l - 1) <= 3 for l < 211.  The bits of a set are
+# the OR over its classes; VERDICT maps them to 0 ('surjective') or to the
+# reason code of the first missing witness.
+UNITS, SPLIT, NONSPLIT, EXCLUDER = 0b111, 1 << 3, 1 << 4, 1 << 5
+WITNESSED = UNITS | SPLIT | NONSPLIT | EXCLUDER
 REASONS = ("det", "split", "nonsplit", "excluder", "l3")  # code k >= 1 is REASONS[k - 1]
+VERDICT = np.array([next((k for k, w in enumerate((UNITS, SPLIT, NONSPLIT, EXCLUDER), 1)
+                          if s & w != w), 0) for s in range(WITNESSED + 1)], dtype=np.int8)
+VERDICT.setflags(write=False)
 
 
 @functools.cache
 def witness_lut(l):
-    """Read-only (l, l) uint16 table of the witness bits of the class
+    """Read-only (l, l) uint8 table of the witness bits of the class
     (tr, det), indexed [tr, det]; det = 0 (p = l) carries no bits."""
     squares = {x * x % l for x in range(1, l)}
-    lut = np.zeros((l, l), dtype=np.uint16)
+    divisors = _prime_divisors(l - 1)
+    lut = np.zeros((l, l), dtype=np.uint8)
     for tr in range(l):
         for d in range(1, l):
             disc, u = (tr * tr - 4 * d) % l, tr * tr * pow(d, -1, l) % l
+            powers = sum(1 << i for i, r in enumerate(divisors) if pow(d, (l - 1) // r, l) == 1)
             lut[tr, d] = (
-                1 << (d - 1)
+                UNITS ^ powers
                 | SPLIT * (tr != 0 and disc in squares)
                 | NONSPLIT * (tr != 0 and disc != 0 and disc not in squares)
                 | EXCLUDER * (u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % l != 0)
             )
     lut.setflags(write=False)
     return lut
-
-
-def witness_verdicts(state, l):
-    """``curves.surjectivity_verdict`` (g = 1, l >= 5) on an array of witness
-    states: 0 where 'surjective', else the reason code of the first missing
-    witness."""
-    dets_generate = np.ones(state.shape, dtype=bool)
-    for r in _prime_divisors(l - 1):  # as in curves._generates_units
-        non_rth = sum(1 << (v - 1) for v in range(1, l) if pow(v, (l - 1) // r, l) != 1)
-        dets_generate &= (state & non_rth) != 0
-    missing = [~dets_generate, (state & SPLIT) == 0, (state & NONSPLIT) == 0,
-               (state & EXCLUDER) == 0]
-    return np.select(missing, [1, 2, 3, 4], 0).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -193,14 +192,15 @@ class CensusRow:
 
 
 def _sweep(num, den, tables, luts, certified=None):
-    """(P, len(luts)) uint16 states: for each point and each (l, l) table in
-    ``luts``, the OR of lut[a_p mod l, p mod l] over the tabled primes p
-    not dividing den at which the point has good reduction.
+    """(P, len(luts)) states of the LUTs' dtype (uint8 if none): for each
+    point and each (l, l) table in ``luts``, the OR of lut[a_p mod l,
+    p mod l] over the tabled primes p not dividing den at which the point
+    has good reduction.
 
     Every 8 primes, the points that ``certified(states)`` marks leave the
     sweep; it must mark only points whose outcome no further bit changes.
     """
-    state = np.zeros((len(num), len(luts)), dtype=np.uint16)
+    state = np.zeros((len(num), len(luts)), dtype=np.result_type(np.uint8, *luts))
     live = np.arange(len(num))
     n, d, s = num, den, state
     dmax = int(den.max(initial=0))
@@ -223,17 +223,12 @@ def _reason_codes(num, den, tables, l_values):
     """(P, len(l_values)) int8: 0 where 'surjective', else the reason code
     of the first missing witness (REASONS); l = 3 is always 'l3'."""
     big = [j for j, l in enumerate(l_values) if l != 3]
-
-    def codes(state):
-        per_l = [witness_verdicts(state[:, k], l_values[j]) for k, j in enumerate(big)]
-        return np.array(per_l, dtype=np.int8).reshape(len(big), len(state)).T
-
     state = _sweep(
         num, den, tables, [witness_lut(l_values[j]) for j in big],
-        certified=lambda s: ~codes(s).any(axis=1),
+        certified=lambda s: (s == WITNESSED).all(axis=1),
     )
     out = np.full((len(num), len(l_values)), REASONS.index("l3") + 1, dtype=np.int8)
-    out[:, big] = codes(state)
+    out[:, big] = VERDICT[state]
     return out
 
 

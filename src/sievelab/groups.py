@@ -68,13 +68,10 @@ def _similitude(m, l):
 
 
 def _inverse(m, l):
-    """Inverse of a stack of GL2 matrices (adjugate over det) or of GSp4
-    similitudes (mu^-1 J^-1 m^T J, since J^-1 m^T J m = mu)."""
+    """Inverse of a stack of symplectic similitudes, mu^-1 J^-1 m^T J since
+    J^-1 m^T J m = mu.  GL2 = GSp2 with mu = det, where J^-1 m^T J is the
+    adjugate."""
     unit_inv = np.array([0] + [pow(v, -1, l) for v in range(1, l)], dtype=np.int64)
-    if m.shape[-1] == 2:
-        det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]) % l
-        adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], axis=-1)
-        return adj.reshape(m.shape) * unit_inv[det][..., None, None] % l
     J = _J(m.shape[-1] // 2)
     return (-J @ np.swapaxes(m, -1, -2) @ J) * unit_inv[_similitude(m, l)][..., None, None] % l
 

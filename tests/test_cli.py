@@ -165,6 +165,16 @@ class TestCensus:
         assert sorted(roots) == [Fraction(-907, 953), 0, 1]
         assert rows[0].n_points == len(n) - len(roots)
 
+    def test_l3_only_sweeps_no_lut(self):
+        # with no l >= 5 the sweep has no witness table: every point is
+        # undecided with reason 'l3'
+        rows, (num, den), surjective = census(default_elliptic_family(), [10], [3], 100)
+        (row,) = rows
+        assert row.n_points == len(num) > 0 and not surjective.any()
+        assert row.surjective == {3: 0} and row.undecided == {3: row.n_points}
+        assert row.undecided_any == row.n_points
+        assert row.reasons == {3: [0, 0, 0, 0, row.n_points]}
+
     def test_workers_deterministic(self):
         fam = default_elliptic_family()
         rows1, _, _ = census(fam, [10], [5], 100, workers=1, seed=0)
@@ -275,6 +285,19 @@ class TestCli:
             assert sum(int(r[k]) for k in kinds) == int(r["undecided"])
             assert (int(r["l3"]) == int(r["undecided"])) if r["l"] == "3" else r["l3"] == "0"
         assert any(int(r["undecided"]) for r in reasons if r["l"] != "3")
+
+    def test_census_lmax_3(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["--x", "20", "--lmax", "3", "--pcap", "200", "--out", out, "census"]) == 0
+        with open(os.path.join(out, "census.csv")) as fh:
+            (row,) = list(csv.DictReader(fh))
+        with open(os.path.join(out, "census_reasons.csv")) as fh:
+            (reasons,) = list(csv.DictReader(fh))
+        assert row["surjective_l3"] == "0" and int(row["n_points"]) > 0
+        assert row["undecided_l3"] == row["undecided_any"] == row["n_points"]
+        assert (reasons["x"], reasons["l"], reasons["undecided"]) == ("20", "3", row["n_points"])
+        assert [reasons[k] for k in ("det", "split", "nonsplit", "excluder", "l3")] == [
+            "0", "0", "0", "0", row["n_points"]]
 
     def test_goodred_and_report_idempotent(self, tmp_path):
         out = str(tmp_path / "out")

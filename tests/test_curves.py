@@ -19,8 +19,9 @@ from sievelab.curves import (
     CurveFamily,
 )
 from sievelab.brun import primes_below
-from sievelab.census import witness_lut, witness_verdicts
+from sievelab.census import VERDICT, witness_lut
 from sievelab.curves import _generates_units
+from sievelab.finitefield import _prime_divisors
 from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
 from sievelab.polynomials import Poly
 
@@ -340,9 +341,33 @@ class TestVerdict:
             for classes in cases:
                 state = np.bitwise_or.reduce([lut[tr, d] for tr, d in classes])
                 want = surjectivity_verdict(classes, l, 1) == "surjective"
-                assert (witness_verdicts(np.array([state]), l)[0] == 0) == want, (l, classes)
+                assert (VERDICT[state] == 0) == want, (l, classes)
             verdicts = {surjectivity_verdict(c, l, 1) for c in cases}
             assert verdicts == {"surjective", "undecided"}, l
+
+    @pytest.mark.parametrize("l", [31, 43])
+    def test_witness_bits_match_reference_three_unit_bits(self, l):
+        # omega(l - 1) = 3, so all three unit bits are read: seeded random
+        # class sets, sets whose dets are all r-th powers for one prime
+        # r | l - 1 (most leave only that unit bit unset), and every class
+        rng = random.Random(l)
+        assert len(_prime_divisors(l - 1)) == 3
+        cases = [
+            {(rng.randrange(l), rng.randrange(1, l)) for _ in range(rng.randint(1, 12))}
+            for _ in range(400)
+        ]
+        for r in _prime_divisors(l - 1):
+            powers = [d for d in range(1, l) if pow(d, (l - 1) // r, l) == 1]
+            cases += [{(rng.randrange(l), rng.choice(powers)) for _ in range(12)}
+                      for _ in range(50)]
+        cases.append({(tr, d) for tr in range(l) for d in range(1, l)})
+        lut = witness_lut(l)
+        for classes in cases:
+            state = np.bitwise_or.reduce([lut[tr, d] for tr, d in classes])
+            want = surjectivity_verdict(classes, l, 1) == "surjective"
+            assert (VERDICT[state] == 0) == want, (l, classes)
+        verdicts = {surjectivity_verdict(c, l, 1) for c in cases}
+        assert verdicts == {"surjective", "undecided"}, l
 
     def test_g2_always_undecided(self):
         assert surjectivity_verdict({(0, 1, 1)}, 3, 2) == "undecided"
