@@ -2,8 +2,10 @@
 and the good-reduction floor, shared by the CLI and the test suite.
 
 The census holds the parameters t = num/den of bounded height as int64
-arrays and sweeps them through the a_p tables of the good primes up to a
-cap, one prime at a time.  Per l it ORs the witness bits of each class
+arrays and sweeps them over the primes up to a cap, one prime at a time,
+reading a_p at the residues of the points still live: from the prime's
+whole ``ap_table`` while many are live, else by direct character sums
+(``ap_sums``).  Per l it ORs the witness bits of each class
 (a_p mod l, p mod l) into a uint8 state per point (``witness_lut``), one
 bit per condition of the verdict, which one table reads (``VERDICT``).
 Certification only grows with the prime set, so points certified at every
@@ -20,14 +22,13 @@ import functools
 import json
 import math
 import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .brun import primes_below
-from .curves import BAD_SENTINEL, _pow_mod, ap_table
+from .curves import BAD_SENTINEL, _pow_mod, ap_sums, ap_table
 from .finitefield import _prime_divisors
 from .heights import affine_line_points
 
@@ -59,6 +60,7 @@ class ExperimentConfig:
     l_values: tuple
     pcap: int
     out_dir: str = "."
+    # validated, then unused: every command runs in one process in a fixed order
     workers: int = 1
     seed: int = 0
 
@@ -111,28 +113,6 @@ def check_goodred_x(family, x):
         raise InfeasibleError(
             f"x = {x} exceeds goodred feasibility limit {limit} for r = {family.r}"
         )
-
-
-def _table_worker(args):
-    family_json, p = args
-    from .curves import CurveFamily
-
-    return p, ap_table(CurveFamily.from_json(family_json), p)
-
-
-def frobenius_tables(family, pcap, workers=1, seed=0):
-    """Per-prime a_p tables over all residues; parallel map, merged by p."""
-    primes = [p for p in primes_below(pcap + 1) if p not in family.excluded_primes]
-    order = list(primes)
-    random.Random(seed).shuffle(order)  # scheduling only; merge is by key
-    if workers > 1:
-        import multiprocessing
-
-        fam_json = family.to_json()
-        with multiprocessing.Pool(workers) as pool:
-            result = dict(pool.map(_table_worker, [(fam_json, p) for p in order]))
-        return {p: result[p] for p in primes}
-    return {p: ap_table(family, p) for p in primes}
 
 
 # Witness bits of a set of g = 1 classes mod l >= 5, one per condition of
@@ -191,11 +171,22 @@ class CensusRow:
         return row
 
 
-def _sweep(num, den, tables, luts, certified=None):
+# Live points above which the sweep builds a prime's whole ap_table rather
+# than summing characters at each point.  On a 2-core machine a table took
+# about 0.5 us * p for p from 10^3 to 10^4 (0.15-0.25 ms below p = 300), and
+# ap_sums about 6-8 ns * p per point there: the two crossed between 64 and
+# 96 points for p >= 10^3 and above 96 below p = 300, so at 64 the sums cost
+# at most the table they replace.
+TABLE_MIN_LIVE = 64
+
+
+def _sweep(num, den, family, primes, luts, certified=None):
     """(P, len(luts)) states of the LUTs' dtype (uint8 if none): for each
     point and each (l, l) table in ``luts``, the OR of lut[a_p mod l,
-    p mod l] over the tabled primes p not dividing den at which the point
-    has good reduction.
+    p mod l] over the primes p not dividing den at which the point has
+    good reduction.  a_p is read at the live points only: from
+    ``ap_table`` while more than TABLE_MIN_LIVE are live, else from
+    ``ap_sums``.
 
     Every 8 primes, the points that ``certified(states)`` marks leave the
     sweep; it must mark only points whose outcome no further bit changes.
@@ -204,14 +195,15 @@ def _sweep(num, den, tables, luts, certified=None):
     live = np.arange(len(num))
     n, d, s = num, den, state
     dmax = int(den.max(initial=0))
-    for k, (p, table) in enumerate(tables.items()):
+    for k, p in enumerate(primes):
         if certified is not None and k % 8 == 0 and (done := certified(s)).any():
             state[live[done]] = s[done]
             live, n, d, s = live[~done], n[~done], d[~done], s[~done]
         if not len(live):
             break
         inv = _pow_mod(np.arange(dmax + 1), p - 2, p)[d]  # 0 where p | den
-        ap = table[n % p * inv % p]
+        t = n % p * inv % p
+        ap = ap_table(family, p)[t] if len(t) > TABLE_MIN_LIVE else ap_sums(family, p, t)
         good = (inv != 0) & (ap != BAD_SENTINEL)
         for j, lut in enumerate(luts):
             s[:, j] |= lut[ap % len(lut), p % len(lut)] * good
@@ -219,12 +211,16 @@ def _sweep(num, den, tables, luts, certified=None):
     return state
 
 
-def _reason_codes(num, den, tables, l_values):
-    """(P, len(l_values)) int8: 0 where 'surjective', else the reason code
-    of the first missing witness (REASONS); l = 3 is always 'l3'."""
+def _reason_codes(num, den, family, pcap, l_values):
+    """(P, len(l_values)) int8 over the primes up to pcap that the family
+    does not exclude: 0 where 'surjective', else the reason code of the
+    first missing witness (REASONS); l = 3 is always 'l3'.  With no
+    l >= 5 there is no bit to gain: every point is certified before the
+    first prime, and no a_p is evaluated."""
     big = [j for j, l in enumerate(l_values) if l != 3]
+    primes = [p for p in primes_below(pcap + 1) if p not in family.excluded_primes]
     state = _sweep(
-        num, den, tables, [witness_lut(l_values[j]) for j in big],
+        num, den, family, primes, [witness_lut(l_values[j]) for j in big],
         certified=lambda s: (s == WITNESSED).all(axis=1),
     )
     out = np.full((len(num), len(l_values)), REASONS.index("l3") + 1, dtype=np.int8)
@@ -237,16 +233,15 @@ def _trace_lut(l):
     return np.repeat((1 << np.arange(l, dtype=np.uint16))[:, None], l, axis=1)
 
 
-def census(family, x_values, l_values, pcap, workers=1, seed=0):
+def census(family, x_values, l_values, pcap):
     """(rows, (num, den), surjective): a CensusRow per x, the points of
     height <= max(x_values) as int64 arrays (by den, then num), and the
     (points, l) bool matrix of 'surjective' verdicts.  Verdicts are
     computed once at the largest x and restricted, which also enforces the
     monotone-containment invariant."""
     _check_x(max(x_values))
-    tables = frobenius_tables(family, pcap, workers, seed)
     num, den = affine_line_points(max(x_values), family.bad_locus)
-    reason = _reason_codes(num, den, tables, l_values)
+    reason = _reason_codes(num, den, family, pcap, l_values)
     height = np.maximum(np.abs(num), den)
     rows = []
     for x in sorted(x_values):
@@ -312,9 +307,8 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     if det0 % l != 1:
         raise ConfigError(f"class determinant {det0} must be 1 mod l = {l}")
     support_primes = _support_primes(family, l, pcap, Q)
-    tables = {p: ap_table(family, p) for p in support_primes}
     num, den = affine_line_points(x, family.bad_locus)
-    traces = _sweep(num, den, tables, [_trace_lut(l)])[:, 0]
+    traces = _sweep(num, den, family, support_primes, [_trace_lut(l)])[:, 0]
     count = int(np.count_nonzero((traces >> (tr0 % l)) & 1 == 0))
     # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}
     from .groups import GroupSpec, charpoly_class_density
@@ -326,18 +320,17 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     return ClassSetReport(l, tuple(class_key), x, int(Q), support_primes, count, bound)
 
 
-def exceptional_containment_check(family, x, l, pcap, Q, workers=1, seed=0):
+def exceptional_containment_check(family, x, l, pcap, Q):
     """Every census-undecided point survives at least one class sieve:
     the exceptional proxy sits inside the union of the Y_C.  Returns the
     number of undecided points and the (num, den) of those that fail."""
     _check_x(x)
-    tables = frobenius_tables(family, pcap, workers, seed)
     num, den = affine_line_points(x, family.bad_locus)
-    undecided = _reason_codes(num, den, tables, [l])[:, 0] != 0
+    undecided = _reason_codes(num, den, family, pcap, [l])[:, 0] != 0
     num, den = num[undecided], den[undecided]
-    support = {p: tables[p] for p in _support_primes(family, l, pcap, Q)}
+    support = _support_primes(family, l, pcap, Q)
     # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
-    traces = _sweep(num, den, support, [_trace_lut(l)])[:, 0]
+    traces = _sweep(num, den, family, support, [_trace_lut(l)])[:, 0]
     failed = traces == (1 << l) - 1
     return len(num), list(zip(num[failed].tolist(), den[failed].tolist()))
 

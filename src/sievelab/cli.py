@@ -101,7 +101,7 @@ def load_config(args):
 
 
 def cmd_census(cfg):
-    rows, _, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap, cfg.workers, cfg.seed)
+    rows, _, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_reasons_csv(os.path.join(cfg.out_dir, "census_reasons.csv"), rows, cfg.l_values)
     path = os.path.join(cfg.out_dir, "census.csv")
@@ -153,9 +153,10 @@ def build_parser():
     parser.add_argument("--lmax", type=int, metavar="N")
     parser.add_argument("--pcap", type=int, metavar="N")
     parser.add_argument("--out", metavar="DIR")
-    parser.add_argument("--workers", type=int, metavar="N")
+    parser.add_argument("--workers", type=int, metavar="N",
+                        help="validated only; affects neither results nor scheduling")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="work scheduling only; never affects results")
+                        help="validated only; affects neither results nor scheduling")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("census")
     p = sub.add_parser("sifted-class-set")

@@ -6,7 +6,8 @@ O(p^2) for g=2, as gathers of the square-root counts of F_p and F_{p^2} from
 gives a_p at every residue t mod p of a g=1 family in O(p log p): a twist
 moves each curve onto one of three one-parameter rows (j = 0, j = 1728, and
 y^2 = x^3 + cx + c), and each row is one FFT correlation of the quadratic
-character with a weighted value count.
+character with a weighted value count.  ``ap_sums`` gives the same values at
+a few residues by direct character sums, in O(p) per residue.
 Good reduction uses the crude divisibility criterion on the discriminant, not
 minimal models.
 """
@@ -336,14 +337,8 @@ def ap_table(family, p):
     BAD_SENTINEL at residues where the specialization has bad reduction
     (discriminant vanishes mod p).
     """
-    if family.genus != 1:
-        raise ValueError("ap_table is g=1 only")
     x = np.arange(p, dtype=np.int64)
-    A = np.broadcast_to(family.A.eval_mod((x,), p), x.shape)
-    B = np.broadcast_to(family.B.eval_mod((x,), p), x.shape)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[0] = 0
-    chi[x[1:] * x[1:] % p] = 1
+    A, B, chi = _coefficients(family, p, x)
     inv = _pow_mod(x, p - 2, p)  # the inverse of every unit (Fermat)
     x3 = x * x % p * x % p
     # S(c, c) = chi(-1) + sum_{x != -1} chi(x + 1) chi(x^3/(x + 1) + c)
@@ -365,8 +360,46 @@ def ap_table(family, p):
     generic += chi[p - 1]
     A3 = A * A % p * A % p
     twisted = chi[B * inv[A] % p] * generic[A3 * inv[B] % p * inv[B] % p]
-    a = -np.where(A == 0, j0[B], np.where(B == 0, j1728[A], twisted))
-    good = -16 * (4 * A3 + 27 * (B * B % p)) % p != 0
+    return _traces(-np.where(A == 0, j0[B], np.where(B == 0, j1728[A], twisted)), A, B, p)
+
+
+def ap_sums(family, p, t):
+    """a_p at the residues t mod p (an int64 array of values in [0, p)) of a
+    g=1 family, as ``ap_table(family, p)[t]``, by the character sums
+    a_p(t) = -sum_x chi(x^3 + A(t)x + B(t)): one (len(t), p) pass, cheaper
+    than the table for a few residues."""
+    if p > PRIME_CAP_G1:
+        raise ValueError("prime cap exceeded")
+    A, B, chi = _coefficients(family, p, t)
+    x = np.arange(p, dtype=np.int64)
+    # chi over [0, 3p): Ax mod p + (x^3 mod p) + B stays below 3p, so one
+    # reduction does, and int32 holds A x < p^2
+    v = A.astype(np.int32)[:, None] * x.astype(np.int32)
+    np.remainder(v, p, out=v)
+    v += (x * x % p * x % p).astype(np.int32)
+    v += B.astype(np.int32)[:, None]
+    return _traces(-np.take(np.tile(chi, 3), v).sum(axis=1, dtype=np.int64), A, B, p)
+
+
+def _coefficients(family, p, t):
+    """(A(t), B(t), chi) of a g=1 family: its coefficients mod p at the
+    int64 residues t, and the quadratic character of F_p as an int8 table
+    with chi[0] = 0."""
+    if family.genus != 1:
+        raise ValueError("ap_table and ap_sums are g=1 only")
+    A = np.broadcast_to(family.A.eval_mod((t,), p), t.shape)
+    B = np.broadcast_to(family.B.eval_mod((t,), p), t.shape)
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[0] = 0
+    y = np.arange(1, p, dtype=np.int64)
+    chi[y * y % p] = 1
+    return A, B, chi
+
+
+def _traces(a, A, B, p):
+    """The sums a as int16 a_p: BAD_SENTINEL where the discriminant
+    -16(4A^3 + 27B^2) vanishes mod p, the Hasse bound asserted elsewhere."""
+    good = -16 * (4 * (A * A % p * A % p) + 27 * (B * B % p)) % p != 0
     if np.any(a[good] ** 2 > 4 * p):
         raise AssertionError("Hasse bound violated")
     a[~good] = BAD_SENTINEL

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sievelab.brun import primes_below
 from sievelab.census import (
     ConfigError,
     ExperimentConfig,
@@ -21,7 +22,6 @@ from sievelab.census import (
     _sweep,
     census,
     exceptional_containment_check,
-    frobenius_tables,
     sifted_class_set,
     witness_lut,
 )
@@ -67,6 +67,23 @@ def _oracle_classes(points, tables, l_values):
                             classes[l].add((ap % l, p % l))
         out.append(classes)
     return out
+
+
+def _record_ap_calls(monkeypatch, names):
+    """The primes at which the census module calls the named a_p
+    evaluators (``ap_table``, ``ap_sums``), appended as they are made."""
+    from sievelab import census as census_mod
+
+    calls = []
+    for name in names:
+        real = getattr(census_mod, name)
+
+        def counting(family, p, *rest, real=real):
+            calls.append(p)
+            return real(family, p, *rest)
+
+        monkeypatch.setattr(census_mod, name, counting)
+    return calls
 
 
 class TestConfigValidation:
@@ -126,7 +143,8 @@ class TestCensus:
         points = _oracle_points(x, fam.bad_locus)
         assert num.tolist() == [t.numerator for t in points]
         assert den.tolist() == [t.denominator for t in points]
-        tables = frobenius_tables(fam, pcap)
+        primes = [p for p in primes_below(pcap + 1) if p not in fam.excluded_primes]
+        tables = {p: ap_table(fam, p) for p in primes}
         classes = _oracle_classes(points, tables, l_values)
         expected = np.array(
             [[surjectivity_verdict(c[l], l, 1) == "surjective" for l in l_values] for c in classes])
@@ -134,7 +152,7 @@ class TestCensus:
         assert expected[:, 1:].any() and not expected.all()
         # without the early exit, each state is the OR of its classes' bits
         luts = [witness_lut(l) for l in l_values[1:]]
-        states = _sweep(num, den, tables, luts)
+        states = _sweep(num, den, fam, primes, luts)
         for j, (l, lut) in enumerate(zip(l_values[1:], luts)):
             want = [functools.reduce(operator.or_, (int(lut[k]) for k in c[l]), 0) for c in classes]
             assert states[:, j].tolist() == want, l
@@ -165,27 +183,30 @@ class TestCensus:
         assert sorted(roots) == [Fraction(-907, 953), 0, 1]
         assert rows[0].n_points == len(n) - len(roots)
 
-    def test_l3_only_sweeps_no_lut(self):
+    def test_l3_only_sweeps_no_lut(self, monkeypatch):
         # with no l >= 5 the sweep has no witness table: every point is
-        # undecided with reason 'l3'
+        # undecided with reason 'l3', and no a_p is evaluated
+        calls = _record_ap_calls(monkeypatch, ("ap_table", "ap_sums"))
         rows, (num, den), surjective = census(default_elliptic_family(), [10], [3], 100)
+        assert calls == []
         (row,) = rows
         assert row.n_points == len(num) > 0 and not surjective.any()
         assert row.surjective == {3: 0} and row.undecided == {3: row.n_points}
         assert row.undecided_any == row.n_points
         assert row.reasons == {3: [0, 0, 0, 0, row.n_points]}
 
-    def test_workers_deterministic(self):
-        fam = default_elliptic_family()
-        rows1, _, _ = census(fam, [10], [5], 100, workers=1, seed=0)
-        rows2, _, _ = census(fam, [10], [5], 100, workers=2, seed=99)
-        assert rows1[0].csv_row([5]) == rows2[0].csv_row([5])
-        tables1 = frobenius_tables(fam, 100, workers=1, seed=0)
-        tables2 = frobenius_tables(fam, 100, workers=2, seed=99)
-        assert list(tables1) == list(tables2)
-        for p, table in tables1.items():
-            assert table.dtype == tables2[p].dtype == np.int16
-            assert np.array_equal(table, tables2[p])
+    def test_workers_deterministic(self, tmp_path, monkeypatch):
+        # --workers and --seed are validated only; 2 workers must pass the
+        # CPU-count check on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        artifacts = []
+        for flags in (["--workers", "1", "--seed", "0"], ["--workers", "2", "--seed", "99"]):
+            out = tmp_path / flags[1]
+            assert main(["--x", "10", "--lmax", "5", "--pcap", "100", "--out", str(out),
+                         *flags, "census"]) == 0
+            artifacts.append([(out / name).read_bytes()
+                              for name in ("census.csv", "census_reasons.csv")])
+        assert artifacts[0] == artifacts[1]
 
 
 class TestClassSieving:
@@ -248,18 +269,13 @@ class TestClassSieving:
         assert failures == []
 
     def test_containment_check_builds_each_table_once(self, monkeypatch):
-        from sievelab import census as census_mod
-
-        calls = []
-        real = census_mod.ap_table
-
-        def counting(family, p):
-            calls.append(p)
-            return real(family, p)
-
-        monkeypatch.setattr(census_mod, "ap_table", counting)
+        calls = _record_ap_calls(monkeypatch, ("ap_table",))
         exceptional_containment_check(default_elliptic_family(), 20, 5, 1000, 200)
-        assert len(calls) == len(set(calls)) == 166  # the primes up to 1000 but 2 and 3
+        # all 509 points are live at the first 16 census primes (5 to 61)
+        # and at most 28 after, so the rest of the sweep and the support
+        # sweep sum characters in place of tables
+        assert len(calls) == len(set(calls)) == 16
+        assert calls == primes_below(62)[2:]
 
 
 class TestCli:

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sievelab.curves import (
     BAD_SENTINEL,
     ap_count,
     ap_count_pointloop,
+    ap_sums,
     ap_table,
     default_elliptic_family,
     default_genus2_family,
@@ -168,6 +171,31 @@ class TestApTable:
                     assert table[t % p] == ap_count(s, p) == ap_count_pointloop(s, p)
                 else:
                     assert table[t % p] == BAD_SENTINEL
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sums_match_table(self, data):
+        # random families of degree <= 3 (A or B may vanish); the residues
+        # repeat and include 0 (the one read where p divides den) and, when
+        # there are any, bad ones; 2 and 3 are never excluded here
+        poly = st.lists(st.integers(-30, 30), max_size=4).map(
+            lambda cs: Poly.from_terms(1, [[c, e] for e, c in enumerate(cs)]))
+        fam = _oracle_family(data.draw(poly), data.draw(poly))
+        for p in (2, 3, data.draw(st.sampled_from(primes_below(2000)))):
+            table = ap_table(fam, p)
+            t = data.draw(st.lists(st.integers(0, p - 1), max_size=40))
+            t = np.array(t + t[:5] + [0] + np.flatnonzero(table == BAD_SENTINEL)[:5].tolist(),
+                         dtype=np.int64)
+            a = ap_sums(fam, p, t)
+            assert a.dtype == np.int16
+            assert np.array_equal(a, table[t]), p
+
+    def test_sums_refuse_g2_and_primes_above_cap(self):
+        t = np.arange(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="g=1 only"):
+            ap_sums(default_genus2_family(), 7, t)
+        with pytest.raises(ValueError, match="prime cap"):
+            ap_sums(default_elliptic_family(), 10007, t)
 
 
 class TestGenus2:
