@@ -4,8 +4,7 @@ The upper/lower sieve coefficients are the classical truncated-Moebius
 (Bonferroni) weights: lambda_d = mu(d) when omega(d) <= 2b (upper) or
 <= 2b-1 (lower), zero otherwise.  They satisfy the support and magnitude
 constraints of the abstract coefficient theorem and give a valid sandwich by
-the Bonferroni inequalities.  The optional cutoff D zeroes lambda_d for
-d >= D; the sandwich is only guaranteed when D exceeds every contributing d.
+the Bonferroni inequalities, at every depth b.
 """
 
 from __future__ import annotations
@@ -27,43 +26,30 @@ def primes_below(n):
     return (np.flatnonzero(spf[2:] == np.arange(2, spf.size)) + 2).tolist()
 
 
-@dataclass(frozen=True)
-class BrunCoefficients:
-    D: int  # support bound, None for untruncated
-    depth: int  # truncation level b, None for untruncated
-    sign: str  # "upper" or "lower"
-    values: dict  # squarefree d -> lambda_d in {-1, 0, +1}; zeros omitted
-
-    def __getitem__(self, d):
-        return self.values.get(d, 0)
-
-
-def _squarefree_products(primes, D):
-    """(d, omega(d)) over squarefree products of the given primes, d < D."""
+def _squarefree_products(primes):
+    """(d, omega(d)) over squarefree products of the given primes."""
     out = [(1, 0)]
     for p in primes:
-        new = [(d * p, w + 1) for d, w in out if D is None or d * p < D]
-        out.extend(new)
-    return [(d, w) for d, w in out if D is None or d < D]
+        out += [(d * p, w + 1) for d, w in out]
+    return out
 
 
-def brun_coefficients(support_primes, D, b, sign):
-    """Truncated-Moebius coefficients over the given support primes."""
+def brun_coefficients(support_primes, b, sign):
+    """Truncated-Moebius coefficients {d: lambda_d} over the given support
+    primes; zeros omitted, b = None for the full Moebius weights."""
     if sign not in ("upper", "lower"):
         raise ValueError("sign must be 'upper' or 'lower'")
-    if D is not None and D < 2:
-        raise ValueError("D must be >= 2")
     if b is not None and b < 1:
         raise ValueError("depth must be >= 1")
     if b is None:
         cutoff = None
     else:
         cutoff = 2 * b if sign == "upper" else 2 * b - 1
-    values = {}
-    for d, w in _squarefree_products(sorted(support_primes), D):
-        if cutoff is None or w <= cutoff:
-            values[d] = 1 if w % 2 == 0 else -1
-    return BrunCoefficients(D, b, sign, values)
+    return {
+        d: 1 if w % 2 == 0 else -1
+        for d, w in _squarefree_products(sorted(support_primes))
+        if cutoff is None or w <= cutoff
+    }
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,7 @@ class SandwichReport:
         )
 
 
-def sandwich(X, F, sets_by_prime, support, D=None, b=None):
+def sandwich(X, F, sets_by_prime, support, b=None):
     """Bonferroni sandwich on |sifted set| with exact congruence sums S_d.
 
     ``sets_by_prime`` maps each support prime to its SievingSet.  With
@@ -130,7 +116,7 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None):
     for sign in ("upper", "lower"):
         total = Fraction(0)
         remainder = Fraction(0)
-        for d, lam in brun_coefficients(primes, D, b, sign).values.items():
+        for d, lam in brun_coefficients(primes, b, sign).items():
             fs = factor(d)
             Sd = S(d, fs)
             nu_d = Fraction(1)
@@ -149,8 +135,8 @@ def sandwich(X, F, sets_by_prime, support, D=None, b=None):
     for p in primes:
         hit_any |= masks[p]
     exact = (full & ~hit_any).bit_count()
-    if not (lower <= exact <= upper) and (D is None or b is None):
-        raise AssertionError("sandwich violated with untruncated-valid coefficients")
+    if not lower <= exact <= upper:
+        raise AssertionError("sandwich violated: the Bonferroni inequalities fail")
     return SandwichReport(main, lower, upper, r_plus, r_minus, exact)
 
 
@@ -302,7 +288,9 @@ def _census_bitset(f, r, x, support):
         zero_ok = zero_ok and bool(ok[0, 1 % p])
         rows[start : start + p**r] = np.packbits(ok[:, b % p], axis=1, bitorder="little")
     # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
-    c = (np.indices((b.size,) * r).reshape(r, -1).T - x)[b.size**r // 2 + 1 :]
+    n = b.size
+    c = np.stack(np.unravel_index(np.arange(n**r // 2 + 1, n**r), (n,) * r), axis=1)
+    c -= x
     picks = c[:, 0, None] % moduli  # the mixed-radix code of c mod each modulus
     for i in range(1, r):
         picks = picks * moduli + c[:, i, None] % moduli

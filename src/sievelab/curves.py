@@ -14,7 +14,6 @@ minimal models.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +44,6 @@ class CurveFamily:
     def r(self):
         return self.genus * (self.genus + 1) // 2
 
-    def family_id(self):
-        return hashlib.sha1(self.to_json().encode()).hexdigest()[:12]
-
     def to_json(self):
         doc = {
             "genus": self.genus,
@@ -66,7 +62,7 @@ class CurveFamily:
         """Parse a family document; ValueError on a malformed one."""
         doc = json.loads(text)
         g = doc["genus"]
-        if g not in (1, 2):
+        if not _is_int(g) or g not in (1, 2):
             raise ValueError("genus must be 1 or 2")
         r = g * (g + 1) // 2
         bad = _poly_from_terms(doc["bad_locus"], "bad_locus", r)

@@ -127,14 +127,11 @@ def affine_line_points(x, bad_locus):
 
 def _rational_roots(poly, x):
     """The roots n/d (lowest terms, d > 0) of a nonzero univariate
-    polynomial with max(|n|, d) <= x.  With the coefficients scaled to
-    integers and the factor t^k removed, n divides the lowest coefficient
-    and d the leading one (rational root theorem); each candidate is
-    checked in exact rationals."""
-    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
-    coeffs = {e: c * scale for (e,), c in poly.terms.items()}
-    low, top = coeffs[min(coeffs)], coeffs[max(coeffs)]
-    roots = [(0, 1)] if min(coeffs) > 0 else []
+    polynomial with max(|n|, d) <= x.  With the factor t^k removed, n
+    divides the lowest coefficient and d the leading one (rational root
+    theorem); each candidate is checked in exact rationals."""
+    low, top = poly.terms[min(poly.terms)], poly.terms[max(poly.terms)]
+    roots = [(0, 1)] if min(poly.terms) > (0,) else []
     nums = [n for n in range(1, x + 1) if low % n == 0]
     for d in range(1, x + 1):
         if top % d == 0:

@@ -1,7 +1,8 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
 Small utility ring used for family coefficient polynomials and bad loci.
-Coefficients are Fractions (usually integers); exponents are tuples.
+Coefficients are ints (the constructor rejects any other value); exponents
+are tuples.  Evaluation at rationals is exact, in Fractions.
 """
 
 from __future__ import annotations
@@ -18,25 +19,26 @@ class Poly:
         self.nvars = nvars
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            if c != int(c):
+                raise ValueError(f"Poly takes integer coefficients, not {c!r}")
             if c:
-                clean[tuple(exps)] = c
+                clean[tuple(exps)] = int(c)
         self.terms = clean
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def univariate(cls, coeffs):
         """Build a 1-variable polynomial from an ascending coefficient list."""
-        return cls(1, {(k,): Fraction(c) for k, c in enumerate(coeffs)})
+        return cls(1, {(k,): c for k, c in enumerate(coeffs)})
 
     def degree(self):
         if not self.terms:
@@ -112,13 +114,11 @@ class Poly:
     def eval_mod(self, values, p):
         """Evaluate at integers mod p.  The values may be ints or int64
         numpy arrays (broadcast together, each product reduced mod p, so
-        p < 3 * 10^9 stays exact).  Requires integer coefficients."""
+        p < 3 * 10^9 stays exact)."""
         powers = [[1, v % p] for v in values]  # powers[i][e] = values[i]^e mod p
         out = 0
         for exps, c in self.terms.items():
-            if c.denominator != 1:
-                raise ValueError("eval_mod needs integer coefficients")
-            term = c.numerator % p
+            term = c % p
             for pw, e in zip(powers, exps):
                 while len(pw) <= e:
                     pw.append(pw[-1] * pw[1] % p)
@@ -129,13 +129,10 @@ class Poly:
 
     def eval_field(self, field, values):
         """Evaluate at element codes of a ``finitefield.ExtField`` (numpy
-        arrays, one per variable, broadcast together).  Requires integer
-        coefficients."""
+        arrays, one per variable, broadcast together)."""
         out = 0
         for exps, c in self.terms.items():
-            if c.denominator != 1:
-                raise ValueError("eval_field needs integer coefficients")
-            term = c.numerator % field.q
+            term = c % field.q
             for v, e in zip(values, exps):
                 for _ in range(e):
                     term = field.mul(term, v)
@@ -153,17 +150,11 @@ class Poly:
 
     def to_terms(self):
         """JSON-friendly term list [[coeff, e1, ..., en], ...], sorted."""
-        out = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            if c.denominator != 1:
-                raise ValueError("only integer-coefficient polynomials serialize")
-            out.append([c.numerator, *exps])
-        return out
+        return [[self.terms[exps], *exps] for exps in sorted(self.terms)]
 
     @classmethod
     def from_terms(cls, nvars, terms):
-        return cls(nvars, {tuple(t[1:]): Fraction(t[0]) for t in terms})
+        return cls(nvars, {tuple(t[1:]): t[0] for t in terms})
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"

@@ -76,44 +76,38 @@ def _audit_hits(d, omega_d, x, r):
 
 class TestCoefficients:
     def test_upper_depth1_truncation(self):
-        lam = brun_coefficients([2, 3, 5], 30, 1, "upper")
+        lam = brun_coefficients([2, 3, 5], 1, "upper")
         assert lam[1] == 1
         assert lam[2] == lam[3] == lam[5] == -1
         assert lam[6] == lam[10] == lam[15] == 1
-        assert lam[30] == 0  # omega = 3 > 2b
+        assert 30 not in lam  # omega = 3 > 2b
 
     def test_lower_depth1(self):
-        lam = brun_coefficients([2, 3, 5, 7], 10, 1, "lower")
+        lam = brun_coefficients([2, 3, 5, 7], 1, "lower")
         assert lam[1] == 1
         assert all(lam[p] == -1 for p in (2, 3, 5, 7))
-        assert lam[6] == 0  # omega = 2 > 2b - 1
+        assert 6 not in lam  # omega = 2 > 2b - 1
 
     def test_untruncated_is_moebius(self):
-        lam_u = brun_coefficients([2, 3, 5], None, None, "upper")
-        lam_l = brun_coefficients([2, 3, 5], None, None, "lower")
-        assert lam_u.values == lam_l.values
+        lam_u = brun_coefficients([2, 3, 5], None, "upper")
+        lam_l = brun_coefficients([2, 3, 5], None, "lower")
+        assert lam_u == lam_l
         assert lam_u[30] == -1
-
-    def test_support_bound(self):
-        lam = brun_coefficients([2, 3], 5, 2, "upper")
-        assert lam[6] == 0  # 6 >= D
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            brun_coefficients([2], 1, 1, "upper")
+            brun_coefficients([2], 0, "upper")
         with pytest.raises(ValueError):
-            brun_coefficients([2], 10, 0, "upper")
-        with pytest.raises(ValueError):
-            brun_coefficients([2], 10, 1, "sideways")
+            brun_coefficients([2], 1, "sideways")
 
 
 class TestSandwich:
-    def _run(self, n, Q, D=None, b=None):
+    def _run(self, n, Q, b=None):
         X = list(range(1, n + 1))
         primes = tuple(primes_below(Q))
         support = SieveSupport(primes, Q)
         sets = {p: _omega_zero(p) for p in primes}
-        return sandwich(X, lambda t: (t,), sets, support, D=D, b=b)
+        return sandwich(X, lambda t: (t,), sets, support, b=b)
 
     def test_untruncated_equality(self):
         # empty support, the parity sieve, Eratosthenes to 7 and to 10
@@ -138,9 +132,9 @@ class TestSandwich:
         rep = self._run(500, 20, b=2)
         assert rep.remainder_plus >= 0 and rep.remainder_minus >= 0
 
-    @pytest.mark.parametrize("D, b", [(None, 1), (None, 2), (None, 3), (None, None), (200, 2)])
+    @pytest.mark.parametrize("b", [1, 2, 3, None])
     @pytest.mark.parametrize("height", [0, 60])
-    def test_array_masks_match_point_loop(self, monkeypatch, D, b, height):
+    def test_array_masks_match_point_loop(self, monkeypatch, b, height):
         f = default_elliptic_family().bad_locus.homogenize()
         primes = (5, 7, 11, 13)
         sets = {
@@ -152,9 +146,9 @@ class TestSandwich:
         F = operator.attrgetter("coords")
         masks = brun._hit_masks(X, F, list(sets.values()))
         assert masks == _loop_masks(X, F, list(sets.values()))
-        rep = sandwich(X, F, sets, support, D=D, b=b)
+        rep = sandwich(X, F, sets, support, b=b)
         monkeypatch.setattr(brun, "_hit_masks", _loop_masks)
-        assert rep == sandwich(X, F, sets, support, D=D, b=b)
+        assert rep == sandwich(X, F, sets, support, b=b)
 
     @given(
         st.sampled_from([2, 3, 5, 7]),

@@ -6,6 +6,8 @@ import json
 import math
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from sievelab.polynomials import Poly
 
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
 GOOD_G2 = json.loads(default_genus2_family().to_json())
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _oracle_points(x, bad_locus):
@@ -395,6 +398,11 @@ class TestCli:
              {"family": {**GOOD_FAMILY, "bad_locus": [[1, 1500], [1, 0]]}}, 2),
             (["--x", "5", "goodred"],
              {"family": {**GOOD_FAMILY, "bad_locus": [[1, 3000], [1, 0]]}}, 2),
+        ] + [
+            # a non-integer genus; JSON true and 1.0 both compare equal to 1
+            ([command], {"family": {**GOOD_FAMILY, "genus": genus}}, 2)
+            for genus in (True, 1.0)
+            for command in ("census", "goodred")
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):
@@ -444,6 +452,23 @@ class TestCli:
         with open(os.path.join(out, "class_set_l5_tr0.json")) as fh:
             doc = json.load(fh)
         assert doc["support"][0] == 11 and doc["count"] >= 0
+
+    def test_import_leaves_out_libcrypto(self):
+        # hashlib maps OpenSSL's libcrypto (about 3.5 MiB of RSS) into
+        # every process that imports it; a fresh interpreter shows it
+        code = (
+            "import sys\n"
+            "import sievelab.cli\n"
+            "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
+            "default_elliptic_family(), default_genus2_family()\n"
+            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 FLAG_VALUES = {

@@ -3,6 +3,8 @@
 ``perfbench/ops.py`` calls sievelab directly (sandwich, Chebotarev and
 genus-2 censuses); each experiment is run once at a small size, so a
 change to the library that breaks the benchmark fails here first.
+``perfbench/tracer.py`` wraps sievelab's functions and the ``Poly`` and
+``ExtField`` methods it names, so a traced run is smoke-tested too.
 """
 
 import json
@@ -28,15 +30,42 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ids=lambda argv: argv[0],
 )
 def test_ops_experiment_runs(tmp_path, argv):
+    proc = _run([os.path.join(ROOT, "perfbench", "ops.py"), *argv, "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / f"{argv[0]}.json", encoding="utf-8") as fh:
+        assert json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "target, spans",
+    [
+        (["perfbench/ops.py", "sandwich", "--x", "20", "--depths", "1"],
+         {"brun.sandwich", "heights.enumerate_projective"}),
+        (["-m", "sievelab.cli", "--x", "20", "goodred"],
+         {"brun.good_reduction_census"}),
+    ],
+    ids=["sandwich", "goodred"],
+)
+def test_traced_run_records_spans(tmp_path, target, spans):
+    out = str(tmp_path / "out")
+    if target[0] == "-m":
+        target = [*target[:2], "--out", out, *target[2:]]
+    else:
+        target = [os.path.join(ROOT, target[0]), *target[1:], "--out", out]
+    spans_path = tmp_path / "spans.json"
+    proc = _run([os.path.join(ROOT, "perfbench", "tracer.py"), str(spans_path), *target])
+    assert proc.returncode == 0, proc.stderr
+    with open(spans_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    recorded = {doc["names"][i] for i in doc["name_id"]}
+    assert "op" in recorded and spans <= recorded
+
+
+def _run(argv):
+    """Run a script under this interpreter with the checkout's src first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "ops.py"), *argv,
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / f"{argv[0]}.json", encoding="utf-8") as fh:
-        assert json.load(fh)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)

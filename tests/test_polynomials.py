@@ -25,5 +25,13 @@ class TestEvalMod:
         assert np.broadcast_to(grid, (len(a), len(b))).ravel().tolist() == expected
 
     def test_fractional_coefficient_rejected(self):
-        with pytest.raises(ValueError, match="integer coefficients"):
-            Poly(1, {(1,): Fraction(1, 2)}).eval_mod((3,), 5)
+        # the constructor is the one check; an integral Fraction is its int
+        for build in (
+            lambda: Poly(1, {(1,): Fraction(1, 2)}).eval_mod((3,), 5),
+            lambda: Poly.const(1, Fraction(1, 2)),
+            lambda: Poly.from_terms(1, [[1.5, 1]]),
+            lambda: Poly.univariate([0, Fraction(1, 3)]),
+        ):
+            with pytest.raises(ValueError, match="integer coefficients"):
+                build()
+        assert Poly.const(1, Fraction(4, 2)).terms == {(0,): 2}
