@@ -152,16 +152,14 @@ def _hit_masks(X, F, sets):
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise ValueError("sieving sets of different dimensions")
-
-    def image(u):
-        v = F(u)
-        if len(v) != dim:
-            raise ValueError(f"F gave {len(v)} coordinates, the sieving sets have {dim}")
-        return v
-
-    n = len(X)
-    flat = itertools.chain.from_iterable(map(image, X))
+    images = list(map(F, X))
+    wrong = set(map(len, images)) - {dim}
+    if wrong:
+        raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
+    n = len(images)
+    flat = itertools.chain.from_iterable(images)
     pts = np.fromiter(flat, dtype=np.int64, count=n * dim).reshape(n, dim)
+    del images, flat  # freed before the residue codes, which set the peak
     masks = {}
     for s in sets:
         p = s.p

@@ -300,24 +300,26 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     """|Y_C(x)|: parameters whose Frobenius class avoids C at every support
     prime p = 1 mod l below Q.  A parameter is sifted out at p when its
     reduction is good there with a_p = tr (mod l); det = p = 1 (mod l) on
-    the whole support, so C must have det = 1."""
+    the whole support, so C must have det = 1.  The class is reported
+    reduced mod l."""
     _check_l(l)
     _check_x(x)
     tr0, det0 = class_key
     if det0 % l != 1:
         raise ConfigError(f"class determinant {det0} must be 1 mod l = {l}")
+    tr0, det0 = tr0 % l, det0 % l
     support_primes = _support_primes(family, l, pcap, Q)
     num, den = affine_line_points(x, family.bad_locus)
     traces = _sweep(num, den, family, support_primes, [_trace_lut(l)])[:, 0]
-    count = int(np.count_nonzero((traces >> (tr0 % l)) & 1 == 0))
+    count = int(np.count_nonzero((traces >> tr0) & 1 == 0))
     # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}
     from .groups import GroupSpec, charpoly_class_density
 
     dens = charpoly_class_density(GroupSpec(1, l, "gsp"), det0)
-    frac = dens.get(tr0 % l, Fraction(0))
+    frac = dens.get(tr0, Fraction(0))
     inv_density = float(1 / frac) if frac else float("inf")
     bound = inv_density * l * math.log(x) / math.sqrt(x) * x**2
-    return ClassSetReport(l, tuple(class_key), x, int(Q), support_primes, count, bound)
+    return ClassSetReport(l, (tr0, det0), x, int(Q), support_primes, count, bound)
 
 
 def exceptional_containment_check(family, x, l, pcap, Q):

@@ -114,7 +114,7 @@ def cmd_sifted_class_set(cfg, l, class_key, Q):
     x = max(cfg.x_values)
     rep = sifted_class_set(cfg.family, x, l, class_key, cfg.pcap, Q)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"class_set_l{l}_tr{class_key[0]}.json")
+    path = os.path.join(cfg.out_dir, f"class_set_l{l}_tr{rep.class_key[0]}.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(rep.to_json() + "\n")
     print(path)

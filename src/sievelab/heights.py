@@ -30,30 +30,29 @@ class ProjectivePoint:
             raise ValueError("not a projective point")
 
 
-def _first_nonzero_positive(coords):
-    for c in coords:
-        if c:
-            return c > 0
-    return False
-
-
 def enumerate_projective(r, x):
-    """All canonical points of P^r(Q) with height <= x, in lexicographic order."""
+    """All canonical points of P^r(Q) with height <= x, in lexicographic order.
+
+    The tails (last r coordinates) of the box [-x, x]^{r+1} form one lex-ordered
+    block whose gcds are taken once; each head c0 in 0..x keeps the tails with
+    gcd(c0, gcd(tail)) = 1, and the head 0 only the upper half of the block
+    (the tails whose first nonzero coordinate is positive).  Every point shares
+    the int objects of one tuple of coordinate values.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     x = int(x)
     if x < 1:
         raise ValueError("height bound must be >= 1")
+    vals = tuple(range(-x, x + 1))
+    tail_gcd = np.gcd.reduce(np.indices((2 * x + 1,) * r) - x, axis=0).ravel()
     out = []
-    gcd = math.gcd
-    for coords in itertools.product(range(-x, x + 1), repeat=r + 1):
-        if not _first_nonzero_positive(coords):
-            continue
-        g = 0
-        for c in coords:
-            g = gcd(g, c)
-        if g == 1:
-            out.append(ProjectivePoint(coords))
+    for head in vals[x:]:
+        keep = np.gcd(tail_gcd, head) == 1
+        if head == 0:
+            keep[: tail_gcd.size // 2 + 1] = False
+        tuples = itertools.product((head,), *(vals,) * r)
+        out += map(ProjectivePoint, itertools.compress(tuples, keep.tolist()))
     return out
 
 

@@ -453,6 +453,20 @@ class TestCli:
             doc = json.load(fh)
         assert doc["support"][0] == 11 and doc["count"] >= 0
 
+    def test_sifted_class_set_reduces_class_mod_l(self, tmp_path):
+        # TR,DET name the class mod l: 9,1 is the class 4,1 at l = 5
+        written = []
+        for key in ("9,1", "4,1"):
+            out = str(tmp_path / key)
+            assert main(["--x", "20", "--out", out,
+                         "sifted-class-set", "--l", "5", "--class", key, "--Q", "20"]) == 0
+            written.append(os.listdir(out))
+            with open(os.path.join(out, "class_set_l5_tr4.json"), "rb") as fh:
+                written.append(fh.read())
+        assert written[0] == written[2] == ["class_set_l5_tr4.json"]
+        assert written[1] == written[3]
+        assert json.loads(written[1])["class"] == [4, 1]
+
     def test_import_leaves_out_libcrypto(self):
         # hashlib maps OpenSSL's libcrypto (about 3.5 MiB of RSS) into
         # every process that imports it; a fresh interpreter shows it

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,12 +22,41 @@ def height(p):
     return max(abs(c) for c in p.coords)
 
 
+def brute_projective(r, x):
+    """The canonical points of P^r(Q) of height <= x by brute force: every
+    tuple of the box in lexicographic order, kept when its gcd is 1 and its
+    first nonzero coordinate is positive."""
+    out = []
+    for coords in itertools.product(range(-x, x + 1), repeat=r + 1):
+        first = next((c for c in coords if c), 0)
+        if first > 0 and math.gcd(*coords) == 1:
+            out.append(coords)
+    return out
+
+
 class TestHeight:
     def test_height_of_fraction(self):
         assert height(ProjectivePoint((3, 2))) == 3
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("r, xmax", [(1, 40), (2, 8), (3, 4)])
+    def test_matches_brute_force(self, r, xmax):
+        for x in range(1, xmax + 1):
+            assert [p.coords for p in enumerate_projective(r, x)] == brute_projective(r, x)
+
+    def test_matches_brute_force_at_sandwich_size(self):
+        assert [p.coords for p in enumerate_projective(1, 300)] == brute_projective(1, 300)
+
+    def test_points_share_coordinate_ints(self):
+        # one int object per coordinate value in [-x, x]: no per-point ints
+        ids = {id(c) for p in enumerate_projective(1, 300) for c in p.coords}
+        assert len(ids) <= 2 * 300 + 1
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError):
+            ProjectivePoint((0, 0))
+
     def test_small_counts(self):
         # P^1(Q): x=1 gives {0, inf, 1, -1}; x=2 adds {2, -2, 1/2, -1/2}
         assert count_projective(1, 1) == 4
