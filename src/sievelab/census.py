@@ -1,5 +1,5 @@
-"""Experiment orchestration: the surjectivity census, class-set sieving,
-and the good-reduction floor, shared by the CLI and the test suite.
+"""Experiment orchestration: the surjectivity census and class-set sieving,
+shared by the CLI and the test suite (goodred runs ``brun`` directly).
 
 The census holds the parameters t = num/den of bounded height as int64
 arrays and sweeps them over the primes up to a cap, one prime at a time,
@@ -21,98 +21,15 @@ import csv
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .brun import primes_below
+from .config import InfeasibleError, _check_x, _prime_divisors, check_class_set
 from .curves import BAD_SENTINEL, _pow_mod, ap_sums, ap_table
-from .finitefield import _prime_divisors
 from .heights import affine_line_points
-
-
-class ConfigError(Exception):
-    """Malformed configuration; CLI exit code 2."""
-
-
-class InfeasibleError(Exception):
-    """Caps beyond module feasibility; CLI exit code 3."""
-
-
-PCAP_LIMIT = 10**4
-# the class sieve's trace bits fill a uint16 (l <= 16); time and memory at
-# the caps were measured up to 13.  The witness state does not limit l.
-L_LIMIT = 13
-X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
-# goodred, by the family's r: one packed bit row over the last coordinate
-# per prefix, about (2x + 1)^r / 2 rows.  On a 2-core machine the default
-# genus-2 count took 0.13 s at x = 15 and 2.1 s at x = 40; the r = 3 cap
-# stays at 15, the last x before its support holds a prime
-GOODRED_X_LIMIT = {1: 10**4, 3: 15}
-
-
-@dataclass
-class ExperimentConfig:
-    family: object
-    x_values: tuple
-    l_values: tuple
-    pcap: int
-    out_dir: str = "."
-    # validated, then unused: every command runs in one process in a fixed order
-    workers: int = 1
-    seed: int = 0
-
-    def validate(self):
-        ints = (*self.x_values, *self.l_values, self.pcap, self.workers, self.seed)
-        if not all(type(v) is int for v in ints):
-            raise ConfigError("x, l, pcap, workers and seed must be integers")
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise ConfigError("out must be a nonempty path")
-        if not self.x_values or list(self.x_values) != sorted(set(self.x_values)):
-            raise ConfigError("x values must be nonempty and strictly increasing")
-        if any(x < 1 for x in self.x_values):
-            raise ConfigError("x values must be >= 1")
-        if not self.l_values or len(set(self.l_values)) != len(self.l_values):
-            raise ConfigError("l values must be nonempty and distinct")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        cpus = os.cpu_count() or 1
-        if self.workers > cpus:
-            raise InfeasibleError(f"workers = {self.workers} exceeds the {cpus} CPUs")
-        if self.pcap < 1:
-            raise ConfigError("pcap must be >= 1")
-        if self.pcap > PCAP_LIMIT:
-            raise InfeasibleError("prime cap exceeds feasibility limit")
-        for l in self.l_values:
-            _check_l(l)
-        return self
-
-
-def _check_l(l):
-    """A prime l with 3 <= l <= L_LIMIT, else ConfigError / InfeasibleError."""
-    if l < 3:
-        raise ConfigError(f"l = {l}: l must be a prime >= 3")
-    if l > L_LIMIT:
-        raise InfeasibleError(f"l = {l} exceeds feasibility limit {L_LIMIT}")
-    if l not in primes_below(L_LIMIT + 1):
-        raise ConfigError(f"l = {l} is not prime")
-
-
-def _check_x(x):
-    """Height bound of the census and the class sieve, else InfeasibleError."""
-    if x > X_LIMIT:
-        raise InfeasibleError(f"x = {x} exceeds feasibility limit {X_LIMIT}")
-
-
-def check_goodred_x(family, x):
-    """Height bound of goodred for the family's r, else InfeasibleError."""
-    limit = GOODRED_X_LIMIT[family.r]
-    if x > limit:
-        raise InfeasibleError(
-            f"x = {x} exceeds goodred feasibility limit {limit} for r = {family.r}"
-        )
 
 
 # Witness bits of a set of g = 1 classes mod l >= 5, one per condition of
@@ -302,12 +219,7 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     reduction is good there with a_p = tr (mod l); det = p = 1 (mod l) on
     the whole support, so C must have det = 1.  The class is reported
     reduced mod l."""
-    _check_l(l)
-    _check_x(x)
-    tr0, det0 = class_key
-    if det0 % l != 1:
-        raise ConfigError(f"class determinant {det0} must be 1 mod l = {l}")
-    tr0, det0 = tr0 % l, det0 % l
+    tr0, det0 = check_class_set(x, l, class_key)
     support_primes = _support_primes(family, l, pcap, Q)
     num, den = affine_line_points(x, family.bad_locus)
     traces = _sweep(num, den, family, support_primes, [_trace_lut(l)])[:, 0]
@@ -362,23 +274,3 @@ def write_reasons_csv(path, rows, l_values):
         for row in rows:
             for l in l_values:
                 w.writerow([row.x, l, row.undecided[l], *row.reasons[l]])
-
-
-def write_goodred_csv(path, censuses):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "Q", "count", "floor_estimate", "ratio"])
-        for c in censuses:
-            w.writerow(c.csv_row())
-
-
-def merged_report(out_dir):
-    """Deterministic JSON merge of prior command outputs; idempotent."""
-    sources = {}
-    for name in ("census.csv", "goodred.csv"):
-        path = os.path.join(out_dir, name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing input: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            sources[name] = [row for row in csv.reader(fh)]
-    return json.dumps(sources, sort_keys=True, separators=(",", ":")) + "\n"

@@ -2,7 +2,7 @@
 
 Configuration comes from a JSON file plus flag overrides; outputs are CSV
 and JSON artifacts in the configured directory.  Exit codes: 0 success,
-2 configuration error, 3 infeasible-cap error.
+2 configuration error, 3 infeasible-cap error.  Commands load numpy only after their checks.
 """
 
 from __future__ import annotations
@@ -12,21 +12,10 @@ import json
 import os
 import sys
 
-from .brun import good_reduction_census, primes_below
-from .census import (
-    ConfigError,
-    ExperimentConfig,
-    InfeasibleError,
-    L_LIMIT,
-    census,
-    check_goodred_x,
-    merged_report,
-    sifted_class_set,
-    write_census_csv,
-    write_goodred_csv,
-    write_reasons_csv,
-)
-from .curves import CurveFamily, default_elliptic_family, default_genus2_family
+from .config import (ConfigError, CurveFamily, ExperimentConfig, InfeasibleError, L_LIMIT,
+                     _check_x, _prime_divisors, check_class_set, check_goodred_x,
+                     default_elliptic_family, default_genus2_family, merged_report,
+                     write_goodred_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +71,8 @@ def load_config(args):
     l_values = doc.get("l", [5, 7, 11, 13])
     if args.lmax is not None:
         # primes past 2 * L_LIMIT add nothing but the same infeasibility
-        l_values = [l for l in primes_below(min(args.lmax, 2 * L_LIMIT) + 1) if l >= 3]
+        l_values = [l for l in range(3, min(args.lmax, 2 * L_LIMIT) + 1)
+                    if _prime_divisors(l) == [l]]
 
     def pick(flag, key, default):
         return flag if flag is not None else doc.get(key, default)
@@ -101,6 +91,8 @@ def load_config(args):
 
 
 def cmd_census(cfg):
+    _check_x(max(cfg.x_values))
+    from .census import census, write_census_csv, write_reasons_csv
     rows, _, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_reasons_csv(os.path.join(cfg.out_dir, "census_reasons.csv"), rows, cfg.l_values)
@@ -112,6 +104,8 @@ def cmd_census(cfg):
 
 def cmd_sifted_class_set(cfg, l, class_key, Q):
     x = max(cfg.x_values)
+    check_class_set(x, l, class_key)
+    from .census import sifted_class_set
     rep = sifted_class_set(cfg.family, x, l, class_key, cfg.pcap, Q)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"class_set_l{l}_tr{rep.class_key[0]}.json")
@@ -123,6 +117,7 @@ def cmd_sifted_class_set(cfg, l, class_key, Q):
 
 def cmd_goodred(cfg):
     check_goodred_x(cfg.family, max(cfg.x_values))
+    from .brun import good_reduction_census
     out = []
     for x in cfg.x_values:
         Q = max(2, int(x**0.5))

@@ -1,0 +1,233 @@
+"""Configuration, limits, family documents and the report merge, without numpy."""
+
+import csv
+import json
+import os
+from dataclasses import dataclass
+
+from .polynomials import Poly
+
+
+class ConfigError(Exception):
+    """Malformed configuration; CLI exit code 2."""
+
+
+class InfeasibleError(Exception):
+    """Caps beyond module feasibility; CLI exit code 3."""
+
+
+PCAP_LIMIT = 10**4
+# the class sieve's trace bits fill a uint16 (l <= 16); time and memory at
+# the caps were measured up to 13.  The witness state does not limit l.
+L_LIMIT = 13
+X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
+# goodred, by the family's r: one packed bit row over the last coordinate
+# per prefix, about (2x + 1)^r / 2 rows.  On a 2-core machine the default
+# genus-2 count took 0.13 s at x = 15 and 2.1 s at x = 40; the r = 3 cap
+# stays at 15, the last x before its support holds a prime
+GOODRED_X_LIMIT = {1: 10**4, 3: 15}
+MAX_DEGREE = 64  # total degree of a family polynomial; the default families stay <= 9
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@dataclass
+class ExperimentConfig:
+    family: object
+    x_values: tuple
+    l_values: tuple
+    pcap: int
+    out_dir: str = "."
+    # validated, then unused: every command runs in one process in a fixed order
+    workers: int = 1
+    seed: int = 0
+
+    def validate(self):
+        ints = (*self.x_values, *self.l_values, self.pcap, self.workers, self.seed)
+        if not all(type(v) is int for v in ints):
+            raise ConfigError("x, l, pcap, workers and seed must be integers")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError("out must be a nonempty path")
+        if not self.x_values or list(self.x_values) != sorted(set(self.x_values)):
+            raise ConfigError("x values must be nonempty and strictly increasing")
+        if any(x < 1 for x in self.x_values):
+            raise ConfigError("x values must be >= 1")
+        if not self.l_values or len(set(self.l_values)) != len(self.l_values):
+            raise ConfigError("l values must be nonempty and distinct")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise InfeasibleError(f"workers = {self.workers} exceeds the {cpus} CPUs")
+        if self.pcap < 1:
+            raise ConfigError("pcap must be >= 1")
+        if self.pcap > PCAP_LIMIT:
+            raise InfeasibleError("prime cap exceeds feasibility limit")
+        for l in self.l_values:
+            _check_l(l)
+        return self
+
+
+def _check_l(l):
+    """A prime l with 3 <= l <= L_LIMIT, else ConfigError / InfeasibleError."""
+    if l < 3:
+        raise ConfigError(f"l = {l}: l must be a prime >= 3")
+    if l > L_LIMIT:
+        raise InfeasibleError(f"l = {l} exceeds feasibility limit {L_LIMIT}")
+    if _prime_divisors(l) != [l]:
+        raise ConfigError(f"l = {l} is not prime")
+
+
+def _check_x(x):
+    """Height bound of the census and the class sieve, else InfeasibleError."""
+    if x > X_LIMIT:
+        raise InfeasibleError(f"x = {x} exceeds feasibility limit {X_LIMIT}")
+
+
+def check_class_set(x, l, class_key):
+    """A class sieve's class (tr, det) mod l, else ConfigError / InfeasibleError."""
+    _check_l(l)
+    _check_x(x)
+    tr, det = class_key
+    if det % l != 1:
+        raise ConfigError(f"class determinant {det} must be 1 mod l = {l}")
+    return tr % l, det % l
+
+
+def check_goodred_x(family, x):
+    """Height bound of goodred for the family's r, else InfeasibleError."""
+    r, limit = family.r, GOODRED_X_LIMIT[family.r]
+    if x > limit:
+        raise InfeasibleError(f"x = {x} exceeds goodred feasibility limit {limit} for r = {r}")
+
+
+@dataclass(frozen=True)
+class CurveFamily:
+    """A 1- or 3-parameter family: y^2 = x^3 + A(t)x + B(t) (g=1) or
+    y^2 = quintic(x; t1,t2,t3) (g=2, monic)."""
+
+    genus: int
+    A: Poly  # g=1 only
+    B: Poly  # g=1 only
+    quintic: tuple  # g=2 only: 6 Polys, ascending in x, leading == 1
+    bad_locus: Poly
+    excluded_primes: frozenset
+
+    @property
+    def r(self):
+        return self.genus * (self.genus + 1) // 2
+
+    def to_json(self):
+        doc = {
+            "genus": self.genus,
+            "bad_locus": self.bad_locus.to_terms(),
+            "excluded_primes": sorted(self.excluded_primes),
+        }
+        if self.genus == 1:
+            doc["A"] = self.A.to_terms()
+            doc["B"] = self.B.to_terms()
+        else:
+            doc["quintic"] = [c.to_terms() for c in self.quintic]
+        return json.dumps(doc, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text):
+        """Parse a family document; ValueError on a malformed one."""
+        doc = json.loads(text)
+        g = doc["genus"]
+        if not _is_int(g) or g not in (1, 2):
+            raise ValueError("genus must be 1 or 2")
+        r = g * (g + 1) // 2
+        bad = _poly_from_terms(doc["bad_locus"], "bad_locus", r)
+        if bad.is_zero():
+            raise ValueError("bad_locus must be nonzero")
+        excl = doc["excluded_primes"]
+        if not isinstance(excl, list) or not all(_is_int(p) for p in excl):
+            raise ValueError("excluded_primes must be a list of integers")
+        if g == 1:
+            A = _poly_from_terms(doc["A"], "A", 1)
+            B = _poly_from_terms(doc["B"], "B", 1)
+            return cls(1, A, B, (), bad, frozenset(excl))
+        quintic = doc["quintic"]
+        if not isinstance(quintic, list) or len(quintic) != 6:
+            raise ValueError("quintic must list six coefficients, x^0 to x^5")
+        quintic = tuple(_poly_from_terms(t, "quintic", r) for t in quintic)
+        if quintic[5] != Poly.const(r, 1):
+            raise ValueError("quintic must be monic: its x^5 coefficient must be 1")
+        return cls(2, None, None, quintic, bad, frozenset(excl))
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _poly_from_terms(terms, key, r):
+    """A polynomial from terms [coefficient, e_1, .., e_r], all integers,
+    exponents >= 0, total degree <= MAX_DEGREE."""
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == r + 1 and all(_is_int(v) for v in t)
+        and min(t[1:]) >= 0
+        for t in terms
+    ):
+        raise ValueError(f"{key}: each term must be [integer coefficient, "
+                         f"{r} non-negative integer exponents]")
+    if any(sum(t[1:]) > MAX_DEGREE for t in terms):
+        raise ValueError(f"{key}: a term has total degree above {MAX_DEGREE}")
+    return Poly.from_terms(r, terms)
+
+
+def default_elliptic_family():
+    """y^2 = x^3 + 3(1-t)t x + 2(1-t)^2 t with bad locus t(1-t); 2, 3 excluded."""
+    t = Poly.var(1, 0)
+    A = 3 * (1 - t) * t
+    B = 2 * (1 - t) ** 2 * t
+    return CurveFamily(1, A, B, (), t * (1 - t), frozenset({2, 3}))
+
+
+def default_genus2_family():
+    """y^2 = x(x-1)(x-t1)(x-t2)(x-t3), Rosenhain-style 3-parameter family."""
+    t1, t2, t3 = (Poly.var(3, i) for i in range(3))
+    one = Poly.const(3, 1)
+    # expand prod (x - root): coefficients in x as Polys in t
+    roots = [Poly.const(3, 0), one, t1, t2, t3]
+    coeffs = [one]  # poly "1" in x
+    for rt in roots:
+        new = [Poly.const(3, 0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            new[k + 1] = new[k + 1] + c
+            new[k] = new[k] - rt * c
+        coeffs = new
+    bad = t1 * t2 * t3 * (t1 - 1) * (t2 - 1) * (t3 - 1) * (t1 - t2) * (t1 - t3) * (t2 - t3)
+    return CurveFamily(2, None, None, tuple(coeffs), bad, frozenset({2}))
+
+
+def write_goodred_csv(path, censuses):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "Q", "count", "floor_estimate", "ratio"])
+        for c in censuses:
+            w.writerow(c.csv_row())
+
+
+def merged_report(out_dir):
+    """Deterministic JSON merge of prior command outputs; idempotent."""
+    sources = {}
+    for name in ("census.csv", "goodred.csv"):
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing input: {path}")
+        with open(path, newline="", encoding="utf-8") as fh:
+            sources[name] = [row for row in csv.reader(fh)]
+    return json.dumps(sources, sort_keys=True, separators=(",", ":")) + "\n"

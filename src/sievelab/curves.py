@@ -14,118 +14,17 @@ minimal models.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .finitefield import _prime_divisors, field
-from .polynomials import Poly
+# the family documents live in the numpy-free config; callers import them from here
+from .config import CurveFamily, _prime_divisors, default_elliptic_family, default_genus2_family
+from .finitefield import field
 
 PRIME_CAP_G1 = 10**4
 PRIME_CAP_G2 = 300
-MAX_DEGREE = 64  # total degree of a family polynomial; the default families stay <= 9
-
-
-@dataclass(frozen=True)
-class CurveFamily:
-    """A 1- or 3-parameter family: y^2 = x^3 + A(t)x + B(t) (g=1) or
-    y^2 = quintic(x; t1,t2,t3) (g=2, monic)."""
-
-    genus: int
-    A: Poly  # g=1 only
-    B: Poly  # g=1 only
-    quintic: tuple  # g=2 only: 6 Polys, ascending in x, leading == 1
-    bad_locus: Poly
-    excluded_primes: frozenset
-
-    @property
-    def r(self):
-        return self.genus * (self.genus + 1) // 2
-
-    def to_json(self):
-        doc = {
-            "genus": self.genus,
-            "bad_locus": self.bad_locus.to_terms(),
-            "excluded_primes": sorted(self.excluded_primes),
-        }
-        if self.genus == 1:
-            doc["A"] = self.A.to_terms()
-            doc["B"] = self.B.to_terms()
-        else:
-            doc["quintic"] = [c.to_terms() for c in self.quintic]
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        """Parse a family document; ValueError on a malformed one."""
-        doc = json.loads(text)
-        g = doc["genus"]
-        if not _is_int(g) or g not in (1, 2):
-            raise ValueError("genus must be 1 or 2")
-        r = g * (g + 1) // 2
-        bad = _poly_from_terms(doc["bad_locus"], "bad_locus", r)
-        if bad.is_zero():
-            raise ValueError("bad_locus must be nonzero")
-        excl = doc["excluded_primes"]
-        if not isinstance(excl, list) or not all(_is_int(p) for p in excl):
-            raise ValueError("excluded_primes must be a list of integers")
-        if g == 1:
-            A = _poly_from_terms(doc["A"], "A", 1)
-            B = _poly_from_terms(doc["B"], "B", 1)
-            return cls(1, A, B, (), bad, frozenset(excl))
-        quintic = doc["quintic"]
-        if not isinstance(quintic, list) or len(quintic) != 6:
-            raise ValueError("quintic must list six coefficients, x^0 to x^5")
-        quintic = tuple(_poly_from_terms(t, "quintic", r) for t in quintic)
-        if quintic[5] != Poly.const(r, 1):
-            raise ValueError("quintic must be monic: its x^5 coefficient must be 1")
-        return cls(2, None, None, quintic, bad, frozenset(excl))
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _poly_from_terms(terms, key, r):
-    """A polynomial from terms [coefficient, e_1, .., e_r], all integers,
-    exponents >= 0, total degree <= MAX_DEGREE."""
-    if not isinstance(terms, list) or not all(
-        isinstance(t, list) and len(t) == r + 1 and all(_is_int(v) for v in t)
-        and min(t[1:]) >= 0
-        for t in terms
-    ):
-        raise ValueError(f"{key}: each term must be [integer coefficient, "
-                         f"{r} non-negative integer exponents]")
-    if any(sum(t[1:]) > MAX_DEGREE for t in terms):
-        raise ValueError(f"{key}: a term has total degree above {MAX_DEGREE}")
-    return Poly.from_terms(r, terms)
-
-
-def default_elliptic_family():
-    """y^2 = x^3 + 3(1-t)t x + 2(1-t)^2 t with bad locus t(1-t); 2, 3 excluded."""
-    t = Poly.var(1, 0)
-    A = 3 * (1 - t) * t
-    B = 2 * (1 - t) ** 2 * t
-    return CurveFamily(1, A, B, (), t * (1 - t), frozenset({2, 3}))
-
-
-def default_genus2_family():
-    """y^2 = x(x-1)(x-t1)(x-t2)(x-t3), Rosenhain-style 3-parameter family."""
-    t1, t2, t3 = (Poly.var(3, i) for i in range(3))
-    one = Poly.const(3, 1)
-    # expand prod (x - root): coefficients in x as Polys in t
-    roots = [Poly.const(3, 0), one, t1, t2, t3]
-    coeffs = [one]  # poly "1" in x
-    for rt in roots:
-        new = [Poly.const(3, 0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] = new[k + 1] + c
-            new[k] = new[k] - rt * c
-        coeffs = new
-    bad = t1 * t2 * t3 * (t1 - 1) * (t2 - 1) * (t3 - 1) * (t1 - t2) * (t1 - t3) * (t2 - t3)
-    return CurveFamily(2, None, None, tuple(coeffs), bad, frozenset({2}))
 
 
 @dataclass(frozen=True)

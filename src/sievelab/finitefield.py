@@ -5,7 +5,7 @@ sum d_i q^i, so codes run over 0..q^n - 1 and sort like the reversed digit
 tuples.  The modulus h is the lexicographically first monic polynomial of
 degree n for which z has order q^n - 1: h is primitive, every nonzero
 element is a power of z, and products go through exp/log tables.  Sums add
-base-q digits.  Both take numpy arrays of codes.
+base-q digits mod q, through two tables.  Both take numpy arrays of codes.
 """
 
 from __future__ import annotations
@@ -15,21 +15,9 @@ import itertools
 
 import numpy as np
 
+from .config import _prime_divisors
+
 _BLOCK = 2**14  # grid cells per Horner block in affine_points
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _matpow(m, e, q):
@@ -68,6 +56,11 @@ class ExtField:
             powers = np.concatenate([powers, powers @ zk.T % q])
             zk = zk @ zk % q
         self._weights = q ** np.arange(n, dtype=np.int64)
+        # sums: digits spread to base 2q - 1 add without a carry; a table reduces them mod q
+        base = 2 * q - 1
+        spread = base ** np.arange(n, dtype=np.int64)
+        self._spread = np.arange(Q)[:, None] // self._weights % q @ spread
+        self._unspread = np.arange(base**n)[:, None] // spread % base % q @ self._weights
         self._exp = powers[: Q - 1] @ self._weights
         self._log = np.zeros(Q, dtype=np.int64)
         self._log[self._exp] = np.arange(Q - 1)
@@ -76,7 +69,7 @@ class ExtField:
         self._sqrt = np.ones(Q, dtype=np.int64)
         if q != 2:
             self._sqrt[1:] = 2 - 2 * (self._log[1:] % 2)
-        for a in (self._exp, self._log, self._sqrt):
+        for a in (self._spread, self._unspread, self._exp, self._log, self._sqrt):
             a.setflags(write=False)
 
     @property
@@ -89,8 +82,7 @@ class ExtField:
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def add(self, a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        return sum((a // w + b // w) % self.q * w for w in self._weights)
+        return self._unspread[self._spread[a] + self._spread[b]]
 
     def sqrt_counts(self):
         """#{y : y^2 = v} for every code v, as a read-only array."""

@@ -9,6 +9,7 @@ radius constant appears (a d > 1 port would have to revisit that).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +38,8 @@ def enumerate_projective(r, x):
     block whose gcds are taken once; each head c0 in 0..x keeps the tails with
     gcd(c0, gcd(tail)) = 1, and the head 0 only the upper half of the block
     (the tails whose first nonzero coordinate is positive).  Every point shares
-    the int objects of one tuple of coordinate values.
+    the int objects of one tuple of coordinate values.  C allocates the points
+    and sets their slot, past the dataclass __init__ (no tuple here is zero).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -46,13 +48,15 @@ def enumerate_projective(r, x):
         raise ValueError("height bound must be >= 1")
     vals = tuple(range(-x, x + 1))
     tail_gcd = np.gcd.reduce(np.indices((2 * x + 1,) * r) - x, axis=0).ravel()
-    out = []
+    coords = []
     for head in vals[x:]:
         keep = np.gcd(tail_gcd, head) == 1
         if head == 0:
             keep[: tail_gcd.size // 2 + 1] = False
         tuples = itertools.product((head,), *(vals,) * r)
-        out += map(ProjectivePoint, itertools.compress(tuples, keep.tolist()))
+        coords += itertools.compress(tuples, keep.tolist())
+    out = list(map(object.__new__, itertools.repeat(ProjectivePoint, len(coords))))
+    collections.deque(map(ProjectivePoint.coords.__set__, out, coords), maxlen=0)
     return out
 
 

@@ -18,16 +18,20 @@ from hypothesis import strategies as st
 
 from sievelab.brun import primes_below
 from sievelab.census import (
-    ConfigError,
-    ExperimentConfig,
-    InfeasibleError,
     _sweep,
     census,
     exceptional_containment_check,
     sifted_class_set,
     witness_lut,
 )
-from sievelab.cli import main
+from sievelab.cli import build_parser, load_config, main
+from sievelab.config import (
+    L_LIMIT,
+    ConfigError,
+    ExperimentConfig,
+    InfeasibleError,
+    _check_l,
+)
 from sievelab.curves import (
     BAD_SENTINEL,
     CurveFamily,
@@ -391,7 +395,7 @@ class TestCli:
         ] + [
             (["census"], {"l": [5, 5]}, 2),
             (["--x", "16", "goodred"], {"family": "default-g2"}, 3),
-            # polynomial degrees above curves.MAX_DEGREE: a hang in eval_mod's
+            # polynomial degrees above config.MAX_DEGREE: a hang in eval_mod's
             # power list, an OverflowError and a ZeroDivisionError in the floor
             (["census"], {"family": {**GOOD_FAMILY, "A": [[1, 100000000]]}}, 2),
             (["--x", "100", "goodred"],
@@ -469,20 +473,88 @@ class TestCli:
 
     def test_import_leaves_out_libcrypto(self):
         # hashlib maps OpenSSL's libcrypto (about 3.5 MiB of RSS) into
-        # every process that imports it; a fresh interpreter shows it
-        code = (
-            "import sys\n"
+        # every process that imports it
+        out = _fresh_interpreter(
             "import sievelab.cli\n"
             "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
-            "default_elliptic_family(), default_genus2_family()\n"
-            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+            "default_elliptic_family(), default_genus2_family()\n",
+            ["_hashlib", "hashlib"],
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert out == ["[]"]
+
+    def test_report_and_config_errors_leave_out_numpy(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["--x", "5", "--lmax", "5", "--pcap", "50", "--out", out, "census"]) == 0
+        assert main(["--x", "5", "--out", out, "goodred"]) == 0
+        g2 = tmp_path / "g2.json"
+        g2.write_text(json.dumps({"family": "default-g2"}))
+        runs = [
+            (["--out", out, "report"], 0),
+            (["--out", str(tmp_path / "empty"), "report"], 2),
+            (["--pcap", "0", "census"], 2),
+            (["--pcap", "100000", "census"], 3),
+            (["--x", "a", "goodred"], 2),
+            (["--lmax", "2", "census"], 2),
+            (["--config", str(tmp_path / "missing.json"), "census"], 2),
+            (["--config", str(g2), "census"], 2),
+            (["--x", "2000", "census"], 3),
+            (["sifted-class-set", "--l", "9", "--class", "0,1", "--Q", "50"], 2),
+            (["sifted-class-set", "--l", "5", "--class", "a,b", "--Q", "50"], 2),
+        ]
+        code = "from sievelab.cli import main\n" + "".join(
+            f"print(main({argv!r}), end=' ')\nprint_modules()\n" for argv, _ in runs
+        )
+        lines = _fresh_interpreter(code, ["numpy"])
+        lines = [line for line in lines if not line.startswith(out)]  # written paths
+        assert lines == [f"{rc} []" for _, rc in runs] + ["[]"]
+
+    def test_goodred_leaves_out_census_and_curves(self, tmp_path):
+        out = _fresh_interpreter(
+            "from sievelab.cli import main\n"
+            f"main(['--x', '5', '--out', {str(tmp_path)!r}, 'goodred'])\n",
+            ["sievelab.census", "sievelab.curves"],
+        )
+        assert out[-1] == "[]"
+
+    def test_lmax_primes_match_the_sieve(self, monkeypatch):
+        # the --lmax list against the primes_below-based list it replaced
+        monkeypatch.setattr(ExperimentConfig, "validate", lambda self: self)
+        parser = build_parser()
+        for lmax in range(2, 2 * L_LIMIT + 1):
+            cfg = load_config(parser.parse_args(["--lmax", str(lmax), "census"]))
+            assert list(cfg.l_values) == [l for l in primes_below(lmax + 1) if l >= 3]
+
+    def test_check_l_matches_the_sieve(self):
+        for l in range(2, 31):
+            if l < 3:
+                expected = ConfigError
+            elif l > L_LIMIT:
+                expected = InfeasibleError
+            else:
+                expected = None if l in primes_below(L_LIMIT + 1) else ConfigError
+            try:
+                _check_l(l)
+                raised = None
+            except (ConfigError, InfeasibleError) as e:
+                raised = type(e)
+            assert raised is expected, l
+
+
+def _fresh_interpreter(code, modules):
+    """The stdout lines of ``code`` run in a fresh interpreter with the
+    sources on the path; ``print_modules()`` there prints which of
+    ``modules`` are loaded, and runs once more at the end."""
+    code = (
+        "import sys\n"
+        f"def print_modules():\n    print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+        f"{code}print_modules()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 FLAG_VALUES = {

@@ -23,8 +23,8 @@ from sievelab.curves import (
 )
 from sievelab.brun import primes_below
 from sievelab.census import VERDICT, witness_lut
+from sievelab.config import _prime_divisors
 from sievelab.curves import _generates_units
-from sievelab.finitefield import _prime_divisors
 from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
 from sievelab.polynomials import Poly
 

@@ -75,6 +75,16 @@ class TestArithmetic:
         y = np.arange(q**n)
         assert np.array_equal(fld.sqrt_counts(), np.bincount(fld.mul(y, y), minlength=q**n))
 
+    @pytest.mark.parametrize("q, n", [(5, 1), (7, 3), (11, 2)])
+    def test_add_matches_digitwise_formula_on_every_pair(self, q, n):
+        # the per-digit formula that the spread tables replaced
+        fld = field(q, n)
+        codes = np.arange(q**n)
+        a, b = np.meshgrid(codes, codes)
+        digitwise = sum((a // w + b // w) % q * w for w in q ** np.arange(n))
+        assert np.array_equal(fld.add(a, b), digitwise)
+        assert fld.add(int(a[-1, 1]), int(b[-1, 1])) == digitwise[-1, 1]
+
     def test_fields_are_memoised_and_read_only(self):
         fld = field(5, 2)
         assert field(5, 2) is fld
