@@ -16,14 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .heights import smallest_prime_factors
+from .heights import primes_below, smallest_prime_factors
 from .sieve import local_density
-
-
-def primes_below(n):
-    """The primes p < n, as a list of ints."""
-    spf = smallest_prime_factors(n - 1)
-    return (np.flatnonzero(spf[2:] == np.arange(2, spf.size)) + 2).tolist()
 
 
 def _squarefree_products(primes):

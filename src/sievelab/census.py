@@ -22,22 +22,23 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .brun import primes_below
 from .config import InfeasibleError, _check_x, _prime_divisors, check_class_set
 from .curves import BAD_SENTINEL, _pow_mod, ap_sums, ap_table
-from .heights import affine_line_points
+from .heights import affine_line_points, primes_below
 
 
 # Witness bits of a set of g = 1 classes mod l >= 5, one per condition of
-# ``curves.surjectivity_verdict``.  Unit bit i: some det is not an r_i-th
-# power, r_i the i-th prime divisor of l - 1; every unit det sets the bits
-# i >= omega(l - 1), and omega(l - 1) <= 3 for l < 211.  The bits of a set are
-# the OR over its classes; VERDICT maps them to 0 ('surjective') or to the
-# reason code of the first missing witness.
+# Serre's criterion (Invent. Math. 15, 1972, §2.8, Prop. 19): dets that
+# generate F_l^x, split and nonsplit Cartan witnesses with nonzero trace, and
+# an exceptional-image excluder; the oracle ``surjectivity_verdict`` in
+# tests/oracles.py checks them on a class set directly.  Unit bit i: some
+# det is not an r_i-th power, r_i the i-th prime divisor of l - 1; every
+# unit det sets the bits i >= omega(l - 1), and omega(l - 1) <= 3 for
+# l < 211.  The bits of a set are the OR over its classes; VERDICT maps them
+# to 0 ('surjective') or to the reason code of the first missing witness.
 UNITS, SPLIT, NONSPLIT, EXCLUDER = 0b111, 1 << 3, 1 << 4, 1 << 5
 WITNESSED = UNITS | SPLIT | NONSPLIT | EXCLUDER
 REASONS = ("det", "split", "nonsplit", "excluder", "l3")  # code k >= 1 is REASONS[k - 1]
@@ -224,12 +225,11 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     num, den = affine_line_points(x, family.bad_locus)
     traces = _sweep(num, den, family, support_primes, [_trace_lut(l)])[:, 0]
     count = int(np.count_nonzero((traces >> tr0) & 1 == 0))
-    # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}
-    from .groups import GroupSpec, charpoly_class_density
-
-    dens = charpoly_class_density(GroupSpec(1, l, "gsp"), det0)
-    frac = dens.get(tr0, Fraction(0))
-    inv_density = float(1 / frac) if frac else float("inf")
+    # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}, where C
+    # holds l (l + chi(tr0^2 - 4 det0)) of the l (l^2 - 1) matrices with
+    # det = det0 in GL2(F_l), chi by Euler's criterion
+    chi = pow(tr0 * tr0 - 4 * det0, (l - 1) // 2, l)
+    inv_density = (l * l - 1) / (l + (chi if chi < 2 else -1))
     bound = inv_density * l * math.log(x) / math.sqrt(x) * x**2
     return ClassSetReport(l, (tr0, det0), x, int(Q), support_primes, count, bound)
 

@@ -4,6 +4,10 @@ For a curve family over the t-line and an auxiliary prime l, measure the
 distribution of char-poly classes of Frobenius over all good specializations
 t in F_{q^n}, compare against the fixed-determinant coset densities from the
 matrix-group tables, and track the q^{-n/2} deviation envelope across n.
+Point counts are exhaustive gathers of the square-root counts of
+``finitefield``: O(q^n) per elliptic curve, and for the genus-2 quintics,
+checked squarefree mod q first, O(q^2) through F_q and F_{q^2}, with
+q <= PRIME_CAP_G2.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import finitefield
-from .curves import _quintic_counts, _squarefree_mod_p
 from .groups import GroupSpec, charpoly_class_density, group_order
+
+PRIME_CAP_G2 = 300
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,54 @@ def ffield_frobenius(family, fld, t, l):
         raise ValueError("singular specialization")
     a = fld.order - fld.affine_points([B, A, 0, 1])
     return np.stack([a % l, np.full_like(a, fld.order % l)], axis=1)
+
+
+def _squarefree_mod_p(coeffs, p):
+    """gcd(f, f') = 1 in F_p[x] for a monic-degree-5 coefficient list."""
+    f = [c % p for c in coeffs]
+    fp = [(k * c) % p for k, c in enumerate(f)][1:]
+
+    def strip(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = strip(list(f)), strip(list(fp))
+    while b:
+        # a mod b
+        a = list(a)
+        while len(a) >= len(b):
+            inv = pow(b[-1], -1, p)
+            coef = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - coef * c) % p
+            strip(a)
+        a, b = b, a
+    return len(a) == 1  # unit gcd
+
+
+def _quintic_counts(coeffs, p):
+    """(n1, n2) for y^2 = quintic with coefficients mod an odd prime p,
+    known to be squarefree; asserts the Weil bound and the a2 parity.
+
+    Like ``ExtField.affine_points``, each coefficient is an int or a
+    length-T array (one curve per row, counted in blocks of at most
+    ``finitefield._BLOCK`` grid cells); n1 and n2 are then length-T int64
+    arrays, and the asserts hold on every row.
+    """
+    if p > PRIME_CAP_G2:
+        raise ValueError("prime cap exceeded")
+    # one point at infinity for degree 5
+    n1 = 1 + finitefield.field(p, 1).affine_points(coeffs)
+    n2 = 1 + finitefield.field(p, 2).affine_points(coeffs)
+    a1 = p + 1 - n1
+    if np.any(a1 * a1 > 16 * p):
+        raise AssertionError("Weil bound violated")
+    twice_a2 = a1 * a1 - (p * p + 1 - n2)
+    if np.any(twice_a2 % 2):
+        raise AssertionError("a2 parity identity violated")
+    return n1, n2
 
 
 def pm_class(key, l):

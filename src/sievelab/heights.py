@@ -91,6 +91,12 @@ def smallest_prime_factors(n):
     return spf
 
 
+def primes_below(n):
+    """The primes p < n, as a list of ints."""
+    spf = smallest_prime_factors(n - 1)
+    return (np.flatnonzero(spf[2:] == np.arange(2, spf.size)) + 2).tolist()
+
+
 def mobius(n):
     """int64 array of mu(k) for 0 <= k <= n (mu(0) = 0), from the least
     prime factor: mu(k) = 0 if p^2 | k, else -mu(k / p), with p = spf(k)."""

@@ -13,15 +13,11 @@ from sievelab.chebotarev import (
     genus2_census,
     pm_class,
 )
-from sievelab.curves import (
-    default_elliptic_family,
-    default_genus2_family,
-    genus2_counts,
-    reduction_type,
-    specialize,
-)
+from sievelab.curves import default_elliptic_family, default_genus2_family
 from sievelab.finitefield import field
 from sievelab.polynomials import Poly
+
+from oracles import ap_count, genus2_counts, reduction_type, specialize
 
 
 class TestSpecializations:
@@ -50,7 +46,6 @@ class TestFrobenius:
     def test_base_field_matches_curve_count(self):
         fam = default_elliptic_family()
         fld, pts = ffield_specializations(fam, 5, 1)
-        from sievelab.curves import ap_count, specialize
 
         classes = ffield_frobenius(fam, fld, pts, 3)
         for (tval,), cls in zip(pts.tolist(), classes.tolist()):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab.brun import primes_below
 from sievelab.census import (
     _sweep,
     census,
@@ -38,10 +37,11 @@ from sievelab.curves import (
     ap_table,
     default_elliptic_family,
     default_genus2_family,
-    surjectivity_verdict,
 )
-from sievelab.heights import count_projective
+from sievelab.heights import count_projective, primes_below
 from sievelab.polynomials import Poly
+
+from oracles import surjectivity_verdict
 
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
 GOOD_G2 = json.loads(default_genus2_family().to_json())
@@ -284,6 +284,18 @@ class TestClassSieving:
         assert len(calls) == len(set(calls)) == 16
         assert calls == primes_below(62)[2:]
 
+    @pytest.mark.parametrize("l", [5, 7, 11, 13])
+    def test_bound_matches_group_density(self, l):
+        # the closed-form inverse density against the GL2(F_l) class table
+        from sievelab.groups import GroupSpec, charpoly_class_density
+
+        fam = default_elliptic_family()
+        x = 20
+        dens = charpoly_class_density(GroupSpec(1, l, "gsp"), 1)
+        for tr0 in range(l):
+            rep = sifted_class_set(fam, x, l, (tr0, 1), 1000, 60)
+            assert rep.bound == float(1 / dens[tr0]) * l * math.log(x) / math.sqrt(x) * x**2
+
 
 class TestCli:
     def test_census_command(self, tmp_path):
@@ -515,6 +527,20 @@ class TestCli:
             ["sievelab.census", "sievelab.curves"],
         )
         assert out[-1] == "[]"
+
+    def test_census_and_class_set_load_only_the_g1_layer(self, tmp_path):
+        out = str(tmp_path)
+        lines = _fresh_interpreter(
+            "import sievelab.curves\n"
+            "print_modules()\n"
+            "from sievelab.cli import main\n"
+            f"print(main(['--x', '5', '--lmax', '7', '--pcap', '50', '--out', {out!r}, 'census']))\n"
+            f"print(main(['--x', '5', '--pcap', '50', '--out', {out!r}, 'sifted-class-set', "
+            "'--l', '5', '--class', '1,1', '--Q', '50']))\n",
+            ["sievelab.brun", "sievelab.groups", "sievelab.finitefield", "sievelab.sieve"],
+        )
+        lines = [line for line in lines if not line.startswith(out)]  # written paths
+        assert lines == ["[]", "0", "0", "[]"]
 
     def test_lmax_primes_match_the_sieve(self, monkeypatch):
         # the --lmax list against the primes_below-based list it replaced

@@ -9,24 +9,27 @@ from hypothesis import strategies as st
 
 from sievelab.curves import (
     BAD_SENTINEL,
-    ap_count,
-    ap_count_pointloop,
     ap_sums,
     ap_table,
     default_elliptic_family,
     default_genus2_family,
+    CurveFamily,
+)
+from sievelab.census import VERDICT, witness_lut
+from sievelab.config import _prime_divisors
+from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
+from sievelab.heights import primes_below
+from sievelab.polynomials import Poly
+
+from oracles import (
+    _generates_units,
+    ap_count,
+    ap_count_pointloop,
     genus2_counts,
     reduction_type,
     specialize,
     surjectivity_verdict,
-    CurveFamily,
 )
-from sievelab.brun import primes_below
-from sievelab.census import VERDICT, witness_lut
-from sievelab.config import _prime_divisors
-from sievelab.curves import _generates_units
-from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
-from sievelab.polynomials import Poly
 
 
 class TestSpecialize:

@@ -9,15 +9,10 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
 from sievelab.chebotarev import ffield_frobenius
-from sievelab.curves import (
-    ap_count,
-    default_elliptic_family,
-    default_genus2_family,
-    genus2_counts,
-    reduction_type,
-    specialize,
-)
+from sievelab.curves import default_elliptic_family, default_genus2_family
 from sievelab.finitefield import _BLOCK, ExtField, field
+
+from oracles import ap_count, genus2_counts, reduction_type, specialize
 
 SMALL_FIELDS = [(2, 3), (3, 3), (5, 2), (7, 2)]
 
