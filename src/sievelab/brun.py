@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from .heights import primes_below, smallest_prime_factors
-from .sieve import local_density
 
 
 def _squarefree_products(primes):
@@ -84,6 +83,8 @@ def sandwich(X, F, sets_by_prime, support, b=None):
     within int64) with the sieving sets' dimension; any other length raises
     ValueError.
     """
+    from .sieve import local_density  # here only, so goodred loads no sieve
+
     primes = sorted(support.primes)
     for p in primes:
         if p not in sets_by_prime:
@@ -253,6 +254,9 @@ def good_reduction_census(family, x, Q):
     return GoodReductionCensus(x, int(Q), count, floor, kappa, support)
 
 
+BLOCK_BYTES = 2**18  # packed prefix rows walked per block of _census_bitset
+
+
 def _census_bitset(f, r, x, support):
     """Count the canonical points (c : b) of P^r(Q) of height <= x, c the
     first r coordinates, with f(c, b) != 0 mod every support prime.
@@ -264,14 +268,23 @@ def _census_bitset(f, r, x, support):
     point is primitive).  c = 0 gives only (0 : ... : 0 : 1).  The modulus
     1 with its all-ones row heads the primes, so the AND is never empty and
     the padding bits stay 0.  Rows take about sum_{p in support} p^r
-    (2x + 1) / 8 bytes; the "q | b" rows are kept for q <= sqrt(x) only.
+    (2x + 1) / 8 bytes.
+
+    The prefixes are walked in lexicographic blocks of about BLOCK_BYTES of
+    packed rows: one gather and AND per modulus, then one round per
+    distinct prime factor of the gcds (least first, at most 5 for
+    x <= 10^4), then one ``np.bitwise_count``.  The "q | b" rows are built
+    once for q <= sqrt(x); a gcd <= x has at most one prime factor
+    q > sqrt(x), whose at most 2 sqrt(x) + 1 bits are cleared in place.
     """
     b = np.arange(-x, x + 1, dtype=np.int64)
+    n = b.size
+    width = (n + 7) // 8
     moduli = np.array([1, *support], dtype=np.int64)
     sizes = moduli**r
     starts = np.cumsum(sizes) - sizes
-    rows = np.empty((int(sizes.sum()), (b.size + 7) // 8), dtype=np.uint8)
-    rows[0] = np.packbits(np.ones(b.size, dtype=bool), bitorder="little")
+    rows = np.empty((int(sizes.sum()), width), dtype=np.uint8)
+    rows[0] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
     zero_ok = True
     for p, start in zip(support, starts[1:].tolist()):
         grid = (p,) * (r + 1)
@@ -279,32 +292,44 @@ def _census_bitset(f, r, x, support):
         ok = ok.reshape(p**r, p)  # row = mixed-radix code of c mod p, column = b mod p
         zero_ok = zero_ok and bool(ok[0, 1 % p])
         rows[start : start + p**r] = np.packbits(ok[:, b % p], axis=1, bitorder="little")
-    # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
-    n = b.size
-    c = np.stack(np.unravel_index(np.arange(n**r // 2 + 1, n**r), (n,) * r), axis=1)
-    c -= x
-    picks = c[:, 0, None] % moduli  # the mixed-radix code of c mod each modulus
-    for i in range(1, r):
-        picks = picks * moduli + c[:, i, None] % moduli
-    picks += starts
-
-    def coprime(q):
-        """Packed row of "q does not divide b"; b = -x + i, so q | b iff i = x mod q."""
-        not_q = np.ones(b.size, dtype=bool)
-        not_q[x % q :: q] = False
-        return np.packbits(not_q, bitorder="little")
-
     spf = smallest_prime_factors(x)
-    small = {q: coprime(q) for q in range(2, math.isqrt(x) + 1) if spf[q] == q}
+    root = math.isqrt(x)
+    small = np.flatnonzero(spf[: root + 1] == np.arange(root + 1))[2:]  # primes <= sqrt(x)
+    coprime = np.ones((small.size, n), dtype=bool)
+    for row, q in zip(coprime, small.tolist()):
+        row[x % q :: q] = False  # b = -x + i, so q | b iff i = x mod q
+    coprime = np.packbits(coprime, axis=1, bitorder="little")
     count = int(zero_ok)
-    for pick, g in zip(picks, np.gcd.reduce(c, axis=1).tolist()):
-        row = np.bitwise_and.reduce(rows[pick], axis=0)
-        while g > 1:
-            q = int(spf[g])
-            row &= small[q] if q in small else coprime(q)  # at most one q > sqrt(x)
-            while g % q == 0:
-                g //= q
-        count += int(np.bitwise_count(row).sum())
+    step = max(1, BLOCK_BYTES // width)
+    # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
+    for lo in range(n**r // 2 + 1, n**r, step):
+        c = np.stack(np.unravel_index(np.arange(lo, min(lo + step, n**r)), (n,) * r), axis=1)
+        c -= x
+        picks = c[:, 0, None] % moduli  # the mixed-radix code of c mod each modulus
+        for i in range(1, r):
+            picks = picks * moduli + c[:, i, None] % moduli
+        picks += starts
+        block = rows[picks[:, 0]]
+        for j in range(1, moduli.size):
+            block &= rows[picks[:, j]]
+        g = np.gcd.reduce(c, axis=1)
+        live = np.flatnonzero(g > 1)
+        while live.size:
+            q = spf[g[live]]
+            low = q <= root
+            block[live[low]] &= coprime[np.searchsorted(small, q[low])]
+            big, qb = live[~low], q[~low]
+            if big.size:  # clear bit i = x mod q + k q: there b = -x + i is a multiple of q
+                i = (x % qb)[:, None] + qb[:, None] * np.arange(2 * root + 2)
+                at = np.nonzero(i < n)
+                i = i[at]
+                np.bitwise_and.at(block, (big[at[0]], i >> 3), ~(1 << (i & 7)).astype(np.uint8))
+            rest = g[live] // q
+            while (again := rest % q == 0).any():
+                rest[again] //= q[again]
+            g[live] = rest
+            live = live[rest > 1]
+        count += int(np.bitwise_count(block).sum())
     return count
 
 

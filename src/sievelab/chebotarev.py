@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import finitefield
-from .groups import GroupSpec, charpoly_class_density, group_order
 
 PRIME_CAP_G2 = 300
 
@@ -91,29 +90,36 @@ def ffield_frobenius(family, fld, t, l):
     return np.stack([a % l, np.full_like(a, fld.order % l)], axis=1)
 
 
-def _squarefree_mod_p(coeffs, p):
-    """gcd(f, f') = 1 in F_p[x] for a monic-degree-5 coefficient list."""
-    f = [c % p for c in coeffs]
-    fp = [(k * c) % p for k, c in enumerate(f)][1:]
+def _squarefree_rows(coeffs, p):
+    """Bool per row of a (T, 6) coefficient array: gcd(f, f') = 1 in F_p[x]
+    for f = sum_k coeffs[:, k] x^k.
 
-    def strip(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
+    Euclid on every row at once, with per-row degrees (-1 for zero): each
+    pass swaps the rows where deg a < deg b, then cancels the leading term
+    of a by a shifted multiple of b, so deg a falls on every row where b is
+    nonzero.  The gcd is a unit where a ends as a nonzero constant.
+    """
+    a = np.asarray(coeffs, dtype=np.int64) % p
+    b = np.zeros_like(a)
+    b[:, :-1] = a[:, 1:] * np.arange(1, a.shape[1]) % p  # f'
+    inverse = np.array([0] + [pow(k, -1, p) for k in range(1, p)], dtype=np.int64)
+    cols = np.arange(a.shape[1])
 
-    a, b = strip(list(f)), strip(list(fp))
-    while b:
-        # a mod b
-        a = list(a)
-        while len(a) >= len(b):
-            inv = pow(b[-1], -1, p)
-            coef = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - coef * c) % p
-            strip(a)
-        a, b = b, a
-    return len(a) == 1  # unit gcd
+    def degree(v):
+        return np.where(v != 0, cols, -1).max(axis=1)
+
+    da, db = degree(a), degree(b)
+    rows = np.arange(len(a))
+    while (live := db >= 0).any():
+        swap = live & (da < db)
+        a[swap], b[swap] = b[swap], a[swap]
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        coef = a[rows, da] * inverse[b[rows, db]] % p
+        src = cols - (da - db)[:, None]
+        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=1), 0)
+        a = np.where(live[:, None], (a - coef[:, None] * shifted) % p, a)
+        da = degree(a)
+    return da == 0
 
 
 def _quintic_counts(coeffs, p):
@@ -172,6 +178,8 @@ def chebotarev_report(family, q, l, n_range):
     deviation(n) <= c_emp * q^{-(n - n0)/2} for larger n.  The report
     records each census; callers assert the envelope.
     """
+    from .groups import GroupSpec, charpoly_class_density, group_order
+
     n_range = sorted(n_range)
     warnings = []
     spec = GroupSpec(family.genus, l, "gsp")
@@ -233,6 +241,8 @@ def genus2_census(family, q, l):
     counted in one batched call.  Field extensions (n > 1) are out of reach
     for the quintic point counts.
     """
+    from .groups import GroupSpec, charpoly_class_density
+
     if family.genus != 2:
         raise ValueError("genus-2 family required")
     if q == 2 or q % l == 0:
@@ -241,7 +251,7 @@ def genus2_census(family, q, l):
     coeffs = [np.broadcast_to(c.eval_mod(t.T, q), len(t)) for c in family.quintic]
     if len(t) and q in family.excluded_primes:
         raise ValueError("bad reduction")
-    if not all(_squarefree_mod_p(row, q) for row in np.stack(coeffs, axis=1).tolist()):
+    if not _squarefree_rows(np.stack(coeffs, axis=1), q).all():
         raise ValueError("bad reduction")
     n1, n2 = _quintic_counts(coeffs, q)
     a1 = q + 1 - n1

@@ -22,8 +22,9 @@ PCAP_LIMIT = 10**4
 L_LIMIT = 13
 X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
 # goodred, by the family's r: one packed bit row over the last coordinate
-# per prefix, about (2x + 1)^r / 2 rows.  On a 2-core machine the default
-# genus-2 count took 0.13 s at x = 15 and 2.1 s at x = 40; the r = 3 cap
+# per prefix, about (2x + 1)^r / 2 rows, walked in blocks.  On a 2-core
+# machine the default genus-2 count takes 2 ms at x = 15 and 0.07-0.09 s at
+# x = 40, and the genus-1 count 0.21-0.23 s at x = 10^4; the r = 3 cap
 # stays at 15, the last x before its support holds a prime
 GOODRED_X_LIMIT = {1: 10**4, 3: 15}
 MAX_DEGREE = 64  # total degree of a family polynomial; the default families stay <= 9

@@ -10,6 +10,7 @@ radius constant appears (a d > 1 port would have to revisit that).
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ def enumerate_projective(r, x):
     (the tails whose first nonzero coordinate is positive).  Every point shares
     the int objects of one tuple of coordinate values.  C allocates the points
     and sets their slot, past the dataclass __init__ (no tuple here is zero).
+    The cyclic garbage collector is paused while they are allocated, and
+    restored to the state it was found in.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -48,15 +51,21 @@ def enumerate_projective(r, x):
         raise ValueError("height bound must be >= 1")
     vals = tuple(range(-x, x + 1))
     tail_gcd = np.gcd.reduce(np.indices((2 * x + 1,) * r) - x, axis=0).ravel()
-    coords = []
-    for head in vals[x:]:
-        keep = np.gcd(tail_gcd, head) == 1
-        if head == 0:
-            keep[: tail_gcd.size // 2 + 1] = False
-        tuples = itertools.product((head,), *(vals,) * r)
-        coords += itertools.compress(tuples, keep.tolist())
-    out = list(map(object.__new__, itertools.repeat(ProjectivePoint, len(coords))))
-    collections.deque(map(ProjectivePoint.coords.__set__, out, coords), maxlen=0)
+    enabled = gc.isenabled()
+    gc.disable()  # the points hold tuples of ints only: no cycle can form
+    try:
+        coords = []
+        for head in vals[x:]:
+            keep = np.gcd(tail_gcd, head) == 1
+            if head == 0:
+                keep[: tail_gcd.size // 2 + 1] = False
+            tuples = itertools.product((head,), *(vals,) * r)
+            coords += itertools.compress(tuples, keep.tolist())
+        out = list(map(object.__new__, itertools.repeat(ProjectivePoint, len(coords))))
+        collections.deque(map(ProjectivePoint.coords.__set__, out, coords), maxlen=0)
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

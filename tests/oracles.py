@@ -2,9 +2,10 @@
 
 A specialization over Q holds the curve's coefficients as Fractions; its
 reduction type, a_p (through the square-root counts of F_p, and by a full
-(x, y) loop), its genus-2 counts and the surjectivity verdict of a class
-set are each computed one curve or one set at a time, so that the array
-paths of ``curves``, ``census`` and ``chebotarev`` can be compared with them.
+(x, y) loop), the squarefree check of a quintic mod p, its genus-2 counts
+and the surjectivity verdict of a class set are each computed one curve or
+one set at a time, so that the array paths of ``curves``, ``census`` and
+``chebotarev`` can be compared with them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sievelab.chebotarev import _quintic_counts, _squarefree_mod_p
+from sievelab.chebotarev import _quintic_counts
 from sievelab.config import CurveFamily, _prime_divisors
 from sievelab.curves import PRIME_CAP_G1
 from sievelab.finitefield import field
@@ -49,6 +50,32 @@ def _denominators(s):
     if s.family.genus == 1:
         return (s.A.denominator, s.B.denominator)
     return tuple(c.denominator for c in s.quintic)
+
+
+def _squarefree_mod_p(coeffs, p):
+    """gcd(f, f') = 1 in F_p[x] for a monic-degree-5 coefficient list; the
+    per-curve Euclid that ``chebotarev._squarefree_rows`` batches."""
+    f = [c % p for c in coeffs]
+    fp = [(k * c) % p for k, c in enumerate(f)][1:]
+
+    def strip(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = strip(list(f)), strip(list(fp))
+    while b:
+        # a mod b
+        a = list(a)
+        while len(a) >= len(b):
+            inv = pow(b[-1], -1, p)
+            coef = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - coef * c) % p
+            strip(a)
+        a, b = b, a
+    return len(a) == 1  # unit gcd
 
 
 def _quintic_mod_p(s, p):

@@ -215,6 +215,19 @@ class TestRemainderAudit:
         assert lattice_remainder_audit(d, omega, x, r).measured == expected
 
 
+def _brute_good(x, Q, name):
+    """Points of height <= x with good reduction at every support prime
+    below Q, by evaluating the bad locus at every point."""
+    fam = _family(name)
+    f = fam.bad_locus.homogenize()
+    support = [p for p in primes_below(Q) if p not in fam.excluded_primes]
+    coords = tuple(np.array([pt.coords for pt in _points(x, fam.r)]).T)
+    good = np.ones(coords[0].size, dtype=bool)
+    for p in support:
+        good &= f.eval_mod(coords, p) != 0
+    return int(good.sum())
+
+
 class TestGoodReduction:
     def test_small_census_matches_brute(self):
         fam = default_elliptic_family()
@@ -252,14 +265,23 @@ class TestGoodReduction:
     @example((6, 12, "g2-cubic"))
     def test_bitset_matches_brute(self, case):
         x, Q, name = case
-        fam = _family(name)
-        f = fam.bad_locus.homogenize()
-        support = [p for p in primes_below(Q) if p not in fam.excluded_primes]
-        coords = tuple(np.array([pt.coords for pt in _points(x, fam.r)]).T)
-        good = np.ones(coords[0].size, dtype=bool)
-        for p in support:
-            good &= f.eval_mod(coords, p) != 0
-        assert good_reduction_census(fam, x, Q).count == int(good.sum())
+        assert good_reduction_census(_family(name), x, Q).count == _brute_good(x, Q, name)
+
+    @pytest.mark.parametrize("case", [
+        (1, 2, "default"), (1, 40, "shifted"), (80, 40, "infinity"), (40, 12, "default"),
+        (12, 5, "default"), (1, 12, "g2-quadric"), (6, 12, "g2-product"), (6, 12, "g2-cubic"),
+    ])
+    def test_bitset_in_blocks_of_three_rows(self, case, monkeypatch):
+        # every case with more than three prefixes spans several blocks; the
+        # gcds 30 and 60 take three rounds, and primes q > sqrt(x) outside
+        # the support clear their "q | b" bits in place (at x = 12, q = 5
+        # clears bits 2 and 7 of one byte)
+        x, Q, name = case
+        monkeypatch.setattr(brun, "BLOCK_BYTES", 3 * ((2 * x + 8) // 8))
+        assert good_reduction_census(_family(name), x, Q).count == _brute_good(x, Q, name)
+
+    def test_count_at_the_goodred_cap(self):
+        assert good_reduction_census(default_elliptic_family(), 10**4, 100).count == 18734138
 
     @pytest.mark.parametrize("x", [0, -3])
     def test_height_bound_below_one_rejected(self, x):

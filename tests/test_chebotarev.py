@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sievelab.chebotarev import (
+    _squarefree_rows,
     chebotarev_report,
     envelope_check,
     ffield_frobenius,
@@ -17,7 +18,7 @@ from sievelab.curves import default_elliptic_family, default_genus2_family
 from sievelab.finitefield import field
 from sievelab.polynomials import Poly
 
-from oracles import ap_count, genus2_counts, reduction_type, specialize
+from oracles import _squarefree_mod_p, ap_count, genus2_counts, reduction_type, specialize
 
 
 class TestSpecializations:
@@ -145,6 +146,22 @@ class TestGenus2Census:
         census = genus2_census(fam, q, l)
         assert census.n_points == total
         assert census.frequencies == {k: Fraction(v, total) for k, v in counts.items()}
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11])
+    def test_squarefree_rows_match_the_oracle(self, q):
+        # monic quintics with unreduced coefficients, then planted double
+        # roots (x - r)^2 g(x); at q = 5 the derivative loses its x^4 term
+        rng = np.random.default_rng(q)
+        rows = rng.integers(-50, 50, (300, 6))
+        rows[:, 5] = 1
+        planted = [
+            np.convolve([r * r, -2 * r, 1], [*rng.integers(0, q, 3), 1])
+            for r in rng.integers(0, q, 100)
+        ]
+        rows = np.vstack([rows, planted])
+        expected = [_squarefree_mod_p(row, q) for row in rows.tolist()]
+        assert _squarefree_rows(rows, q).tolist() == expected
+        assert any(expected) and not any(expected[300:])
 
     def test_bad_reduction_rejected(self):
         g2 = default_genus2_family()

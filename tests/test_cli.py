@@ -528,6 +528,17 @@ class TestCli:
         )
         assert out[-1] == "[]"
 
+    def test_goodred_leaves_out_sieve(self, tmp_path):
+        out = _fresh_interpreter(
+            "from sievelab.cli import main\n"
+            f"main(['--x', '5', '--out', {str(tmp_path)!r}, 'goodred'])\n",
+            ["sievelab.brun", "sievelab.sieve"],
+        )
+        assert out[-1] == "['sievelab.brun']"
+
+    def test_chebotarev_import_leaves_out_groups(self):
+        assert _fresh_interpreter("import sievelab.chebotarev\n", ["sievelab.groups"]) == ["[]"]
+
     def test_census_and_class_set_load_only_the_g1_layer(self, tmp_path):
         out = str(tmp_path)
         lines = _fresh_interpreter(

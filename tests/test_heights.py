@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -56,6 +57,16 @@ class TestEnumeration:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjectivePoint((0, 0))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            enumerate_projective(1, 20)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_small_counts(self):
         # P^1(Q): x=1 gives {0, inf, 1, -1}; x=2 adds {2, -2, 1/2, -1/2}
