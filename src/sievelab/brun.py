@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .heights import primes_below, smallest_prime_factors
+from .config import primes_below, smallest_prime_factors
 
 
 def _squarefree_products(primes):
@@ -142,6 +140,8 @@ def _hit_masks(X, F, sets):
     F is called once per point; the images form one int64 (n, dim) array.
     Residue vectors mod p are compared by their codes sum_i v_i p^i.
     """
+    import numpy as np  # here only, so goodred loads no numpy
+
     if not sets:
         return {}
     dim = sets[0].dim
@@ -254,83 +254,72 @@ def good_reduction_census(family, x, Q):
     return GoodReductionCensus(x, int(Q), count, floor, kappa, support)
 
 
-BLOCK_BYTES = 2**18  # packed prefix rows walked per block of _census_bitset
-
-
 def _census_bitset(f, r, x, support):
     """Count the canonical points (c : b) of P^r(Q) of height <= x, c the
     first r coordinates, with f(c, b) != 0 mod every support prime.
 
     Each prefix c != 0 (first nonzero entry positive) owns one bit row over
-    b in [-x, x], packed little-endian.  Per prime p and residue c mod p
-    there is one packed allowed row; the row of c is the AND of its primes'
-    rows, AND-NOT the "q | b" row of each prime factor q of gcd(c) (the
-    point is primitive).  c = 0 gives only (0 : ... : 0 : 1).  The modulus
-    1 with its all-ones row heads the primes, so the AND is never empty and
-    the padding bits stay 0.  Rows take about sum_{p in support} p^r
-    (2x + 1) / 8 bytes.
-
-    The prefixes are walked in lexicographic blocks of about BLOCK_BYTES of
-    packed rows: one gather and AND per modulus, then one round per
-    distinct prime factor of the gcds (least first, at most 5 for
-    x <= 10^4), then one ``np.bitwise_count``.  The "q | b" rows are built
-    once for q <= sqrt(x); a gcd <= x has at most one prime factor
-    q > sqrt(x), whose at most 2 sqrt(x) + 1 bits are cleared in place.
+    b in [-x, x]: a Python int, bit i for b = -x + i.  Per prime p and
+    residue c mod p there is one allowed row.  f is evaluated once per point
+    of P^r(F_p) (first nonzero coordinate 1), and each zero (c0 : b0) clears
+    b = lambda b0 in the row of lambda c0, for lambda = 1 .. p - 1.  The row
+    of c is the AND of its primes' rows and of the "q does not divide b" row
+    of each distinct prime factor q of gcd(c), from the least prime factors
+    (the point is primitive); ``int.bit_count`` counts it.  c = 0 gives only
+    (0 : ... : 0 : 1).  Rows take about sum_{p in support} p^r (2x + 1) / 8
+    bytes, and the "q does not divide b" rows, cached per q, at most
+    pi(x) (2x + 1) / 8.
     """
-    b = np.arange(-x, x + 1, dtype=np.int64)
-    n = b.size
-    width = (n + 7) // 8
-    moduli = np.array([1, *support], dtype=np.int64)
-    sizes = moduli**r
-    starts = np.cumsum(sizes) - sizes
-    rows = np.empty((int(sizes.sum()), width), dtype=np.uint8)
-    rows[0] = np.packbits(np.ones(n, dtype=bool), bitorder="little")
-    zero_ok = True
-    for p, start in zip(support, starts[1:].tolist()):
-        grid = (p,) * (r + 1)
-        ok = np.broadcast_to(f.eval_mod(np.indices(grid, sparse=True), p) != 0, grid)
-        ok = ok.reshape(p**r, p)  # row = mixed-radix code of c mod p, column = b mod p
-        zero_ok = zero_ok and bool(ok[0, 1 % p])
-        rows[start : start + p**r] = np.packbits(ok[:, b % p], axis=1, bitorder="little")
+    n = 2 * x + 1
+    full = (1 << n) - 1
+    tables = []
+    for p in support:
+        every = _every(p, n)
+        cleared = [0] * p**r  # by the mixed-radix code of c mod p
+        for lead in range(r + 1):  # the first nonzero coordinate, which is 1
+            for tail in itertools.product(range(p), repeat=r - lead):
+                point = (0,) * lead + (1, *tail)
+                if f.eval_mod(point, p) == 0:
+                    *c0, b0 = point
+                    for lam in range(1, p):
+                        code = 0
+                        for v in c0:
+                            code = code * p + lam * v % p
+                        cleared[code] |= every << (lam * b0 + x) % p
+        tables.append((p, [full & ~m for m in cleared]))
     spf = smallest_prime_factors(x)
-    root = math.isqrt(x)
-    small = np.flatnonzero(spf[: root + 1] == np.arange(root + 1))[2:]  # primes <= sqrt(x)
-    coprime = np.ones((small.size, n), dtype=bool)
-    for row, q in zip(coprime, small.tolist()):
-        row[x % q :: q] = False  # b = -x + i, so q | b iff i = x mod q
-    coprime = np.packbits(coprime, axis=1, bitorder="little")
-    count = int(zero_ok)
-    step = max(1, BLOCK_BYTES // width)
+    coprime = {}  # q -> the row of the b that q does not divide
+    count = int(all(f.eval_mod((0,) * r + (1,), p) for p in support))
     # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
-    for lo in range(n**r // 2 + 1, n**r, step):
-        c = np.stack(np.unravel_index(np.arange(lo, min(lo + step, n**r)), (n,) * r), axis=1)
-        c -= x
-        picks = c[:, 0, None] % moduli  # the mixed-radix code of c mod each modulus
-        for i in range(1, r):
-            picks = picks * moduli + c[:, i, None] % moduli
-        picks += starts
-        block = rows[picks[:, 0]]
-        for j in range(1, moduli.size):
-            block &= rows[picks[:, j]]
-        g = np.gcd.reduce(c, axis=1)
-        live = np.flatnonzero(g > 1)
-        while live.size:
-            q = spf[g[live]]
-            low = q <= root
-            block[live[low]] &= coprime[np.searchsorted(small, q[low])]
-            big, qb = live[~low], q[~low]
-            if big.size:  # clear bit i = x mod q + k q: there b = -x + i is a multiple of q
-                i = (x % qb)[:, None] + qb[:, None] * np.arange(2 * root + 2)
-                at = np.nonzero(i < n)
-                i = i[at]
-                np.bitwise_and.at(block, (big[at[0]], i >> 3), ~(1 << (i & 7)).astype(np.uint8))
-            rest = g[live] // q
-            while (again := rest % q == 0).any():
-                rest[again] //= q[again]
-            g[live] = rest
-            live = live[rest > 1]
-        count += int(np.bitwise_count(block).sum())
+    prefixes = itertools.product(range(-x, x + 1), repeat=r)
+    for c in itertools.islice(prefixes, n**r // 2 + 1, None):
+        m = full
+        for p, rows in tables:
+            code = 0
+            for v in c:
+                code = code * p + v % p
+            m &= rows[code]
+        g = math.gcd(*c)
+        while g > 1:
+            q = spf[g]
+            if q not in coprime:
+                coprime[q] = full & ~(_every(q, n) << x % q)
+            m &= coprime[q]
+            while g % q == 0:
+                g //= q
+        count += m.bit_count()
     return count
+
+
+def _every(q, n):
+    """Bits 0, q, 2q, ..., every multiple of q below n and some beyond, by
+    doubling shifts.  Shifted by s < q and cut to n bits, it is the row of
+    the i in [0, n) with i = s mod q."""
+    m, span = 1, q
+    while span < n:
+        m |= m << span
+        span *= 2
+    return m
 
 
 def density_condition_check(densities, w, Q, kappa, C):

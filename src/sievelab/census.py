@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InfeasibleError, _check_x, _prime_divisors, check_class_set
+from .config import InfeasibleError, _check_x, _prime_divisors, check_class_set, primes_below
 from .curves import BAD_SENTINEL, _pow_mod, ap_sums, ap_table
-from .heights import affine_line_points, primes_below
+from .heights import affine_line_points
 
 
 # Witness bits of a set of g = 1 classes mod l >= 5, one per condition of

@@ -2,7 +2,8 @@
 
 Configuration comes from a JSON file plus flag overrides; outputs are CSV
 and JSON artifacts in the configured directory.  Exit codes: 0 success,
-2 configuration error, 3 infeasible-cap error.  Commands load numpy only after their checks.
+2 configuration error, 3 infeasible-cap error.  Commands load numpy only after their
+checks, and ``goodred`` and ``report`` not at all.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""Configuration, limits, family documents and the report merge, without numpy."""
+"""Configuration, limits, family documents, the report merge and the primes
+sieve, without numpy."""
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -21,13 +23,31 @@ PCAP_LIMIT = 10**4
 # the caps were measured up to 13.  The witness state does not limit l.
 L_LIMIT = 13
 X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
-# goodred, by the family's r: one packed bit row over the last coordinate
-# per prefix, about (2x + 1)^r / 2 rows, walked in blocks.  On a 2-core
-# machine the default genus-2 count takes 2 ms at x = 15 and 0.07-0.09 s at
-# x = 40, and the genus-1 count 0.21-0.23 s at x = 10^4; the r = 3 cap
-# stays at 15, the last x before its support holds a prime
+# goodred, by the family's r: one bit row (a Python int) over the last
+# coordinate per prefix, about (2x + 1)^r / 2 rows, one at a time.  On a
+# 2-core machine the default genus-2 count takes 3-6 ms at x = 15 and
+# 0.20-0.29 s at x = 40, and the genus-1 count 0.12-0.19 s at x = 10^4; the
+# r = 3 cap stays at 15, the last x before its support holds a prime
 GOODRED_X_LIMIT = {1: 10**4, 3: 15}
 MAX_DEGREE = 64  # total degree of a family polynomial; the default families stay <= 9
+
+
+def smallest_prime_factors(n):
+    """List s with s[k] the least prime factor of k, for 2 <= k <= n
+    (s[0] = 0, s[1] = 1).  The lab's one primes sieve."""
+    n = max(n, 1)
+    spf = list(range(n + 1))
+    # every k <= sqrt(n), largest first, so the least divisor > 1 of each
+    # multiple (a prime) writes last; no primality test is needed
+    for k in range(math.isqrt(n), 1, -1):
+        spf[k * k :: k] = [k] * len(range(k * k, n + 1, k))
+    return spf
+
+
+def primes_below(n):
+    """The primes p < n, as a list of ints."""
+    spf = smallest_prime_factors(n - 1)
+    return [k for k in range(2, len(spf)) if spf[k] == k]
 
 
 def _prime_divisors(n):

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import smallest_prime_factors
+
 SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
 
 
@@ -88,28 +90,10 @@ def count_projective(r, x):
     )
 
 
-def smallest_prime_factors(n):
-    """int64 array s with s[k] the least prime factor of k, for 2 <= k <= n
-    (s[0] = 0, s[1] = 1).  The lab's one primes sieve."""
-    n = max(n, 1)
-    spf = np.arange(n + 1, dtype=np.int64)
-    for k in range(2, math.isqrt(n) + 1):
-        if spf[k] == k:
-            multiples = spf[k * k :: k]
-            np.minimum(multiples, k, out=multiples)
-    return spf
-
-
-def primes_below(n):
-    """The primes p < n, as a list of ints."""
-    spf = smallest_prime_factors(n - 1)
-    return (np.flatnonzero(spf[2:] == np.arange(2, spf.size)) + 2).tolist()
-
-
 def mobius(n):
     """int64 array of mu(k) for 0 <= k <= n (mu(0) = 0), from the least
     prime factor: mu(k) = 0 if p^2 | k, else -mu(k / p), with p = spf(k)."""
-    spf = smallest_prime_factors(n)
+    spf = np.asarray(smallest_prime_factors(n))
     mu = np.ones(spf.size, dtype=np.int64)
     mu[0] = 0
     rest = np.arange(spf.size)

@@ -271,13 +271,11 @@ class TestGoodReduction:
         (1, 2, "default"), (1, 40, "shifted"), (80, 40, "infinity"), (40, 12, "default"),
         (12, 5, "default"), (1, 12, "g2-quadric"), (6, 12, "g2-product"), (6, 12, "g2-cubic"),
     ])
-    def test_bitset_in_blocks_of_three_rows(self, case, monkeypatch):
-        # every case with more than three prefixes spans several blocks; the
-        # gcds 30 and 60 take three rounds, and primes q > sqrt(x) outside
-        # the support clear their "q | b" bits in place (at x = 12, q = 5
-        # clears bits 2 and 7 of one byte)
+    def test_bitset_in_blocks_of_three_rows(self, case):
+        # the gcds 30 and 60 have three prime factors; at x = 12 and 40 the
+        # primes q > sqrt(x) outside the support clear their "q | b" bits;
+        # r = 3; and support primes wider than the row of b
         x, Q, name = case
-        monkeypatch.setattr(brun, "BLOCK_BYTES", 3 * ((2 * x + 8) // 8))
         assert good_reduction_census(_family(name), x, Q).count == _brute_good(x, Q, name)
 
     def test_count_at_the_goodred_cap(self):

@@ -30,6 +30,7 @@ from sievelab.config import (
     ExperimentConfig,
     InfeasibleError,
     _check_l,
+    primes_below,
 )
 from sievelab.curves import (
     BAD_SENTINEL,
@@ -38,7 +39,7 @@ from sievelab.curves import (
     default_elliptic_family,
     default_genus2_family,
 )
-from sievelab.heights import count_projective, primes_below
+from sievelab.heights import count_projective
 from sievelab.polynomials import Poly
 
 from oracles import surjectivity_verdict
@@ -535,6 +536,22 @@ class TestCli:
             ["sievelab.brun", "sievelab.sieve"],
         )
         assert out[-1] == "['sievelab.brun']"
+
+    @pytest.mark.parametrize("family, x", [("default-g1", 5), ("default-g1", 2000),
+                                           ("default-g2", 15)])
+    def test_goodred_leaves_out_numpy(self, tmp_path, family, x):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": family}))
+        out = _fresh_interpreter(
+            "from sievelab.cli import main\n"
+            f"main(['--config', {str(config)!r}, '--x', '{x}', '--out', {str(tmp_path)!r}, "
+            "'goodred'])\n",
+            ["numpy"],
+        )
+        assert out[-1] == "[]"
+
+    def test_brun_import_leaves_out_numpy(self):
+        assert _fresh_interpreter("import sievelab.brun\n", ["numpy"]) == ["[]"]
 
     def test_chebotarev_import_leaves_out_groups(self):
         assert _fresh_interpreter("import sievelab.chebotarev\n", ["sievelab.groups"]) == ["[]"]

@@ -16,9 +16,8 @@ from sievelab.curves import (
     CurveFamily,
 )
 from sievelab.census import VERDICT, witness_lut
-from sievelab.config import _prime_divisors
+from sievelab.config import _prime_divisors, primes_below
 from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
-from sievelab.heights import primes_below
 from sievelab.polynomials import Poly
 
 from oracles import (

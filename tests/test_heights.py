@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sievelab.config import primes_below, smallest_prime_factors
 from sievelab.heights import (
     affine_line_points,
     count_projective,
@@ -13,7 +14,6 @@ from sievelab.heights import (
     mobius,
     ProjectivePoint,
     SCHANUEL_C1,
-    smallest_prime_factors,
 )
 from sievelab.polynomials import Poly
 
@@ -129,9 +129,18 @@ class TestEnumeration:
 class TestPrimeSieve:
     def test_smallest_prime_factors(self):
         spf = smallest_prime_factors(500)
-        assert spf[:2].tolist() == [0, 1]
+        assert spf[:2] == [0, 1]
         for k in range(2, 501):
             assert spf[k] == min(p for p in range(2, k + 1) if k % p == 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 500, 10001])
+    def test_sieve_matches_sympy(self, n):
+        from sympy import primefactors, primerange
+
+        spf = smallest_prime_factors(n)
+        assert spf[:2] == [0, 1] and len(spf) == max(n, 1) + 1
+        assert spf[2:] == [min(primefactors(k)) for k in range(2, n + 1)]
+        assert primes_below(n) == list(primerange(2, n))
 
     def test_mobius(self):
         from sympy import mobius as sympy_mobius
@@ -141,7 +150,7 @@ class TestPrimeSieve:
         assert [int(m) for m in mu[1:]] == [int(sympy_mobius(k)) for k in range(1, 501)]
 
     def test_tiny_bounds(self):
-        assert smallest_prime_factors(1).tolist() == [0, 1]
+        assert smallest_prime_factors(1) == [0, 1]
         assert mobius(1).tolist() == [0, 1]
 
 
