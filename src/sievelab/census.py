@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InfeasibleError, _check_x, _prime_divisors, check_class_set, primes_below
+from .config import (InfeasibleError, _check_x, _prime_divisors, check_class_set,
+                     gl2_class_density, primes_below)
 from .curves import BAD_SENTINEL, _pow_mod, ap_sums, ap_table
 from .heights import affine_line_points
 
@@ -225,11 +226,9 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     num, den = affine_line_points(x, family.bad_locus)
     traces = _sweep(num, den, family, support_primes, [_trace_lut(l)])[:, 0]
     count = int(np.count_nonzero((traces >> tr0) & 1 == 0))
-    # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}, where C
-    # holds l (l + chi(tr0^2 - 4 det0)) of the l (l^2 - 1) matrices with
-    # det = det0 in GL2(F_l), chi by Euler's criterion
-    chi = pow(tr0 * tr0 - 4 * det0, (l - 1) // 2, l)
-    inv_density = (l * l - 1) / (l + (chi if chi < 2 else -1))
+    # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}, with C's
+    # share of the det = det0 coset of GL2(F_l) in closed form
+    inv_density = float(1 / gl2_class_density(l, tr0, det0))
     bound = inv_density * l * math.log(x) / math.sqrt(x) * x**2
     return ClassSetReport(l, (tr0, det0), x, int(Q), support_primes, count, bound)
 

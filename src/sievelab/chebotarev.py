@@ -2,24 +2,27 @@
 
 For a curve family over the t-line and an auxiliary prime l, measure the
 distribution of char-poly classes of Frobenius over all good specializations
-t in F_{q^n}, compare against the fixed-determinant coset densities from the
-matrix-group tables, and track the q^{-n/2} deviation envelope across n.
-Point counts are exhaustive gathers of the square-root counts of
-``finitefield``: O(q^n) per elliptic curve, and for the genus-2 quintics,
-checked squarefree mod q first, O(q^2) through F_q and F_{q^2}, with
-q <= PRIME_CAP_G2.
+t in F_{q^n}, compare against the fixed-determinant coset densities (GL2
+in closed form, GSp4 from the matrix-group tables), and track the q^{-n/2}
+deviation envelope across n.  Everything runs on Python lists and ints:
+point counts are batched sums over x in ``finitefield`` with one lookup of
+the square-root counts per x, O(q^n) per elliptic curve, and for the
+genus-2 quintics, each checked squarefree mod q by Euclid first, O(q^2)
+through F_q and F_{q^2}, with q <= PRIME_CAP_G2.  ``groups`` (and with it
+numpy) is loaded only for the GSp4(F_3) predictions of ``genus2_census``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import finitefield
+from .config import gl2_class_density, sp_order
 
 PRIME_CAP_G2 = 300
 
@@ -57,91 +60,79 @@ class FFieldCensus:
 
 
 def ffield_specializations(family, q, n):
-    """All t in (F_{q^n})^r with bad_locus(t) != 0, as a (T, r) array of
-    element codes, rows in lexicographic order of their codes."""
+    """All t in (F_{q^n})^r with bad_locus(t) != 0, as a list of tuples of
+    element codes, in lexicographic order of their codes."""
     fld = finitefield.field(q, n)
-    grid = np.indices((fld.order,) * family.r).reshape(family.r, -1)
-    # a constant bad locus evaluates to a scalar; the mask needs one entry per t
-    good = np.broadcast_to(family.bad_locus.eval_field(fld, grid) != 0, grid.shape[1:])
-    return fld, grid[:, good].T
+    grid = list(itertools.product(range(fld.order), repeat=family.r))
+    return fld, list(itertools.compress(grid, family.bad_locus.eval_field(fld, grid)))
 
 
 def ffield_frobenius(family, fld, t, l):
-    """Char-poly classes of Frobenius at every row of a (T, r) code array t.
+    """Char-poly classes of Frobenius at every point of a list t of code
+    tuples.
 
-    g=1: row i is (a mod l, #fld mod l) with a = #fld + 1 - #E_t(fld), the
-    curve counted through the field's square-root counts.
+    g=1: point i gives (a mod l, #fld mod l) with a = #fld + 1 - #E_t(fld),
+    the curve counted through the field's square-root counts.
     """
     if fld.order % l == 0:
         raise ValueError("l divides the field order")
     if family.genus != 1:
         raise ValueError("field-model Frobenius implemented for genus 1")
-    t = np.asarray(t).T
-    if np.any(family.bad_locus.eval_field(fld, t) == 0):
+    if not all(family.bad_locus.eval_field(fld, t)):
         raise ValueError("singular specialization")
-    A = np.broadcast_to(family.A.eval_field(fld, t), t.shape[1:])
-    B = np.broadcast_to(family.B.eval_field(fld, t), t.shape[1:])
+    A = family.A.eval_field(fld, t)
+    B = family.B.eval_field(fld, t)
     # delta = -16 (4A^3 + 27B^2) must be nonzero in the field
     q = fld.q
-    disc = fld.add(fld.mul(4 % q, fld.mul(fld.mul(A, A), A)), fld.mul(27 % q, fld.mul(B, B)))
-    if np.any(disc == 0) or q == 2:
+    if q == 2 or not all(fld.add(fld.mul(4 % q, fld.mul(fld.mul(a, a), a)),
+                                 fld.mul(27 % q, fld.mul(b, b))) for a, b in zip(A, B)):
         raise ValueError("singular specialization")
-    a = fld.order - fld.affine_points([B, A, 0, 1])
-    return np.stack([a % l, np.full_like(a, fld.order % l)], axis=1)
+    det = fld.order % l
+    return [((fld.order - n) % l, det) for n in fld.affine_points([B, A, 0, 1])]
 
 
-def _squarefree_rows(coeffs, p):
-    """Bool per row of a (T, 6) coefficient array: gcd(f, f') = 1 in F_p[x]
-    for f = sum_k coeffs[:, k] x^k.
+def _squarefree(coeffs, p):
+    """gcd(f, f') = 1 in F_p[x] for f = sum_k coeffs[k] x^k, by Euclid on
+    ascending coefficient lists."""
+    def strip(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
 
-    Euclid on every row at once, with per-row degrees (-1 for zero): each
-    pass swaps the rows where deg a < deg b, then cancels the leading term
-    of a by a shifted multiple of b, so deg a falls on every row where b is
-    nonzero.  The gcd is a unit where a ends as a nonzero constant.
-    """
-    a = np.asarray(coeffs, dtype=np.int64) % p
-    b = np.zeros_like(a)
-    b[:, :-1] = a[:, 1:] * np.arange(1, a.shape[1]) % p  # f'
-    inverse = np.array([0] + [pow(k, -1, p) for k in range(1, p)], dtype=np.int64)
-    cols = np.arange(a.shape[1])
-
-    def degree(v):
-        return np.where(v != 0, cols, -1).max(axis=1)
-
-    da, db = degree(a), degree(b)
-    rows = np.arange(len(a))
-    while (live := db >= 0).any():
-        swap = live & (da < db)
-        a[swap], b[swap] = b[swap], a[swap]
-        da, db = np.where(swap, db, da), np.where(swap, da, db)
-        coef = a[rows, da] * inverse[b[rows, db]] % p
-        src = cols - (da - db)[:, None]
-        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=1), 0)
-        a = np.where(live[:, None], (a - coef[:, None] * shifted) % p, a)
-        da = degree(a)
-    return da == 0
+    a = strip([c % p for c in coeffs])
+    b = strip([k * c % p for k, c in enumerate(a)][1:])
+    while b:
+        # a mod b
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            coef = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - coef * c) % p
+            strip(a)
+        a, b = b, a
+    return len(a) == 1  # a unit gcd
 
 
 def _quintic_counts(coeffs, p):
-    """(n1, n2) for y^2 = quintic with coefficients mod an odd prime p,
-    known to be squarefree; asserts the Weil bound and the a2 parity.
+    """(n1, n2) for the curves y^2 = quintic with coefficient lists mod an
+    odd prime p (one curve per row), each known to be squarefree; asserts
+    the Weil bound and the a2 parity on every row.
 
-    Like ``ExtField.affine_points``, each coefficient is an int or a
-    length-T array (one curve per row, counted in blocks of at most
-    ``finitefield._BLOCK`` grid cells); n1 and n2 are then length-T int64
-    arrays, and the asserts hold on every row.
+    Each coefficient is a list of T residues, the same codes in F_p and
+    F_{p^2}, as ``ExtField.affine_points`` takes them; n1 and n2 are lists.
     """
     if p > PRIME_CAP_G2:
         raise ValueError("prime cap exceeded")
     # one point at infinity for degree 5
-    n1 = 1 + finitefield.field(p, 1).affine_points(coeffs)
-    n2 = 1 + finitefield.field(p, 2).affine_points(coeffs)
-    a1 = p + 1 - n1
-    if np.any(a1 * a1 > 16 * p):
-        raise AssertionError("Weil bound violated")
-    twice_a2 = a1 * a1 - (p * p + 1 - n2)
-    if np.any(twice_a2 % 2):
-        raise AssertionError("a2 parity identity violated")
+    n1 = [1 + n for n in finitefield.field(p, 1).affine_points(coeffs)]
+    n2 = [1 + n for n in finitefield.field(p, 2).affine_points(coeffs)]
+    for c1, c2 in zip(n1, n2):
+        a1 = p + 1 - c1
+        if a1 * a1 > 16 * p:
+            raise AssertionError("Weil bound violated")
+        if (a1 * a1 - (p * p + 1 - c2)) % 2:
+            raise AssertionError("a2 parity identity violated")
     return n1, n2
 
 
@@ -155,13 +146,9 @@ def pm_class(key, l):
 
 
 def _frequencies(classes, l):
-    """Frequencies of the rows of a (T, k) class array, folded through
-    ``pm_class``, as exact Fractions in sorted key order."""
-    keys, counts = np.unique(classes, axis=0, return_counts=True)
-    tally = {}
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        key = pm_class(key, l)
-        tally[key] = tally.get(key, 0) + count
+    """Frequencies of a list of class tuples, folded through ``pm_class``,
+    as exact Fractions in sorted key order."""
+    tally = Counter(pm_class(key, l) for key in classes)
     return {k: Fraction(v, len(classes)) for k, v in sorted(tally.items())}
 
 
@@ -178,12 +165,11 @@ def chebotarev_report(family, q, l, n_range):
     deviation(n) <= c_emp * q^{-(n - n0)/2} for larger n.  The report
     records each census; callers assert the envelope.
     """
-    from .groups import GroupSpec, charpoly_class_density, group_order
-
+    if l == 2:
+        raise ValueError("l = 2 unsupported")
     n_range = sorted(n_range)
     warnings = []
-    spec = GroupSpec(family.genus, l, "gsp")
-    if math.gcd(group_order(spec), q) != 1:
+    if math.gcd((l - 1) * sp_order(family.genus, l), q) != 1:  # |GSp_2g(F_l)|
         warnings.append("group order shares a factor with q")
     if math.gcd(q, 6 * l) != 1:
         warnings.append("q not coprime to 6l")
@@ -193,8 +179,8 @@ def chebotarev_report(family, q, l, n_range):
         total, freqs = _measure(family, q, n, l)
         predicted, deviation = None, None
         if family.genus == 1:
-            dens = charpoly_class_density(spec, delta)
-            predicted, deviation = _predict(freqs, {(tr, delta): v for tr, v in dens.items()}, l)
+            dens = {(tr, delta): gl2_class_density(l, tr, delta) for tr in range(l)}
+            predicted, deviation = _predict(freqs, dens, l)
         out.append(
             FFieldCensus(q, n, l, total, freqs, predicted, deviation, tuple(warnings))
         )
@@ -235,30 +221,34 @@ def genus2_census(family, q, l):
 
     Classes are (a1 mod l, a2 mod l, q mod l); predictions come from the
     similitude = q coset of GSp4(F_l) when l = 3, else None.  The t in
-    F_q^r off the bad locus come from ``ffield_specializations`` and are
-    reduced mod q directly: the quintic's coefficients are evaluated mod q
-    as arrays, a curve with bad reduction there raises, and every curve is
-    counted in one batched call.  Field extensions (n > 1) are out of reach
+    F_q^r off the bad locus come from ``ffield_specializations``, whose
+    codes are the residues mod q: the quintic's coefficients are evaluated
+    there, a curve with bad reduction raises, and every curve is counted in
+    one batched call per field.  Field extensions (n > 1) are out of reach
     for the quintic point counts.
     """
-    from .groups import GroupSpec, charpoly_class_density
-
     if family.genus != 2:
         raise ValueError("genus-2 family required")
     if q == 2 or q % l == 0:
         raise ValueError("invalid base characteristic")
-    _, t = ffield_specializations(family, q, 1)
-    coeffs = [np.broadcast_to(c.eval_mod(t.T, q), len(t)) for c in family.quintic]
-    if len(t) and q in family.excluded_primes:
+    fld, t = ffield_specializations(family, q, 1)
+    if t and q in family.excluded_primes:
         raise ValueError("bad reduction")
-    if not _squarefree_rows(np.stack(coeffs, axis=1), q).all():
+    # over F_q the codes are the residues
+    coeffs = [c.eval_field(fld, t) for c in family.quintic]
+    if not all(_squarefree(row, q) for row in set(zip(*coeffs))):
         raise ValueError("bad reduction")
     n1, n2 = _quintic_counts(coeffs, q)
-    a1 = q + 1 - n1
-    a2 = (a1 * a1 - (q * q + 1 - n2)) // 2
-    freqs = _frequencies(np.stack([a1 % l, a2 % l, np.full_like(a1, q % l)], axis=1), l)
+    classes = []
+    for c1, c2 in zip(n1, n2):
+        a1 = q + 1 - c1
+        a2 = (a1 * a1 - (q * q + 1 - c2)) // 2
+        classes.append((a1 % l, a2 % l, q % l))
+    freqs = _frequencies(classes, l)
     predicted, deviation = None, None
     if l == 3:
+        from .groups import GroupSpec, charpoly_class_density
+
         dens = charpoly_class_density(GroupSpec(2, l, "gsp"), q % l)
         predicted, deviation = _predict(freqs, {(*k, q % l): v for k, v in dens.items()}, l)
     return FFieldCensus(q, 1, l, len(t), freqs, predicted, deviation)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .polynomials import Poly
 
@@ -62,6 +63,24 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def sp_order(g, l):
+    """|Sp_2g(F_l)| = l^(g^2) prod_{i <= g} (l^(2i) - 1); GSp_2g has l - 1
+    times as many elements."""
+    order = l ** (g * g)
+    for i in range(1, g + 1):
+        order *= l ** (2 * i) - 1
+    return order
+
+
+def gl2_class_density(l, tr, det):
+    """The share (l + chi(tr^2 - 4 det)) / (l^2 - 1), as a Fraction, of the
+    matrices with trace tr in the det coset of GL2(F_l): l (l + chi) of its
+    |SL2(F_l)| = l (l^2 - 1) elements, chi the quadratic character by
+    Euler's criterion."""
+    chi = pow(tr * tr - 4 * det, (l - 1) // 2, l)
+    return Fraction(l + (chi if chi < 2 else -1), l * l - 1)
 
 
 @dataclass

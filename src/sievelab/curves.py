@@ -9,11 +9,11 @@ sums, in O(p) per residue.  Schoof-type algorithms are out of scope.  Good
 reduction uses the crude divisibility criterion on the discriminant, not
 minimal models.  The exact per-curve oracles (specialization over Q,
 point counts, the surjectivity verdict) live in ``tests/oracles.py``.
+numpy is imported inside the functions that use it, so importing this module
+for its family documents loads none.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # the family documents live in the numpy-free config; callers import them from here
 from .config import CurveFamily, default_elliptic_family, default_genus2_family
@@ -23,6 +23,8 @@ PRIME_CAP_G1 = 10**4
 
 def _pow_mod(base, e, p):
     """base^e mod p elementwise by square-and-multiply (int64, p < 2^31)."""
+    import numpy as np
+
     out, base = np.ones_like(base), base % p
     while e > 0:
         if e & 1:
@@ -45,6 +47,8 @@ def ap_table(family, p):
     BAD_SENTINEL at residues where the specialization has bad reduction
     (discriminant vanishes mod p).
     """
+    import numpy as np
+
     x = np.arange(p, dtype=np.int64)
     A, B, chi = _coefficients(family, p, x)
     inv = _pow_mod(x, p - 2, p)  # the inverse of every unit (Fermat)
@@ -76,6 +80,8 @@ def ap_sums(family, p, t):
     g=1 family, as ``ap_table(family, p)[t]``, by the character sums
     a_p(t) = -sum_x chi(x^3 + A(t)x + B(t)): one (len(t), p) pass, cheaper
     than the table for a few residues."""
+    import numpy as np
+
     if p > PRIME_CAP_G1:
         raise ValueError("prime cap exceeded")
     A, B, chi = _coefficients(family, p, t)
@@ -93,6 +99,8 @@ def _coefficients(family, p, t):
     """(A(t), B(t), chi) of a g=1 family: its coefficients mod p at the
     int64 residues t, and the quadratic character of F_p as an int8 table
     with chi[0] = 0."""
+    import numpy as np
+
     if family.genus != 1:
         raise ValueError("ap_table and ap_sums are g=1 only")
     A = np.broadcast_to(family.A.eval_mod((t,), p), t.shape)
@@ -108,10 +116,10 @@ def _traces(a, A, B, p):
     """The sums a as int16 a_p: BAD_SENTINEL where the discriminant
     -16(4A^3 + 27B^2) vanishes mod p, the Hasse bound asserted elsewhere."""
     good = -16 * (4 * (A * A % p * A % p) + 27 * (B * B % p)) % p != 0
-    if np.any(a[good] ** 2 > 4 * p):
+    if (a[good] ** 2 > 4 * p).any():
         raise AssertionError("Hasse bound violated")
     a[~good] = BAD_SENTINEL
-    return a.astype(np.int16)
+    return a.astype("int16")
 
 
-BAD_SENTINEL = np.iinfo(np.int16).min
+BAD_SENTINEL = -(2**15)  # the int16 minimum

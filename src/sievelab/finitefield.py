@@ -1,117 +1,193 @@
-"""F_{q^n} with q prime, elements as integer codes.
+"""F_{q^n} with q prime, elements as integer codes, on Python lists and ints.
 
 The element d_0 + d_1 z + ... + d_{n-1} z^{n-1} of F_q[z]/(h) is the code
 sum d_i q^i, so codes run over 0..q^n - 1 and sort like the reversed digit
 tuples.  The modulus h is the lexicographically first monic polynomial of
 degree n for which z has order q^n - 1: h is primitive, every nonzero
 element is a power of z, and products go through exp/log tables.  Sums add
-base-q digits mod q, through two tables.  Both take numpy arrays of codes.
+base-q digits mod q: codes spread to base 2q - 1 add without a carry, and
+an unspread table reads the digit sums back mod q.  The tables are tuples
+indexed by code; ``log[0]`` is 2 (q^n - 1), an index past two periods of
+the powers of z.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-
-import numpy as np
+import operator
 
 from .config import _prime_divisors
 
-_BLOCK = 2**14  # grid cells per Horner block in affine_points
+
+def _mulmod(a, b, h, q):
+    """a b mod (h, q) for ascending digit lists of length n; h holds the n
+    low coefficients of a monic modulus of degree n."""
+    n = len(h)
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % q
+        for i in range(n):
+            prod[k - n + i] -= c * h[i]
+    return [v % q for v in prod[:n]]
 
 
-def _matpow(m, e, q):
-    """m^e mod q for a square int64 matrix."""
-    out = np.eye(len(m), dtype=np.int64)
+def _powmod(a, e, h, q):
+    out = [1] + [0] * (len(h) - 1)
     while e:
         if e & 1:
-            out = out @ m % q
-        m = m @ m % q
+            out = _mulmod(out, a, h, q)
+        a = _mulmod(a, a, h, q)
         e >>= 1
     return out
 
 
+def _spread(q, n, base):
+    """The spread code sum d_i base^i of every code sum d_i q^i, in code
+    order."""
+    out = [0]
+    for i in range(n):
+        out = [s + d * base**i for d in range(q) for s in out]
+    return out
+
+
+def _unspread(q, n, base):
+    """The code sum (s_i mod q) q^i at every spread index sum s_i base^i
+    (0 <= s_i < base), as a tuple that shares the ints of range(q^n)."""
+    rows = [(c,) for c in range(q**n)]
+    for _ in range(n):
+        # fold in the lowest digit: rows[h] covers the codes with high part h
+        rows = [tuple(itertools.chain.from_iterable(rows[h * q + d % q] for d in range(base)))
+                for h in range(len(rows) // q)]
+    return rows[0]
+
+
 class ExtField:
-    """F_{q^n} = F_q[z]/(h), h primitive; elements are int codes."""
+    """F_{q^n} = F_q[z]/(h), h primitive; elements are int codes.
+
+    ``exp[k]`` is the code of z^k for 0 <= k < q^n - 1, ``log`` its inverse,
+    ``spread`` and ``unspread`` the base-(2q - 1) add tables.
+    """
 
     def __init__(self, q, n):
         if q < 2 or _prime_divisors(q) != [q] or n < 1:
             raise ValueError("need a prime q and n >= 1")
         self.q, self.n = q, n
         Q = q**n
-        eye = np.eye(n, dtype=np.int64)
+        m = Q - 1
+        one = [1] + [0] * (n - 1)
         for tail in itertools.product(range(q), repeat=n):
-            # multiplication by z on the basis 1, z, .., z^(n-1)
-            z = np.zeros((n, n), dtype=np.int64)
-            z[1:, :-1] = eye[1:, 1:]
-            z[:, -1] = np.negative(tail) % q
-            if np.array_equal(_matpow(z, Q - 1, q), eye) and not any(
-                np.array_equal(_matpow(z, (Q - 1) // r, q), eye) for r in _prime_divisors(Q - 1)
+            z = [0, 1] + [0] * (n - 2) if n > 1 else [-tail[0] % q]
+            # z divides h when h(0) = 0, so z is no unit then
+            if tail[0] and _powmod(z, m, tail, q) == one and not any(
+                _powmod(z, m // r, tail, q) == one for r in _prime_divisors(m)
             ):
                 break
         self.modulus = (*tail, 1)
-        # walk the powers of z by doubling: rows k..2k-1 are rows 0..k-1 times z^k
-        powers, zk = eye[:1], z
-        while len(powers) < Q - 1:
-            powers = np.concatenate([powers, powers @ zk.T % q])
-            zk = zk @ zk % q
-        self._weights = q ** np.arange(n, dtype=np.int64)
-        # sums: digits spread to base 2q - 1 add without a carry; a table reduces them mod q
+        weights = [q**i for i in range(n)]
+        exp, d = [], one
+        for _ in range(m):
+            exp.append(sum(map(operator.mul, d, weights)))
+            # times z: shift the digits up, then subtract the top digit times h
+            top = d[-1]
+            d = [(v - top * h) % q for v, h in zip([0, *d[:-1]], tail)]
+        log = [2 * m] * Q
+        for k, c in enumerate(exp):
+            log[c] = k
+        self.exp, self.log = tuple(exp), tuple(log)
         base = 2 * q - 1
-        spread = base ** np.arange(n, dtype=np.int64)
-        self._spread = np.arange(Q)[:, None] // self._weights % q @ spread
-        self._unspread = np.arange(base**n)[:, None] // spread % base % q @ self._weights
-        self._exp = powers[: Q - 1] @ self._weights
-        self._log = np.zeros(Q, dtype=np.int64)
-        self._log[self._exp] = np.arange(Q - 1)
+        self.spread = tuple(_spread(q, n, base))
+        self.unspread = _unspread(q, n, base)
         # y^2 = v has 2 roots when log v is even, none when odd; one root of
         # each v in characteristic 2
-        self._sqrt = np.ones(Q, dtype=np.int64)
-        if q != 2:
-            self._sqrt[1:] = 2 - 2 * (self._log[1:] % 2)
-        for a in (self._spread, self._unspread, self._exp, self._log, self._sqrt):
-            a.setflags(write=False)
+        self._sqrt = (1,) + tuple(2 - 2 * (k % 2) if q != 2 else 1 for k in log[1:])
+        self._count_tables = {}
 
     @property
     def order(self):
         return self.q**self.n
 
     def mul(self, a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        prod = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return np.where((a == 0) | (b == 0), 0, prod)
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
 
     def add(self, a, b):
-        return self._unspread[self._spread[a] + self._spread[b]]
+        return self.unspread[self.spread[a] + self.spread[b]]
 
     def sqrt_counts(self):
-        """#{y : y^2 = v} for every code v, as a read-only array."""
+        """#{y : y^2 = v} for every code v, as a tuple."""
         return self._sqrt
+
+    def _tables(self, terms):
+        """(spexp, roots) for sums of ``terms`` spread codes: base
+        b = terms (q - 1) + 1 holds their digit sums without a carry.
+        ``spexp`` is the spread exp table twice over and then q^n - 1 zeros,
+        so spexp[log c + i] is the spread code of c z^i for 0 <= i < q^n - 1
+        and every c, zero included; ``roots`` is a byte view that maps a
+        spread sum to the square-root count of the code it reduces to."""
+        if terms not in self._count_tables:
+            q, n, b = self.q, self.n, terms * (self.q - 1) + 1
+            spread = _spread(q, n, b)
+            spexp = [spread[c] for c in self.exp]
+            roots = bytes(map(self.sqrt_counts().__getitem__, _unspread(q, n, b)))
+            m = self.order - 1
+            self._count_tables[terms] = (tuple(spexp * 2 + [0] * m), memoryview(roots))
+        return self._count_tables[terms]
 
     def affine_points(self, coeffs):
         """#{(x, y) : y^2 = f(x)} over the field, f from ascending
         coefficient codes.
 
-        Each coefficient is an int or a length-T code array, broadcast
-        together; row i of the arrays is the curve y^2 = f_i(x).  Returns an
-        int for scalar coefficients, else a length-T int64 array of counts.
-        Horner runs over the (T, field order) grid in blocks of whole rows,
-        at most _BLOCK cells each (one row when a row alone is larger), so
-        the temporaries stay small however many curves there are.
+        Each coefficient is an int or a list of T codes; row i of the lists
+        is the curve y^2 = f_i(x).  Returns an int when every coefficient is
+        an int, else a list of T counts.  At x = z^j the term c_k x^k is
+        spexp[log c_k + j k mod (q^n - 1)]: over all j, a slice of the
+        doubled spread exp table for k = 1 (and every k = 1 mod q^n - 1),
+        and that slice through a fixed ``itemgetter`` for other k.  The
+        terms with k >= 1 add as spread codes by ``map(operator.add, ..)``.
+        The spread code of c_0, the value at x = 0, offsets the byte view
+        of square-root counts, and one ``itemgetter`` over the sums, and
+        over 0 for x = 0, reads the count at every x.  Each distinct row is
+        counted once.
         """
-        coeffs = [np.asarray(c) for c in coeffs]
-        shape = np.broadcast_shapes(*(c.shape for c in coeffs))
-        cols = [np.broadcast_to(c, shape).reshape(-1, 1) for c in coeffs]
-        x = np.arange(self.order)
-        sqrt = self.sqrt_counts()
-        counts = np.empty(len(cols[0]), dtype=np.int64)
-        step = max(1, _BLOCK // self.order)
-        for i in range(0, len(counts), step):
-            v = 0
-            for c in reversed(cols):
-                v = self.add(self.mul(v, x), c[i:i + step])
-            counts[i:i + step] = sqrt[v].sum(axis=1)
-        return counts if shape else int(counts[0])
+        m = self.order - 1
+        T = next((len(c) for c in coeffs if not isinstance(c, int)), None)
+        # a list with one value throughout is a fixed term
+        coeffs = [c[0] if not isinstance(c, int) and c and c.count(c[0]) == len(c) else c
+                  for c in coeffs]
+        live = [(k, c) for k, c in enumerate(coeffs) if not isinstance(c, int) or c]
+        spexp, roots = self._tables(max(1, len(live)))
+        log = self.log
+        getters = {k: operator.itemgetter(*(j * k % m for j in range(m)))
+                   for k, _ in live if k and k % m != 1 % m}
+
+        def powers(k, c):
+            """The spread codes of c x^k at x = z^j, j = 0..m - 1, k >= 1."""
+            lc = log[c]
+            return spexp[lc:lc + m] if k not in getters else getters[k](spexp[lc:lc + m])
+
+        fixed = [0] * m
+        for k, c in live:
+            if k and isinstance(c, int):
+                fixed = list(map(operator.add, fixed, powers(k, c)))
+        ks = [k for k, c in live if k and not isinstance(c, int)]
+        c0 = coeffs[0] if coeffs else 0
+        c0 = c0 if not isinstance(c0, int) else [c0] * (1 if T is None else T)
+        rows = list(zip(*(coeffs[k] for k in ks), c0))
+        counts = {}
+        for row in rows:  # each distinct curve once
+            if row not in counts:
+                total = fixed
+                for k, c in zip(ks, row):
+                    total = map(operator.add, total, powers(k, c))
+                at = roots[spexp[log[row[-1]]]:]
+                counts[row] = sum(operator.itemgetter(0, *total)(at))
+        out = [counts[row] for row in rows]
+        return out[0] if T is None else out
 
 
 @functools.lru_cache(maxsize=32)

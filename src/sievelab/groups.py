@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import gl2_class_density, sp_order
+
 BRUTE_ORDER_CAP = 10**6
 SUBGROUP_ORDER_CAP = 10**4
 _BLOCK = 2**16  # products per broadcast multiplication in closure
@@ -142,11 +144,7 @@ def closure(generators, mul):
 
 def group_order(spec):
     """Exact order from the classical formulas; quotient by +-1 halves."""
-    g, l = spec.g, spec.l
-    sp = l ** (g * g)
-    for i in range(1, g + 1):
-        sp *= l ** (2 * i) - 1
-    order = sp if spec.flavor == "sp" else (l - 1) * sp
+    order = sp_order(spec.g, spec.l) * (1 if spec.flavor == "sp" else spec.l - 1)
     if spec.pm1_quotient:
         order //= 2
     return order
@@ -250,9 +248,8 @@ def class_table(spec, mode):
 def charpoly_class_density(spec, delta):
     """Char-poly densities on the fixed-similitude coset det = delta.
 
-    g=1: keys are traces over the {det = delta} coset of GL2(F_l), in closed
-    form: #{tr = t, det = delta} = l (l + chi(t^2 - 4 delta)) out of
-    |SL2(F_l)| = l (l^2 - 1).
+    g=1: keys are traces over the {det = delta} coset of GL2(F_l), in the
+    closed form of ``config.gl2_class_density``.
     g=2: keys are (a1, a2) over the {similitude = delta} coset of GSp4(F_l).
     """
     l = spec.l
@@ -260,11 +257,7 @@ def charpoly_class_density(spec, delta):
         raise ValueError("delta must be a unit")
     delta = delta % l
     if spec.g == 1:
-        chi = {0: 0, 1: 1, l - 1: -1}
-        return {
-            t: Fraction(l + chi[pow(t * t - 4 * delta, (l - 1) // 2, l)], l * l - 1)
-            for t in range(l)
-        }
+        return {t: gl2_class_density(l, t, delta) for t in range(l)}
     entries = class_table(GroupSpec(2, l, "gsp"), "charpoly").entries
     counts = {key[:2]: v for key, v in entries.items() if key[2] == delta}
     total = sum(counts.values())

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .config import smallest_prime_factors
 
 SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
@@ -51,6 +49,8 @@ def enumerate_projective(r, x):
     x = int(x)
     if x < 1:
         raise ValueError("height bound must be >= 1")
+    import numpy as np  # here and in affine_line_points only
+
     vals = tuple(range(-x, x + 1))
     tail_gcd = np.gcd.reduce(np.indices((2 * x + 1,) * r) - x, axis=0).ravel()
     enabled = gc.isenabled()
@@ -84,27 +84,18 @@ def count_projective(r, x):
     if x < 1:
         raise ValueError("height bound must be >= 1")
     mu = mobius(x)
-    return sum(
-        int(mu[d]) * ((2 * (x // d) + 1) ** (r + 1) - 1) // 2
-        for d in np.flatnonzero(mu).tolist()
-    )
+    return sum(mu[d] * ((2 * (x // d) + 1) ** (r + 1) - 1) // 2 for d in range(1, x + 1) if mu[d])
 
 
 def mobius(n):
-    """int64 array of mu(k) for 0 <= k <= n (mu(0) = 0), from the least
+    """List of mu(k) for 0 <= k <= max(n, 1) (mu(0) = 0), from the least
     prime factor: mu(k) = 0 if p^2 | k, else -mu(k / p), with p = spf(k)."""
-    spf = np.asarray(smallest_prime_factors(n))
-    mu = np.ones(spf.size, dtype=np.int64)
-    mu[0] = 0
-    rest = np.arange(spf.size)
-    rest[0] = 1
-    live = rest > 1
-    while live.any():
-        p = spf[rest[live]]
-        q = rest[live] // p
-        mu[live] *= np.where(q % p == 0, 0, -1)
-        rest[live] = q
-        live = rest > 1
+    spf = smallest_prime_factors(n)
+    mu = [0, 1] + [0] * (len(spf) - 2)
+    for k in range(2, len(spf)):
+        p = spf[k]
+        rest = k // p
+        mu[k] = 0 if rest % p == 0 else -mu[rest]
     return mu
 
 
@@ -119,6 +110,8 @@ def affine_line_points(x, bad_locus):
     """
     if bad_locus.is_zero():
         raise ValueError("bad locus must be a nonzero polynomial")
+    import numpy as np
+
     den, num = np.divmod(np.arange(x * (2 * x + 1)), 2 * x + 1)
     den, num = den + 1, num - x
     keep = np.gcd(num, den) == 1

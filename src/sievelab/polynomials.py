@@ -2,12 +2,15 @@
 
 Small utility ring used for family coefficient polynomials and bad loci.
 Coefficients are ints (the constructor rejects any other value); exponents
-are tuples.  Evaluation at rationals is exact, in Fractions.
+are tuples.  Evaluation at rationals is exact, in Fractions; at residues
+mod p it is integer arithmetic, and at points of a ``finitefield.ExtField``
+it runs in the log domain of the field's tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 class Poly:
@@ -127,16 +130,39 @@ class Poly:
             out = out + term  # a sum of terms < p, reduced once
         return out % p
 
-    def eval_field(self, field, values):
-        """Evaluate at element codes of a ``finitefield.ExtField`` (numpy
-        arrays, one per variable, broadcast together)."""
-        out = 0
+    def eval_field(self, field, points):
+        """Evaluate at a list of points of a ``finitefield.ExtField``, each a
+        tuple of element codes, one per variable; returns a list of codes.
+
+        In the log domain: a term c prod v_i^e_i is exp[log c + sum e_i
+        log v_i], and zero where c is 0 mod q or some v_i with e_i > 0 is
+        0; the terms add by ``field.add``.  With f = sum_k f_k(v_1, ..,
+        v_{r-1}) v_r^k, the f_k are evaluated once per run of points that
+        share their first r - 1 coordinates.
+        """
+        q, m = field.q, field.order - 1
+        log, exp, add = field.log, field.exp, field.add
+
+        def value(terms, pt):
+            """The sum at pt of terms given as (log c, exponents)."""
+            logs = [log[v] for v in pt]
+            s = 0
+            for lc, exps in terms:
+                if 0 not in pt or all(v or not e for v, e in zip(pt, exps)):
+                    s = add(s, exp[(lc + sum(map(mul, exps, logs))) % m])
+            return s
+
+        by_last = {}
         for exps, c in self.terms.items():
-            term = c % field.q
-            for v, e in zip(values, exps):
-                for _ in range(e):
-                    term = field.mul(term, v)
-            out = field.add(out, term)
+            if c % q:
+                by_last.setdefault(exps[-1], []).append((log[c % q], exps[:-1]))
+        out, head = [], None
+        for pt in points:
+            if pt[:-1] != head:
+                head = pt[:-1]
+                inner = [(value(terms, head), k) for k, terms in by_last.items()]
+                last = [(log[v], (k,)) for v, k in inner if v]
+            out.append(value(last, pt[-1:]))
         return out
 
     def homogenize(self):

@@ -1,17 +1,20 @@
 """Exact per-curve oracles for the g = 1 and g = 2 layers.
 
 A specialization over Q holds the curve's coefficients as Fractions; its
-reduction type, a_p (through the square-root counts of F_p, and by a full
-(x, y) loop), the squarefree check of a quintic mod p, its genus-2 counts
-and the surjectivity verdict of a class set are each computed one curve or
-one set at a time, so that the array paths of ``curves``, ``census`` and
-``chebotarev`` can be compared with them.
+reduction type (for a quintic, sympy's squarefree test mod p), a_p (through
+the square-root counts of F_p, and by a full (x, y) loop), its genus-2
+counts and the surjectivity verdict of a class set are each computed one
+curve or one set at a time, so that the batched paths of ``curves``,
+``census`` and ``chebotarev`` can be compared with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from sympy import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
 
 from sievelab.chebotarev import _quintic_counts
 from sievelab.config import CurveFamily, _prime_divisors
@@ -52,32 +55,6 @@ def _denominators(s):
     return tuple(c.denominator for c in s.quintic)
 
 
-def _squarefree_mod_p(coeffs, p):
-    """gcd(f, f') = 1 in F_p[x] for a monic-degree-5 coefficient list; the
-    per-curve Euclid that ``chebotarev._squarefree_rows`` batches."""
-    f = [c % p for c in coeffs]
-    fp = [(k * c) % p for k, c in enumerate(f)][1:]
-
-    def strip(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = strip(list(f)), strip(list(fp))
-    while b:
-        # a mod b
-        a = list(a)
-        while len(a) >= len(b):
-            inv = pow(b[-1], -1, p)
-            coef = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - coef * c) % p
-            strip(a)
-        a, b = b, a
-    return len(a) == 1  # unit gcd
-
-
 def _quintic_mod_p(s, p):
     return [c.numerator * pow(c.denominator, -1, p) % p for c in s.quintic]
 
@@ -92,7 +69,8 @@ def reduction_type(s, p):
         return "bad" if s.delta.numerator % p == 0 else "good"
     if p == 2:
         return "bad"
-    return "good" if _squarefree_mod_p(_quintic_mod_p(s, p), p) else "bad"
+    f = gf_from_int_poly(_quintic_mod_p(s, p)[::-1], p)
+    return "good" if gf_sqf_p(f, p, ZZ) else "bad"
 
 
 def ap_count(s, p):
@@ -134,7 +112,8 @@ def genus2_counts(s, p):
     if p == 2:
         raise ValueError("p = 2 unsupported")
     _require_good(s, p)
-    return _quintic_counts(_quintic_mod_p(s, p), p)
+    n1, n2 = _quintic_counts([[c] for c in _quintic_mod_p(s, p)], p)
+    return n1[0], n2[0]
 
 
 def _generates_units(values, l):

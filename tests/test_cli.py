@@ -486,14 +486,36 @@ class TestCli:
 
     def test_import_leaves_out_libcrypto(self):
         # hashlib maps OpenSSL's libcrypto (about 3.5 MiB of RSS) into
-        # every process that imports it
+        # every process that imports it; numpy costs every command its
+        # load time.  This is the set-up each benchmark operation pays.
         out = _fresh_interpreter(
             "import sievelab.cli\n"
             "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
             "default_elliptic_family(), default_genus2_family()\n",
-            ["_hashlib", "hashlib"],
+            ["_hashlib", "hashlib", "numpy"],
         )
         assert out == ["[]"]
+
+    def test_ffield_censuses_leave_out_numpy(self):
+        # the imports of perfbench/ops.py and its two finite-field experiments
+        out = _fresh_interpreter(
+            "from sievelab import brun, chebotarev, heights, sieve\n"
+            "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
+            "chebotarev.chebotarev_report(default_elliptic_family(), 7, 3, [1, 2, 3])\n"
+            "chebotarev.genus2_census(default_genus2_family(), 11, 5)\n",
+            ["numpy", "sievelab.groups"],
+        )
+        assert out == ["[]"]
+
+    def test_genus2_census_at_l3_loads_groups(self):
+        # the GSp4(F_3) predictions come from the group tables
+        out = _fresh_interpreter(
+            "from sievelab.chebotarev import genus2_census\n"
+            "from sievelab.curves import default_genus2_family\n"
+            "print(genus2_census(default_genus2_family(), 5, 3).predicted is not None)\n",
+            ["sievelab.groups"],
+        )
+        assert out == ["True", "['sievelab.groups']"]
 
     def test_report_and_config_errors_leave_out_numpy(self, tmp_path):
         out = str(tmp_path / "out")

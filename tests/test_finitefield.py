@@ -10,7 +10,7 @@ from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
 from sievelab.chebotarev import ffield_frobenius
 from sievelab.curves import default_elliptic_family, default_genus2_family
-from sievelab.finitefield import _BLOCK, ExtField, field
+from sievelab.finitefield import ExtField, field
 
 from oracles import ap_count, genus2_counts, reduction_type, specialize
 
@@ -45,13 +45,10 @@ class TestArithmetic:
     def test_mul_add_match_galoistools_on_every_pair(self, q, n):
         fld = field(q, n)
         h = list(fld.modulus[::-1])
-        codes = np.arange(q**n)
-        a, b = (g.ravel() for g in np.meshgrid(codes, codes))
-        prod, total = fld.mul(a, b), fld.add(a, b)
-        for x, y, m, s in zip(a.tolist(), b.tolist(), prod.tolist(), total.tolist()):
+        for x, y in itertools.product(range(q**n), repeat=2):
             fx, fy = _dense(x, q, n), _dense(y, q, n)
-            assert m == _code(gf_rem(gf_mul(fx, fy, q, ZZ), h, q, ZZ), q)
-            assert s == _code(gf_add(fx, fy, q, ZZ), q)
+            assert fld.mul(x, y) == _code(gf_rem(gf_mul(fx, fy, q, ZZ), h, q, ZZ), q)
+            assert fld.add(x, y) == _code(gf_add(fx, fy, q, ZZ), q)
 
     @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(2, 1), (3, 1), (7, 3), (11, 2)])
     def test_modulus_is_first_primitive(self, q, n):
@@ -67,8 +64,8 @@ class TestArithmetic:
     @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(3, 1), (13, 1), (5, 3), (11, 2)])
     def test_sqrt_counts_match_bincount_of_squares(self, q, n):
         fld = field(q, n)
-        y = np.arange(q**n)
-        assert np.array_equal(fld.sqrt_counts(), np.bincount(fld.mul(y, y), minlength=q**n))
+        squares = [fld.mul(y, y) for y in range(q**n)]
+        assert np.array_equal(fld.sqrt_counts(), np.bincount(squares, minlength=q**n))
 
     @pytest.mark.parametrize("q, n", [(5, 1), (7, 3), (11, 2)])
     def test_add_matches_digitwise_formula_on_every_pair(self, q, n):
@@ -77,13 +74,14 @@ class TestArithmetic:
         codes = np.arange(q**n)
         a, b = np.meshgrid(codes, codes)
         digitwise = sum((a // w + b // w) % q * w for w in q ** np.arange(n))
-        assert np.array_equal(fld.add(a, b), digitwise)
+        assert np.array_equal([[fld.add(x, y) for x in codes.tolist()] for y in codes.tolist()],
+                              digitwise)
         assert fld.add(int(a[-1, 1]), int(b[-1, 1])) == digitwise[-1, 1]
 
     def test_fields_are_memoised_and_read_only(self):
         fld = field(5, 2)
         assert field(5, 2) is fld
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             fld.sqrt_counts()[0] = 5
 
     @pytest.mark.parametrize("q", [0, 1, 4, 9, 15])
@@ -95,33 +93,31 @@ class TestArithmetic:
 class TestPointCounts:
     @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(11, 2)])
     def test_batched_count_matches_per_row_calls(self, q, n):
-        """Array coefficients, mixed with scalar ones as in [B, A, 0, 1],
-        count each row as its own scalar call would; T spans several
-        Horner blocks."""
+        """List coefficients, mixed with int ones as in [B, A, 0, 1], count
+        each row as its own scalar call would."""
         fld = field(q, n)
-        rows = max(1, _BLOCK // fld.order)
         rng = np.random.default_rng(q * 10 + n)
-        T = 2 * rows + 3
-        B, A, C = (rng.integers(0, fld.order, T) for _ in range(3))
+        T = 203
+        B, A, C = (rng.integers(0, fld.order, T).tolist() for _ in range(3))
         for coeffs in ([B, A, 0, 1], [C, 0, A, 1, B, 1]):
             batched = fld.affine_points(coeffs)
-            assert batched.dtype == np.int64 and batched.shape == (T,)
+            assert type(batched) is list and len(batched) == T
+            assert all(type(v) is int for v in batched)
             scalar = {}  # one scalar call per distinct row
-            for i, got in enumerate(batched.tolist()):
-                row = tuple(c if np.isscalar(c) else int(c[i]) for c in coeffs)
+            for i, got in enumerate(batched):
+                row = tuple(c if isinstance(c, int) else c[i] for c in coeffs)
                 if row not in scalar:
                     scalar[row] = fld.affine_points(list(row))
                 assert got == scalar[row]
 
     def test_batched_count_edge_shapes(self):
         fld = field(7, 2)
-        empty = np.zeros(0, dtype=np.int64)
-        out = fld.affine_points([empty, empty, 0, 1])
-        assert out.dtype == np.int64 and out.shape == (0,)
-        # scalar coefficients give a Python int, as before batching
+        out = fld.affine_points([[], [], 0, 1])
+        assert out == []
+        # int coefficients give a Python int, as before batching
         scalar = fld.affine_points([3, 2, 0, 1])
         assert type(scalar) is int
-        assert fld.affine_points([np.array([3]), 2, 0, 1]).tolist() == [scalar]
+        assert fld.affine_points([[3], 2, 0, 1]) == [scalar]
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_extension_classes_follow_the_frobenius_recurrence(self, t):
@@ -133,8 +129,8 @@ class TestPointCounts:
             a.append(a[1] * a[-1] - q * a[-2])
         for n in (1, 2, 3, 4):
             # the base field F_5 sits in F_{5^n} as the constant codes
-            cls = ffield_frobenius(fam, field(q, n), np.array([[t]]), l)
-            assert cls.tolist() == [[a[n] % l, q**n % l]]
+            cls = ffield_frobenius(fam, field(q, n), [(t,)], l)
+            assert cls == [(a[n] % l, q**n % l)]
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_genus2_counts_match_brute_count(self, p):

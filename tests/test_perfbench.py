@@ -23,7 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ["sandwich", "--x", "20", "--depths", "1"],
         ["chebotarev", "--q", "5", "--l", "3", "--n", "1"],
         ["genus2_census", "--q", "5", "--l", "3"],
-        # F_{7^3}: 341 curves over 343 cells each span several Horner blocks
+        # F_{7^3}: 341 curves of 343 points each
         pytest.param(["chebotarev", "--q", "7", "--l", "3", "--n", "3"],
                      id="chebotarev-multiblock"),
     ],
@@ -43,8 +43,12 @@ def test_ops_experiment_runs(tmp_path, argv):
          {"brun.sandwich", "heights.enumerate_projective"}),
         (["-m", "sievelab.cli", "--x", "20", "goodred"],
          {"brun.good_reduction_census"}),
+        # the per-layer metrics of the ffield-groups workload
+        (["perfbench/ops.py", "chebotarev", "--q", "5", "--l", "3", "--n", "1,2"],
+         {"chebotarev.ffield_specializations", "chebotarev.ffield_frobenius",
+          "polynomials.eval_field", "finitefield.sqrt_counts"}),
     ],
-    ids=["sandwich", "goodred"],
+    ids=["sandwich", "goodred", "chebotarev"],
 )
 def test_traced_run_records_spans(tmp_path, target, spans):
     out = str(tmp_path / "out")
