@@ -229,9 +229,6 @@ class GoodReductionCensus:
     def ratio(self):
         return self.count / self.floor_estimate if self.floor_estimate else float("inf")
 
-    def csv_row(self):
-        return [self.x, self.Q, self.count, f"{self.floor_estimate:.6f}", f"{self.ratio:.6f}"]
-
 
 def good_reduction_census(family, x, Q):
     """Count B(x) points avoiding the bad-reduction locus mod every support prime.

@@ -1,5 +1,6 @@
 """Experiment orchestration: the surjectivity census and class-set sieving,
-shared by the CLI and the test suite (goodred runs ``brun`` directly).
+shared by the CLI and the test suite (goodred runs ``brun`` directly).  It
+returns data (``CensusRow``, ``ClassSetReport``); the CLI writes the files.
 
 The census holds the parameters t = num/den of bounded height as int64
 arrays and sweeps them over the primes up to a cap, one prime at a time,
@@ -17,9 +18,7 @@ enlarging the height window.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,13 +80,6 @@ class CensusRow:
     @property
     def fraction(self):
         return self.undecided_any / self.n_points if self.n_points else 0.0
-
-    def csv_row(self, l_values):
-        row = [self.x, self.n_points]
-        for l in l_values:
-            row += [self.surjective[l], self.undecided[l]]
-        row += [self.undecided_any, f"{self.fraction:.6f}"]
-        return row
 
 
 # Live points above which the sweep builds a prime's whole ap_table rather
@@ -187,20 +179,6 @@ class ClassSetReport:
     count: int
     bound: float  # (coset/|C|) * l * log x / sqrt(x) * x^2, up to constant
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "l": self.l,
-                "class": list(self.class_key),
-                "x": self.x,
-                "Q": self.Q,
-                "support": list(self.support),
-                "count": self.count,
-                "bound_up_to_constant": self.bound,
-            },
-            sort_keys=True,
-        )
-
 
 def _support_primes(family, l, pcap, Q):
     """Class-sieve support: primes p < Q with p = 1 mod l, p <= pcap, not
@@ -247,29 +225,3 @@ def exceptional_containment_check(family, x, l, pcap, Q):
     failed = traces == (1 << l) - 1
     return len(num), list(zip(num[failed].tolist(), den[failed].tolist()))
 
-
-# ----------------------------------------------------------------- artifacts
-
-CENSUS_HEADER_BASE = ["x", "n_points"]
-
-
-def write_census_csv(path, rows, l_values):
-    header = list(CENSUS_HEADER_BASE)
-    for l in l_values:
-        header += [f"surjective_l{l}", f"undecided_l{l}"]
-    header += ["undecided_any", "fraction"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row.csv_row(l_values))
-
-
-def write_reasons_csv(path, rows, l_values):
-    """Undecided counts per (x, l), split by the first missing witness."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "l", "undecided", *REASONS])
-        for row in rows:
-            for l in l_values:
-                w.writerow([row.x, l, row.undecided[l], *row.reasons[l]])

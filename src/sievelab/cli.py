@@ -1,22 +1,24 @@
 """Command-line front end: census, sifted-class-set, goodred, report.
 
 Configuration comes from a JSON file plus flag overrides; outputs are CSV
-and JSON artifacts in the configured directory.  Exit codes: 0 success,
-2 configuration error, 3 infeasible-cap error.  Commands load numpy only after their
-checks, and ``goodred`` and ``report`` not at all.
+and JSON artifacts in the configured directory.  This module alone reads
+and writes files: the layers return data, and ``_write`` writes every
+artifact.  Exit codes: 0 success, 2 configuration error, 3 infeasible-cap
+error.  Commands load numpy only after their checks, and ``goodred`` and
+``report`` not at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 
 from .config import (ConfigError, CurveFamily, ExperimentConfig, InfeasibleError, L_LIMIT,
                      _check_x, _prime_divisors, check_class_set, check_goodred_x,
-                     default_elliptic_family, default_genus2_family, merged_report,
-                     write_goodred_csv)
+                     default_elliptic_family, default_genus2_family)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,14 +93,36 @@ def load_config(args):
     return cfg
 
 
+def _write(out_dir, name, body, header=None):
+    """Write out_dir/name, making out_dir, and return its path: ``body`` is
+    the text, or with a ``header`` the CSV rows below it."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline=None if header is None else "", encoding="utf-8") as fh:
+        if header is None:
+            fh.write(body)
+        else:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(body)
+    return path
+
+
 def cmd_census(cfg):
     _check_x(max(cfg.x_values))
-    from .census import census, write_census_csv, write_reasons_csv
+    from .census import REASONS, census
     rows, _, _ = census(cfg.family, cfg.x_values, cfg.l_values, cfg.pcap)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_reasons_csv(os.path.join(cfg.out_dir, "census_reasons.csv"), rows, cfg.l_values)
-    path = os.path.join(cfg.out_dir, "census.csv")
-    write_census_csv(path, rows, cfg.l_values)
+    ls = cfg.l_values
+    # per (x, l), the undecided count split by the first missing witness
+    _write(cfg.out_dir, "census_reasons.csv",
+           [[r.x, l, r.undecided[l], *r.reasons[l]] for r in rows for l in ls],
+           ["x", "l", "undecided", *REASONS])
+    path = _write(
+        cfg.out_dir, "census.csv",
+        [[r.x, r.n_points, *(v for l in ls for v in (r.surjective[l], r.undecided[l])),
+          r.undecided_any, f"{r.fraction:.6f}"] for r in rows],
+        ["x", "n_points", *(f"{k}_l{l}" for l in ls for k in ("surjective", "undecided")),
+         "undecided_any", "fraction"])
     print(path)
     return EXIT_OK
 
@@ -108,37 +132,35 @@ def cmd_sifted_class_set(cfg, l, class_key, Q):
     check_class_set(x, l, class_key)
     from .census import sifted_class_set
     rep = sifted_class_set(cfg.family, x, l, class_key, cfg.pcap, Q)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"class_set_l{l}_tr{rep.class_key[0]}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rep.to_json() + "\n")
-    print(path)
+    doc = {"l": rep.l, "class": list(rep.class_key), "x": rep.x, "Q": rep.Q,
+           "support": list(rep.support), "count": rep.count, "bound_up_to_constant": rep.bound}
+    print(_write(cfg.out_dir, f"class_set_l{l}_tr{rep.class_key[0]}.json",
+                 json.dumps(doc, sort_keys=True) + "\n"))
     return EXIT_OK
 
 
 def cmd_goodred(cfg):
     check_goodred_x(cfg.family, max(cfg.x_values))
     from .brun import good_reduction_census
-    out = []
+    rows = []
     for x in cfg.x_values:
-        Q = max(2, int(x**0.5))
-        out.append(good_reduction_census(cfg.family, x, Q))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "goodred.csv")
-    write_goodred_csv(path, out)
-    print(path)
+        c = good_reduction_census(cfg.family, x, max(2, int(x**0.5)))
+        rows.append([c.x, c.Q, c.count, f"{c.floor_estimate:.6f}", f"{c.ratio:.6f}"])
+    print(_write(cfg.out_dir, "goodred.csv", rows, ["x", "Q", "count", "floor_estimate", "ratio"]))
     return EXIT_OK
 
 
 def cmd_report(cfg):
-    try:
-        text = merged_report(cfg.out_dir)
-    except FileNotFoundError as e:
-        raise ConfigError(str(e))
-    path = os.path.join(cfg.out_dir, "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(path)
+    """Deterministic JSON merge of the census and goodred CSVs; idempotent."""
+    sources = {}
+    for name in ("census.csv", "goodred.csv"):
+        path = os.path.join(cfg.out_dir, name)
+        if not os.path.exists(path):
+            raise ConfigError(f"missing input: {path}")
+        with open(path, newline="", encoding="utf-8") as fh:
+            sources[name] = list(csv.reader(fh))
+    text = json.dumps(sources, sort_keys=True, separators=(",", ":")) + "\n"
+    print(_write(cfg.out_dir, "report.json", text))
     return EXIT_OK
 
 

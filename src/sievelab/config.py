@@ -1,7 +1,6 @@
-"""Configuration, limits, family documents, the report merge and the primes
-sieve, without numpy."""
+"""Configuration, limits, family documents and the primes sieve, without
+numpy; reads and writes no file."""
 
-import csv
 import json
 import math
 import os
@@ -252,22 +251,3 @@ def default_genus2_family():
     bad = t1 * t2 * t3 * (t1 - 1) * (t2 - 1) * (t3 - 1) * (t1 - t2) * (t1 - t3) * (t2 - t3)
     return CurveFamily(2, None, None, tuple(coeffs), bad, frozenset({2}))
 
-
-def write_goodred_csv(path, censuses):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "Q", "count", "floor_estimate", "ratio"])
-        for c in censuses:
-            w.writerow(c.csv_row())
-
-
-def merged_report(out_dir):
-    """Deterministic JSON merge of prior command outputs; idempotent."""
-    sources = {}
-    for name in ("census.csv", "goodred.csv"):
-        path = os.path.join(out_dir, name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing input: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            sources[name] = [row for row in csv.reader(fh)]
-    return json.dumps(sources, sort_keys=True, separators=(",", ":")) + "\n"

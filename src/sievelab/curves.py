@@ -16,9 +16,7 @@ for its family documents loads none.
 from __future__ import annotations
 
 # the family documents live in the numpy-free config; callers import them from here
-from .config import CurveFamily, default_elliptic_family, default_genus2_family
-
-PRIME_CAP_G1 = 10**4
+from .config import PCAP_LIMIT, CurveFamily, default_elliptic_family, default_genus2_family
 
 
 def _pow_mod(base, e, p):
@@ -82,7 +80,7 @@ def ap_sums(family, p, t):
     than the table for a few residues."""
     import numpy as np
 
-    if p > PRIME_CAP_G1:
+    if p > PCAP_LIMIT:
         raise ValueError("prime cap exceeded")
     A, B, chi = _coefficients(family, p, t)
     x = np.arange(p, dtype=np.int64)

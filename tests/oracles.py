@@ -17,8 +17,7 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
 
 from sievelab.chebotarev import _quintic_counts
-from sievelab.config import CurveFamily, _prime_divisors
-from sievelab.curves import PRIME_CAP_G1
+from sievelab.config import PCAP_LIMIT, CurveFamily, _prime_divisors
 from sievelab.finitefield import field
 
 
@@ -78,7 +77,7 @@ def ap_count(s, p):
     square-root counts of the field F_p (no FFT, unlike
     ``curves.ap_table``)."""
     _require_good(s, p)
-    if p > PRIME_CAP_G1:
+    if p > PCAP_LIMIT:
         raise ValueError("prime cap exceeded")
     a = s.A.numerator * pow(s.A.denominator, -1, p) % p
     b = s.B.numerator * pow(s.B.denominator, -1, p) % p

@@ -77,6 +77,21 @@ class TestFrobenius:
         with pytest.raises(ValueError):
             ffield_frobenius(fam, field(5, 1), [(2,)], 5)
 
+    def test_genus2_family_rejected(self):
+        with pytest.raises(ValueError, match="genus 1"):
+            ffield_frobenius(default_genus2_family(), field(5, 1), [(2, 3, 4)], 3)
+
+    def test_singular_specializations_rejected(self):
+        fam = default_elliptic_family()
+        # t = 0 lies on the declared bad locus t(1 - t)
+        with pytest.raises(ValueError, match="singular specialization"):
+            ffield_frobenius(fam, field(5, 1), [(0,)], 3)
+        # y^2 = x^3 + t has discriminant 0 at t = 0, off the constant locus
+        t, one = Poly.var(1, 0), Poly.const(1, 1)
+        cusp = dataclasses.replace(fam, A=Poly.const(1, 0), B=t, bad_locus=one)
+        with pytest.raises(ValueError, match="singular specialization"):
+            ffield_frobenius(cusp, field(5, 1), [(0,)], 3)
+
 
 class TestPmClass:
     def test_trace_sign_merge(self):
@@ -112,6 +127,22 @@ class TestReport:
             delta = pow(5, c.n, 3)
             assert all(k[1] == delta for k in c.predicted)
 
+    def test_warnings(self):
+        fam = default_elliptic_family()
+        # 5 divides |GSp_2(F_11)| = 10 * 11 * 120; 7 shares no factor with 2 * 3 * 8
+        assert chebotarev_report(fam, 5, 11, [1])[0].warnings == (
+            "group order shares a factor with q",)
+        assert chebotarev_report(fam, 7, 3, [1])[0].warnings == ()
+        # y^2 = x^3 + x + t is smooth at every t in F_3; 3 divides both 6l and |GSp_2(F_5)|
+        t, one = Poly.var(1, 0), Poly.const(1, 1)
+        smooth = dataclasses.replace(fam, A=one, B=t, bad_locus=one)
+        assert chebotarev_report(smooth, 3, 5, [1])[0].warnings == (
+            "group order shares a factor with q", "q not coprime to 6l")
+
+    def test_l2_rejected(self):
+        with pytest.raises(ValueError, match="l = 2"):
+            chebotarev_report(default_elliptic_family(), 5, 2, [1])
+
 
 class TestGenus2Census:
     def test_q5_l3(self):
@@ -121,6 +152,16 @@ class TestGenus2Census:
         assert census.predicted is not None
         assert sum(census.predicted.values()) == 1
         assert all(k[2] == 5 % 3 for k in census.frequencies)
+
+    @pytest.mark.parametrize("genus, q, l, match", [
+        (1, 5, 3, "genus-2 family required"),
+        (2, 2, 3, "invalid base characteristic"),
+        (2, 5, 5, "invalid base characteristic"),
+    ])
+    def test_invalid_arguments_rejected(self, genus, q, l, match):
+        fam = default_elliptic_family() if genus == 1 else default_genus2_family()
+        with pytest.raises(ValueError, match=match):
+            genus2_census(fam, q, l)
 
     def test_larger_l_has_no_prediction(self):
         census = genus2_census(default_genus2_family(), 7, 5)

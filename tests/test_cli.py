@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import functools
@@ -364,6 +365,26 @@ class TestCli:
         out = str(tmp_path / "out")
         assert main(["--config", str(cfg), "--out", out, "census"]) == 0
 
+    def test_family_file_matches_inline_document(self, tmp_path):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(GOOD_FAMILY))
+        written = []
+        for key, value in (("file", str(family)), ("inline", GOOD_FAMILY)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({"family": value, "x": [10], "l": [5], "pcap": 50}))
+            out = tmp_path / key
+            assert main(["--config", str(cfg), "--out", str(out), "census"]) == 0
+            written.append((out / "census.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_missing_family_file_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": missing}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "census"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: family file not found: {missing}\n"
+
     @pytest.mark.parametrize(
         "argv, config, code",
         [
@@ -591,6 +612,23 @@ class TestCli:
         )
         lines = [line for line in lines if not line.startswith(out)]  # written paths
         assert lines == ["[]", "0", "0", "[]"]
+
+    def test_only_cli_opens_files(self):
+        # every artifact goes through the CLI's one writer
+        package = os.path.join(SRC, "sievelab")
+        offenders = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py") or name == "cli.py":
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if called in ("open", "makedirs", "mkdir"):
+                        offenders.append(f"{name}:{node.lineno} {called}")
+        assert offenders == []
 
     def test_lmax_primes_match_the_sieve(self, monkeypatch):
         # the --lmax list against the primes_below-based list it replaced

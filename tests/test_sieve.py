@@ -32,6 +32,16 @@ def _sifted(X, F, sets, support):
     return out
 
 
+class TestSieveSupport:
+    def test_repeated_prime_rejected(self):
+        with pytest.raises(ValueError, match="repeated prime"):
+            SieveSupport((3, 3), 10)
+
+    def test_prime_at_or_above_Q_rejected(self):
+        with pytest.raises(ValueError, match="< Q"):
+            SieveSupport((3, 11), 11)
+
+
 class TestSiftedSet:
     def test_parity_sieve(self):
         X = list(range(1, 11))
