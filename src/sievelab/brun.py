@@ -9,8 +9,10 @@ the Bonferroni inequalities, at every depth b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,9 +79,8 @@ def sandwich(X, F, sets_by_prime, support, b=None):
 
     ``sets_by_prime`` maps each support prime to its SievingSet.  With
     b = None the coefficients are the full Moebius weights and
-    lower = exact = upper.  ``F`` maps a point to an integer vector (entries
-    within int64) with the sieving sets' dimension; any other length raises
-    ValueError.
+    lower = exact = upper.  ``F`` maps a point to an integer vector with the
+    sieving sets' dimension; any other length raises ValueError.
     """
     from .sieve import local_density  # here only, so goodred loads no sieve
 
@@ -137,43 +138,38 @@ def _hit_masks(X, F, sets):
     """Per-prime bitsets (Python ints, bit i for X[i]) of the points whose
     image F(u) reduces into the prime's Omega_p.
 
-    F is called once per point; the images form one int64 (n, dim) array.
-    Residue vectors mod p are compared by their codes sum_i v_i p^i.
+    F is called once per point.  The masks depend only on the image values
+    and the sets, so the last ones are kept and a repeat call with equal
+    images and sets (the sandwich at another depth) reuses them.
     """
-    import numpy as np  # here only, so goodred loads no numpy
-
     if not sets:
         return {}
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise ValueError("sieving sets of different dimensions")
-    images = list(map(F, X))
+    images = tuple(map(tuple, map(F, X)))
     wrong = set(map(len, images)) - {dim}
     if wrong:
         raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
-    n = len(images)
-    flat = itertools.chain.from_iterable(images)
-    pts = np.fromiter(flat, dtype=np.int64, count=n * dim).reshape(n, dim)
-    del images, flat  # freed before the residue codes, which set the peak
-    masks = {}
+    return dict(_cached_masks(images, tuple(sets)))
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_masks(images, sets):
+    """((p, mask), ...) for _hit_masks.  Each coordinate column is reduced
+    mod p and the residue tuples are looked up in Omega_p, one byte per
+    point, so no table of size p^dim is built.  The bytes, read as binary
+    digits, give the mask."""
+    cols = [list(map(operator.itemgetter(i), images)) for i in range(sets[0].dim)]
+    masks = []
     for s in sets:
-        p = s.p
-        if p**dim > 2**63:
-            raise ValueError(f"residue codes mod {p} in dimension {dim} exceed int64")
-        omega = np.array(list(s.residues), dtype=np.int64).reshape(-1, dim)
-        omega = omega[((omega >= 0) & (omega < p)).all(axis=1)]
-        hit = np.isin(_residue_codes(pts, p), _residue_codes(omega, p), kind="sort")
-        masks[p] = int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
-    return masks
-
-
-def _residue_codes(v, p):
-    """sum_i (v[:, i] mod p) p^i for an (m, dim) int64 array, by Horner."""
-    code = v[:, -1] % p
-    for i in range(v.shape[1] - 2, -1, -1):
-        code *= p
-        code += v[:, i] % p
-    return code
+        reduced = [map(operator.mod, col, itertools.repeat(s.p)) for col in cols]
+        hit = bytes(map(s.residues.__contains__, zip(*reduced)))
+        masks.append((s.p, int(b"0" + hit.translate(_BITS)[::-1], 2)))
+    return tuple(masks)
 
 
 C_AUDIT = 8.0  # the constant of the remainder audit's bound

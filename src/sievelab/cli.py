@@ -34,7 +34,7 @@ def _load_family(value):
         return default_genus2_family()
     try:
         if isinstance(value, str):
-            if not os.path.exists(value):
+            if not os.path.isfile(value):
                 raise ConfigError(f"family file not found: {value}")
             with open(value, encoding="utf-8") as fh:
                 return CurveFamily.from_json(fh.read())
@@ -52,7 +52,7 @@ def _int_tuple(value, key):
 def load_config(args):
     doc = {}
     if args.config:
-        if not os.path.exists(args.config):
+        if not os.path.isfile(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -155,7 +155,7 @@ def cmd_report(cfg):
     sources = {}
     for name in ("census.csv", "goodred.csv"):
         path = os.path.join(cfg.out_dir, name)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise ConfigError(f"missing input: {path}")
         with open(path, newline="", encoding="utf-8") as fh:
             sources[name] = list(csv.reader(fh))

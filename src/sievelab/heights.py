@@ -49,20 +49,19 @@ def enumerate_projective(r, x):
     x = int(x)
     if x < 1:
         raise ValueError("height bound must be >= 1")
-    import numpy as np  # here and in affine_line_points only
-
     vals = tuple(range(-x, x + 1))
-    tail_gcd = np.gcd.reduce(np.indices((2 * x + 1,) * r) - x, axis=0).ravel()
+    tail_gcd = list(itertools.starmap(math.gcd, itertools.product(vals, repeat=r)))
+    upper = len(tail_gcd) // 2 + 1  # from here on the first nonzero entry is positive
     enabled = gc.isenabled()
     gc.disable()  # the points hold tuples of ints only: no cycle can form
     try:
         coords = []
         for head in vals[x:]:
-            keep = np.gcd(tail_gcd, head) == 1
-            if head == 0:
-                keep[: tail_gcd.size // 2 + 1] = False
+            start = upper if head == 0 else 0
+            gcds = map(math.gcd, itertools.repeat(head), itertools.islice(tail_gcd, start, None))
             tuples = itertools.product((head,), *(vals,) * r)
-            coords += itertools.compress(tuples, keep.tolist())
+            coords += itertools.compress(itertools.islice(tuples, start, None),
+                                         map((1).__eq__, gcds))
         out = list(map(object.__new__, itertools.repeat(ProjectivePoint, len(coords))))
         collections.deque(map(ProjectivePoint.coords.__set__, out, coords), maxlen=0)
     finally:

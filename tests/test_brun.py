@@ -171,11 +171,41 @@ class TestSandwich:
         with pytest.raises(ValueError, match="coordinates"):
             sandwich([1, 2, 3], lambda t: (t, t), sets, support)
 
-    def test_int64_code_overflow_rejected(self):
-        support = SieveSupport((2**31 - 1,), 2**31)
-        sets = {2**31 - 1: SievingSet(2**31 - 1, 3, frozenset({(0, 0, 0)}))}
-        with pytest.raises(ValueError, match="int64"):
-            sandwich([1, 2], lambda t: (t, t, t), sets, support)
+    def test_large_prime_dim3_matches_point_loop(self):
+        # no residue table or fixed-width code: p^3 is far beyond 2^63 here
+        p = 2**31 - 1
+        omega = frozenset({(0, 0, 0), (1, p - 1, 2), (-1, 1, -2)})
+        sets = [SievingSet(p, 3, omega)]
+        X = [1, 2, -1, p]
+        F = lambda t: (t, -t, 2 * t)
+        assert brun._hit_masks(X, F, sets) == _loop_masks(X, F, sets) == {p: 0b1001}
+        support = SieveSupport((p,), 2**31)
+        assert sandwich(X, F, {p: sets[0]}, support).exact == 2
+
+    def test_repeat_calls_match_point_loop(self):
+        # the masks of the last call are kept: every call must still see the
+        # values it was given, and no caller may change what the next one gets
+        X = _points(20)
+        sets = [SievingSet(p, 2, frozenset({(0, 1), (1, 1), (2, 0)})) for p in (3, 5)]
+        other = [SievingSet(3, 2, frozenset({(1, 2)})), SievingSet(7, 2, frozenset({(0, 1)}))]
+        coords = operator.attrgetter("coords")
+        swapped = lambda u: u.coords[::-1]
+        seen = []
+        for F, S in ((coords, sets), (swapped, sets), (coords, sets), (coords, other),
+                     (coords, sets[:1])):
+            seen.append(brun._hit_masks(X, F, S))
+            assert seen[-1] == _loop_masks(X, F, S)
+        assert seen[0] == seen[2] and seen[0] not in (seen[1], seen[3], seen[4])
+        rows = [list(u.coords) for u in X]
+        first = brun._hit_masks(rows, list, sets)
+        assert first == _loop_masks(rows, list, sets)
+        for row in rows:
+            row[0] += 1
+        second = brun._hit_masks(rows, list, sets)
+        assert second == _loop_masks(rows, list, sets) != first
+        second[3] = 0
+        del second[5]
+        assert brun._hit_masks(rows, list, sets) == _loop_masks(rows, list, sets)
 
     def test_mixed_dimension_sets_rejected(self):
         support = SieveSupport((5, 7), 11)

@@ -385,6 +385,27 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"config error: family file not found: {missing}\n"
 
+    def test_directory_config_exit_2(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path), "census"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: config file not found: {tmp_path}\n"
+
+    def test_directory_family_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": str(tmp_path)}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "census"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: family file not found: {tmp_path}\n"
+
+    def test_report_directory_input_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "census.csv").mkdir(parents=True)
+        assert main(["--out", str(out), "report"]) == 2
+        stdout, err = capsys.readouterr()
+        path = out / "census.csv"
+        assert stdout == "" and err == f"config error: missing input: {path}\n"
+        assert sorted(os.listdir(out)) == ["census.csv"]
+
     @pytest.mark.parametrize(
         "argv, config, code",
         [
@@ -525,6 +546,19 @@ class TestCli:
             "chebotarev.chebotarev_report(default_elliptic_family(), 7, 3, [1, 2, 3])\n"
             "chebotarev.genus2_census(default_genus2_family(), 11, 5)\n",
             ["numpy", "sievelab.groups"],
+        )
+        assert out == ["[]"]
+
+    def test_sandwich_leaves_out_numpy(self):
+        # the imports of perfbench/ops.py, its sandwich experiment, and the
+        # point enumeration in the dimensions that its tests cover
+        perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+        out = _fresh_interpreter(
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "from ops import heights, run_sandwich\n"
+            "run_sandwich(60, [1, 2, 3])\n"
+            "for r in (1, 2, 3):\n    heights.enumerate_projective(r, 5)\n",
+            ["numpy"],
         )
         assert out == ["[]"]
 
