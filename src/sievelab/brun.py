@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .config import primes_below, smallest_prime_factors
@@ -45,14 +45,12 @@ def brun_coefficients(support_primes, b, sign):
     }
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    main_term: Fraction  # H * prod_{p in support} (1 - nu_p)
-    lower: Fraction
-    upper: Fraction
-    remainder_plus: Fraction
-    remainder_minus: Fraction
-    exact: int
+class SandwichReport(namedtuple("SandwichReport",
+                                "main_term lower upper remainder_plus remainder_minus exact")):
+    """The sandwich on the sifted count ``exact``, in Fractions; ``main_term``
+    is H * prod_{p in support} (1 - nu_p)."""
+
+    __slots__ = ()
 
     def to_json(self):
         import json
@@ -175,14 +173,10 @@ def _cached_masks(images, sets):
 C_AUDIT = 8.0  # the constant of the remainder audit's bound
 
 
-@dataclass(frozen=True)
-class RemainderAudit:
-    d: int
-    x: int
-    r: int
-    measured: Fraction  # r_d = |{u in B(x): u mod d in Omega_d}| - nu_d |B(x)|
-    bound: float  # C_AUDIT * |B(x)| * relative-error shape (see audit docstring)
-    ok: bool
+RemainderAudit = namedtuple("RemainderAudit", "d x r measured bound ok")
+RemainderAudit.__doc__ = """The remainder at modulus d: ``measured`` is the Fraction
+r_d = |{u in B(x): u mod d in Omega_d}| - nu_d |B(x)|, ``bound`` the float
+C_AUDIT * |B(x)| * relative-error shape (see ``lattice_remainder_audit``)."""
 
 
 def lattice_remainder_audit(d, omega_d, x, r):
@@ -212,14 +206,12 @@ def lattice_remainder_audit(d, omega_d, x, r):
     return RemainderAudit(d, x, r, measured, bound, abs(measured) <= bound)
 
 
-@dataclass(frozen=True)
-class GoodReductionCensus:
-    x: int
-    Q: int
-    count: int
-    floor_estimate: float  # x^{r+1} / (log Q)^kappa
-    kappa: int
-    support: tuple
+class GoodReductionCensus(namedtuple("GoodReductionCensus",
+                                     "x Q count floor_estimate kappa support")):
+    """The good-reduction count of B(x) over the support primes below Q;
+    ``floor_estimate`` is x^{r+1} / (log Q)^kappa."""
+
+    __slots__ = ()
 
     @property
     def ratio(self):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -68,14 +68,12 @@ def witness_lut(l):
     return lut
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    x: int
-    n_points: int
-    surjective: dict  # l -> count
-    undecided: dict  # l -> count
-    undecided_any: int
-    reasons: dict  # l -> undecided counts, one per REASONS
+class CensusRow(namedtuple("CensusRow", "x n_points surjective undecided undecided_any reasons")):
+    """One census row at height bound x: ``surjective`` and ``undecided``
+    map l to a count, and ``reasons`` maps l to the undecided counts, one
+    per REASONS."""
+
+    __slots__ = ()
 
     @property
     def fraction(self):
@@ -169,15 +167,9 @@ def census(family, x_values, l_values, pcap):
     return rows, (num, den), reason == 0
 
 
-@dataclass(frozen=True)
-class ClassSetReport:
-    l: int
-    class_key: tuple
-    x: int
-    Q: int
-    support: tuple
-    count: int
-    bound: float  # (coset/|C|) * l * log x / sqrt(x) * x^2, up to constant
+ClassSetReport = namedtuple("ClassSetReport", "l class_key x Q support count bound")
+ClassSetReport.__doc__ = """|Y_C(x)| for the class C = class_key mod l; ``bound`` is
+(coset/|C|) * l * log x / sqrt(x) * x^2, up to a constant."""
 
 
 def _support_primes(family, l, pcap, Q):

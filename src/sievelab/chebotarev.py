@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import finitefield
@@ -27,16 +26,15 @@ from .config import gl2_class_density, sp_order
 PRIME_CAP_G2 = 300
 
 
-@dataclass(frozen=True)
-class FFieldCensus:
-    q: int
-    n: int
-    l: int
-    n_points: int
-    frequencies: dict  # class key (tr, det) or (a1, a2, mult) -> Fraction
-    predicted: dict  # same keyspace -> Fraction, or None if unavailable
-    deviation: Fraction  # max |freq - predicted|; None without predictions
-    warnings: tuple = field(default_factory=tuple)
+class FFieldCensus(namedtuple("FFieldCensus",
+                              "q n l n_points frequencies predicted deviation warnings",
+                              defaults=((),))):
+    """Class frequencies over F_{q^n}: ``frequencies`` maps a class key
+    (tr, det) or (a1, a2, mult) to a Fraction, ``predicted`` the same keys
+    to a Fraction (None if unavailable), and ``deviation`` is the Fraction
+    max |freq - predicted| (None without predictions)."""
+
+    __slots__ = ()
 
     def to_json(self):
         def frtab(d):

@@ -4,7 +4,7 @@ numpy; reads and writes no file."""
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomials import Poly
@@ -82,16 +82,13 @@ def gl2_class_density(l, tr, det):
     return Fraction(l + (chi if chi < 2 else -1), l * l - 1)
 
 
-@dataclass
-class ExperimentConfig:
-    family: object
-    x_values: tuple
-    l_values: tuple
-    pcap: int
-    out_dir: str = "."
-    # validated, then unused: every command runs in one process in a fixed order
-    workers: int = 1
-    seed: int = 0
+class ExperimentConfig(namedtuple("ExperimentConfig",
+                                  "family x_values l_values pcap out_dir workers seed",
+                                  defaults=(".", 1, 0))):
+    """One command's settings.  ``workers`` and ``seed`` are validated,
+    then unused: every command runs in one process in a fixed order."""
+
+    __slots__ = ()
 
     def validate(self):
         ints = (*self.x_values, *self.l_values, self.pcap, self.workers, self.seed)
@@ -152,17 +149,13 @@ def check_goodred_x(family, x):
         raise InfeasibleError(f"x = {x} exceeds goodred feasibility limit {limit} for r = {r}")
 
 
-@dataclass(frozen=True)
-class CurveFamily:
+class CurveFamily(namedtuple("CurveFamily", "genus A B quintic bad_locus excluded_primes")):
     """A 1- or 3-parameter family: y^2 = x^3 + A(t)x + B(t) (g=1) or
-    y^2 = quintic(x; t1,t2,t3) (g=2, monic)."""
+    y^2 = quintic(x; t1,t2,t3) (g=2, monic).  A and B are Polys for g=1
+    only, ``quintic`` 6 Polys ascending in x, leading == 1, for g=2 only;
+    ``excluded_primes`` is a frozenset."""
 
-    genus: int
-    A: Poly  # g=1 only
-    B: Poly  # g=1 only
-    quintic: tuple  # g=2 only: 6 Polys, ascending in x, leading == 1
-    bad_locus: Poly
-    excluded_primes: frozenset
+    __slots__ = ()
 
     @property
     def r(self):
@@ -193,8 +186,10 @@ class CurveFamily:
         if bad.is_zero():
             raise ValueError("bad_locus must be nonzero")
         excl = doc["excluded_primes"]
-        if not isinstance(excl, list) or not all(_is_int(p) for p in excl):
-            raise ValueError("excluded_primes must be a list of integers")
+        # no sieve reads a prime past PCAP_LIMIT, which bounds the primality test
+        if not isinstance(excl, list) or not all(
+                _is_int(p) and p <= PCAP_LIMIT and _prime_divisors(p) == [p] for p in excl):
+            raise ValueError(f"excluded_primes must be a list of primes up to {PCAP_LIMIT}")
         if g == 1:
             A = _poly_from_terms(doc["A"], "A", 1)
             B = _poly_from_terms(doc["B"], "B", 1)

@@ -104,7 +104,7 @@ class ExtField:
         # y^2 = v has 2 roots when log v is even, none when odd; one root of
         # each v in characteristic 2
         self._sqrt = (1,) + tuple(2 - 2 * (k % 2) if q != 2 else 1 for k in log[1:])
-        self._count_tables = {}
+        self._count_tables, self._getters = {}, {}
 
     @property
     def order(self):
@@ -147,8 +147,9 @@ class ExtField:
         an int, else a list of T counts.  At x = z^j the term c_k x^k is
         spexp[log c_k + j k mod (q^n - 1)]: over all j, a slice of the
         doubled spread exp table for k = 1 (and every k = 1 mod q^n - 1),
-        and that slice through a fixed ``itemgetter`` for other k.  The
-        terms with k >= 1 add as spread codes by ``map(operator.add, ..)``.
+        and that slice through a fixed ``itemgetter``, kept on the field,
+        for other k.  The terms with k >= 1 add as spread codes by
+        ``map(operator.add, ..)``.
         The spread code of c_0, the value at x = 0, offsets the byte view
         of square-root counts, and one ``itemgetter`` over the sums, and
         over 0 for x = 0, reads the count at every x.  Each distinct row is
@@ -161,9 +162,10 @@ class ExtField:
                   for c in coeffs]
         live = [(k, c) for k, c in enumerate(coeffs) if not isinstance(c, int) or c]
         spexp, roots = self._tables(max(1, len(live)))
-        log = self.log
-        getters = {k: operator.itemgetter(*(j * k % m for j in range(m)))
-                   for k, _ in live if k and k % m != 1 % m}
+        log, getters = self.log, self._getters
+        for k, _ in live:  # built once per field and k
+            if k and k % m != 1 % m and k not in getters:
+                getters[k] = operator.itemgetter(*(j * k % m for j in range(m)))
 
         def powers(k, c):
             """The spread codes of c x^k at x = z^j, j = 0..m - 1, k >= 1."""

@@ -13,7 +13,7 @@ char-poly statistics only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -25,18 +25,23 @@ SUBGROUP_ORDER_CAP = 10**4
 _BLOCK = 2**16  # products per broadcast multiplication in closure
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    g: int  # 1 or 2
-    l: int  # odd prime
-    flavor: str  # "gsp" (full similitude) or "sp" (symplectic)
-    pm1_quotient: bool = False
+class GroupSpec(namedtuple("GroupSpec", "g l flavor pm1_quotient", defaults=(False,))):
+    """GSp_2g(F_l) (flavor "gsp", full similitude) or Sp_2g(F_l) ("sp"),
+    g 1 or 2 and l an odd prime, optionally modulo +-1."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.flavor not in ("gsp", "sp"):
             raise ValueError("flavor must be 'gsp' or 'sp'")
         if self.l == 2:
             raise ValueError("l = 2 unsupported")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------- matrix codes
@@ -159,7 +164,7 @@ def spec_elements(spec):
         raise ValueError("brute force infeasible")
     l = spec.l
     if spec.pm1_quotient:
-        base = spec_elements(replace(spec, pm1_quotient=False))
+        base = spec_elements(spec._replace(pm1_quotient=False))
         elems = np.unique(_pm1(base, l, 2 * spec.g))
     elif spec.g == 1:
         codes = np.arange(l**4, dtype=np.int64)
@@ -188,11 +193,11 @@ def sp4_elements(l):
 
 # --------------------------------------------------------------- class data
 
-@dataclass(frozen=True)
-class ClassTable:
-    spec: GroupSpec
-    mode: str  # "brute" or "charpoly"
-    entries: dict  # class key -> element count
+class ClassTable(namedtuple("ClassTable", "spec mode entries")):
+    """The element count of each class key of a GroupSpec's group, in mode
+    "brute" or "charpoly"."""
+
+    __slots__ = ()
 
     @property
     def total(self):
@@ -266,15 +271,9 @@ def charpoly_class_density(spec, delta):
 
 # ------------------------------------------------------------ lemma checks
 
-@dataclass(frozen=True)
-class Property1Report:
-    g: int
-    l_values: tuple
-    beta1: int
-    beta2: int
-    c1: float  # smallest constant with |G_l| <= c1 l^beta1 over the range
-    c2: float
-    passes: bool  # both constants <= 2
+Property1Report = namedtuple("Property1Report", "g l_values beta1 beta2 c1 c2 passes")
+Property1Report.__doc__ = """c1 (c2) is the smallest constant with |G_l| <= c1 l^beta1
+(|G_l^#| <= c2 l^beta2) over the range; ``passes`` when both are <= 2."""
 
 
 def property1_check(g, l_values):

@@ -7,32 +7,34 @@ implied constant of the large-sieve upper bound is never applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class SieveSupport:
-    """Prime sieve support L* together with the norm bound Q."""
+class SieveSupport(namedtuple("SieveSupport", "primes Q")):
+    """Prime sieve support L* (a tuple) together with the norm bound Q."""
 
-    primes: tuple
-    Q: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ps = self.primes
         if len(set(ps)) != len(ps):
             raise ValueError("repeated prime in support")
         if any(p >= self.Q for p in ps):
             raise ValueError("support primes must be < Q")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SievingSet:
-    """Forbidden residues Omega_p inside (Z/p)^dim, stored exhaustively."""
+class SievingSet(namedtuple("SievingSet", "p dim residues")):
+    """Forbidden residues Omega_p inside (Z/p)^dim, stored exhaustively as
+    a frozenset."""
 
-    p: int
-    dim: int
-    residues: frozenset
+    __slots__ = ()
 
     @property
     def cardinality(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -62,9 +61,9 @@ def _family(name):
         "g2-cubic": t1 * t2 * t3 - 3,
     }[name]
     if name.startswith("g2"):
-        return dataclasses.replace(default_genus2_family(), bad_locus=bad, excluded_primes=frozenset())
+        return default_genus2_family()._replace(bad_locus=bad, excluded_primes=frozenset())
     fam = default_elliptic_family()
-    return fam if bad is None else dataclasses.replace(fam, bad_locus=bad)
+    return fam if bad is None else fam._replace(bad_locus=bad)
 
 
 def _audit_hits(d, omega_d, x, r):

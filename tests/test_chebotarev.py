@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ class TestSpecializations:
         assert len(pts) == 23
 
     def test_constant_bad_locus_keeps_every_t(self):
-        fam = dataclasses.replace(default_elliptic_family(), bad_locus=Poly.const(1, 1))
+        fam = default_elliptic_family()._replace(bad_locus=Poly.const(1, 1))
         _, pts = ffield_specializations(fam, 5, 2)
         assert pts == [(t,) for t in range(25)]
 
@@ -88,7 +87,7 @@ class TestFrobenius:
             ffield_frobenius(fam, field(5, 1), [(0,)], 3)
         # y^2 = x^3 + t has discriminant 0 at t = 0, off the constant locus
         t, one = Poly.var(1, 0), Poly.const(1, 1)
-        cusp = dataclasses.replace(fam, A=Poly.const(1, 0), B=t, bad_locus=one)
+        cusp = fam._replace(A=Poly.const(1, 0), B=t, bad_locus=one)
         with pytest.raises(ValueError, match="singular specialization"):
             ffield_frobenius(cusp, field(5, 1), [(0,)], 3)
 
@@ -135,7 +134,7 @@ class TestReport:
         assert chebotarev_report(fam, 7, 3, [1])[0].warnings == ()
         # y^2 = x^3 + x + t is smooth at every t in F_3; 3 divides both 6l and |GSp_2(F_5)|
         t, one = Poly.var(1, 0), Poly.const(1, 1)
-        smooth = dataclasses.replace(fam, A=one, B=t, bad_locus=one)
+        smooth = fam._replace(A=one, B=t, bad_locus=one)
         assert chebotarev_report(smooth, 3, 5, [1])[0].warnings == (
             "group order shares a factor with q", "q not coprime to 6l")
 
@@ -209,10 +208,10 @@ class TestGenus2Census:
     def test_bad_reduction_rejected(self):
         g2 = default_genus2_family()
         with pytest.raises(ValueError, match="bad reduction"):
-            genus2_census(dataclasses.replace(g2, excluded_primes=frozenset({2, 5})), 5, 3)
+            genus2_census(g2._replace(excluded_primes=frozenset({2, 5})), 5, 3)
         # y^2 = x^5 is singular at every t; a constant bad locus lets each t reach the check
         zero, one = Poly.const(3, 0), Poly.const(3, 1)
-        cusp = dataclasses.replace(g2, quintic=(zero,) * 5 + (one,), bad_locus=one)
+        cusp = g2._replace(quintic=(zero,) * 5 + (one,), bad_locus=one)
         with pytest.raises(ValueError, match="bad reduction"):
             genus2_census(cusp, 5, 3)
 
@@ -222,9 +221,9 @@ class TestGenus2Census:
         g2 = default_genus2_family()
         zero, one = Poly.const(3, 0), Poly.const(3, 1)
         shift = Poly.const(3, 3) - Poly.var(3, 0)
-        fam = dataclasses.replace(g2, quintic=(shift,) + (zero,) * 4 + (one,), bad_locus=one)
+        fam = g2._replace(quintic=(shift,) + (zero,) * 4 + (one,), bad_locus=one)
         with pytest.raises(ValueError, match="bad reduction"):
             genus2_census(fam, 7, 3)
         # off the singular fibre every curve is good and counted
-        census = genus2_census(dataclasses.replace(fam, bad_locus=-shift), 7, 3)
+        census = genus2_census(fam._replace(bad_locus=-shift), 7, 3)
         assert census.n_points == 6 * 7 * 7

@@ -48,6 +48,8 @@ from oracles import surjectivity_verdict
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
 GOOD_G2 = json.loads(default_genus2_family().to_json())
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the records are named tuples: a dataclass would load these at import
+RECORD_MODULES = ["dataclasses", "inspect"]
 
 
 def _oracle_points(x, bad_locus):
@@ -478,6 +480,23 @@ class TestCli:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["census", "goodred"])
+    @pytest.mark.parametrize("excluded", [[-5, 0, 1], [4], [2, 9], [10007]])
+    def test_excluded_primes_must_be_primes(self, tmp_path, capsys, command, excluded):
+        # inline and as a file; 10007 is a prime past every sieve (PCAP_LIMIT)
+        doc = {**GOOD_FAMILY, "excluded_primes": excluded}
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        for value in (doc, str(family)):
+            cfg.write_text(json.dumps({"family": value}))
+            argv = ["--config", str(cfg), "--x", "5", "--pcap", "50", "--out", str(tmp_path / "out")]
+            assert main(argv + [command]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: bad family document: ")
+            assert "excluded_primes" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_workers_above_cpu_count_exit_3(self, tmp_path, capsys, monkeypatch):
         import multiprocessing
 
@@ -534,7 +553,7 @@ class TestCli:
             "import sievelab.cli\n"
             "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
             "default_elliptic_family(), default_genus2_family()\n",
-            ["_hashlib", "hashlib", "numpy"],
+            ["_hashlib", "hashlib", "numpy", *RECORD_MODULES],
         )
         assert out == ["[]"]
 
@@ -545,7 +564,7 @@ class TestCli:
             "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
             "chebotarev.chebotarev_report(default_elliptic_family(), 7, 3, [1, 2, 3])\n"
             "chebotarev.genus2_census(default_genus2_family(), 11, 5)\n",
-            ["numpy", "sievelab.groups"],
+            ["numpy", "sievelab.groups", *RECORD_MODULES],
         )
         assert out == ["[]"]
 
@@ -558,7 +577,7 @@ class TestCli:
             "from ops import heights, run_sandwich\n"
             "run_sandwich(60, [1, 2, 3])\n"
             "for r in (1, 2, 3):\n    heights.enumerate_projective(r, 5)\n",
-            ["numpy"],
+            ["numpy", *RECORD_MODULES],
         )
         assert out == ["[]"]
 
@@ -594,7 +613,7 @@ class TestCli:
         code = "from sievelab.cli import main\n" + "".join(
             f"print(main({argv!r}), end=' ')\nprint_modules()\n" for argv, _ in runs
         )
-        lines = _fresh_interpreter(code, ["numpy"])
+        lines = _fresh_interpreter(code, ["numpy", *RECORD_MODULES])
         lines = [line for line in lines if not line.startswith(out)]  # written paths
         assert lines == [f"{rc} []" for _, rc in runs] + ["[]"]
 
@@ -623,7 +642,7 @@ class TestCli:
             "from sievelab.cli import main\n"
             f"main(['--config', {str(config)!r}, '--x', '{x}', '--out', {str(tmp_path)!r}, "
             "'goodred'])\n",
-            ["numpy"],
+            ["numpy", *RECORD_MODULES],
         )
         assert out[-1] == "[]"
 
@@ -642,10 +661,12 @@ class TestCli:
             f"print(main(['--x', '5', '--lmax', '7', '--pcap', '50', '--out', {out!r}, 'census']))\n"
             f"print(main(['--x', '5', '--pcap', '50', '--out', {out!r}, 'sifted-class-set', "
             "'--l', '5', '--class', '1,1', '--Q', '50']))\n",
-            ["sievelab.brun", "sievelab.groups", "sievelab.finitefield", "sievelab.sieve"],
+            ["sievelab.brun", "sievelab.groups", "sievelab.finitefield", "sievelab.sieve",
+             *RECORD_MODULES],
         )
         lines = [line for line in lines if not line.startswith(out)]  # written paths
-        assert lines == ["[]", "0", "0", "[]"]
+        # numpy itself loads inspect, once the census imports it
+        assert lines == ["[]", "0", "0", "['inspect']"]
 
     def test_only_cli_opens_files(self):
         # every artifact goes through the CLI's one writer
