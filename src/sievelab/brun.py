@@ -9,7 +9,6 @@ the Bonferroni inequalities, at every depth b.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -136,27 +135,30 @@ def _hit_masks(X, F, sets):
     """Per-prime bitsets (Python ints, bit i for X[i]) of the points whose
     image F(u) reduces into the prime's Omega_p.
 
-    F is called once per point.  The masks depend only on the image values
-    and the sets, so the last ones are kept and a repeat call with equal
-    images and sets (the sandwich at another depth) reuses them.
+    F is called once per point.  The last masks are kept with their images
+    and sets, compared by ``==`` and never hashed, and a repeat call with
+    equal ones (the sandwich at another depth) reuses them.
     """
     if not sets:
         return {}
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise ValueError("sieving sets of different dimensions")
-    images = tuple(map(tuple, map(F, X)))
-    wrong = set(map(len, images)) - {dim}
-    if wrong:
-        raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
-    return dict(_cached_masks(images, tuple(sets)))
+    key = tuple(map(tuple, map(F, X))), tuple(sets)
+    last, masks = _last  # one read, so another thread's call cannot split the pair
+    if last != key:  # a hit's images equal checked ones
+        wrong = set(map(len, key[0])) - {dim}
+        if wrong:
+            raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
+        _last[:] = key, (masks := _masks(*key))
+    return dict(masks)
 
 
+_last = [None, ()]  # the (images, sets) key of the last _hit_masks call, and its masks
 _BITS = bytes.maketrans(b"\0\1", b"01")
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_masks(images, sets):
+def _masks(images, sets):
     """((p, mask), ...) for _hit_masks.  Each coordinate column is reduced
     mod p and the residue tuples are looked up in Omega_p, one byte per
     point, so no table of size p^dim is built.  The bytes, read as binary

@@ -263,10 +263,15 @@ def charpoly_class_density(spec, delta):
     delta = delta % l
     if spec.g == 1:
         return {t: gl2_class_density(l, t, delta) for t in range(l)}
-    entries = class_table(GroupSpec(2, l, "gsp"), "charpoly").entries
-    counts = {key[:2]: v for key, v in entries.items() if key[2] == delta}
+    counts = {key[:2]: v for key, v in _gsp4_charpoly_counts(l).items() if key[2] == delta}
     total = sum(counts.values())
     return {k: Fraction(v, total) for k, v in sorted(counts.items())}
+
+
+@functools.cache
+def _gsp4_charpoly_counts(l):
+    """{(e1, e2, similitude): count} over GSp4(F_l), built once per l; callers copy it."""
+    return class_table(GroupSpec(2, l, "gsp"), "charpoly").entries
 
 
 # ------------------------------------------------------------ lemma checks

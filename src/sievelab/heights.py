@@ -54,13 +54,13 @@ def enumerate_projective(r, x):
     """All canonical points of P^r(Q) with height <= x, in lexicographic order.
 
     The tails (last r coordinates) of the box [-x, x]^{r+1} form one lex-ordered
-    block whose gcds are taken once; each head c0 in 0..x keeps the tails with
-    gcd(c0, gcd(tail)) = 1, and the head 0 only the upper half of the block
-    (the tails whose first nonzero coordinate is positive).  Every point shares
-    the int objects of one tuple of coordinate values.  C allocates the points
-    and sets their slot, past ``__init__`` (no tuple here is zero).
-    The cyclic garbage collector is paused while they are allocated, and
-    restored to the state it was found in.
+    block; each head c0 in 0..x keeps the tails with gcd(c0, gcd(tail)) = 1 by
+    a mask of one byte per tail: 0 those of gcd 1 in the upper half (first
+    nonzero coordinate positive), a prime those whose gcd it does not divide,
+    any other c0 the AND of the masks of p = spf(c0) and c0 / p.  Every point
+    shares the int objects of one tuple of coordinate values.  C allocates
+    the points and sets their slot, past ``__init__`` (no tuple here is zero),
+    with the cyclic garbage collector paused and then restored as it was.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -68,18 +68,22 @@ def enumerate_projective(r, x):
     if x < 1:
         raise ValueError("height bound must be >= 1")
     vals = tuple(range(-x, x + 1))
-    tail_gcd = list(itertools.starmap(math.gcd, itertools.product(vals, repeat=r)))
-    upper = len(tail_gcd) // 2 + 1  # from here on the first nonzero entry is positive
+    n = len(vals) ** r
+    by_gcd = [bytearray(n) for _ in range(x + 1)]  # by_gcd[g]: a 1 for each tail of gcd g
+    for i, g in enumerate(itertools.starmap(math.gcd, itertools.product(vals, repeat=r))):
+        by_gcd[g][i] = 1
+    by_gcd = [int.from_bytes(m, "big") for m in by_gcd]
+    keep = [by_gcd[1] % 256 ** (n // 2), sum(by_gcd)]  # heads 0 (the upper half) and 1
+    for c0, q in enumerate(smallest_prime_factors(x)[2:], 2):  # q the least prime factor
+        keep.append(keep[1] - sum(by_gcd[::q]) if q == c0 else keep[q] & keep[c0 // q])
     enabled = gc.isenabled()
     gc.disable()  # the points hold tuples of ints only: no cycle can form
     try:
         coords = []
         for head in vals[x:]:
-            start = upper if head == 0 else 0
-            gcds = map(math.gcd, itertools.repeat(head), itertools.islice(tail_gcd, start, None))
             tuples = itertools.product((head,), *(vals,) * r)
-            coords += itertools.compress(itertools.islice(tuples, start, None),
-                                         map((1).__eq__, gcds))
+            coords += itertools.compress(tuples, keep[head].to_bytes(n, "big"))
+        del by_gcd, keep  # not held while the points are allocated
         out = list(map(object.__new__, itertools.repeat(ProjectivePoint, len(coords))))
         collections.deque(map(ProjectivePoint.coords.__set__, out, coords), maxlen=0)
     finally:

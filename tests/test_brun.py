@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,47 @@ class TestSandwich:
         second[3] = 0
         del second[5]
         assert brun._hit_masks(rows, list, sets) == _loop_masks(rows, list, sets)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The calls of the mask builder, from an empty memo on."""
+        calls = []
+        build = brun._masks
+        monkeypatch.setattr(brun, "_last", [None, ()])
+        monkeypatch.setattr(brun, "_masks",
+                            lambda images, sets: calls.append(len(images)) or build(images, sets))
+        return calls
+
+    @pytest.mark.parametrize("F", [operator.attrgetter("coords"),
+                                   lambda u: tuple(list(u.coords)),
+                                   lambda u: list(u.coords)],
+                             ids=["same", "fresh-tuples", "lists"])
+    def test_depths_build_masks_once(self, builds, F):
+        f = default_elliptic_family().bad_locus.homogenize()
+        primes = (5, 7, 11, 13)
+        sets = {
+            p: SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
+            for p in primes
+        }
+        support = SieveSupport(primes, 17)
+        X = _points(60)
+        for b in (1, 2, 3, None):
+            sandwich(X, F, sets, support, b=b)
+        assert builds == [len(X)]
+
+    def test_other_inputs_build_again(self, builds):
+        # each call differs from the one before in F, the set order or the
+        # order of X
+        X = _points(20)
+        shuffled = random.Random(5).sample(X, len(X))
+        sets = [SievingSet(p, 2, frozenset({(0, 1), (1, 1), (2, 0)})) for p in (3, 5)]
+        coords = operator.attrgetter("coords")
+        swapped = lambda u: u.coords[::-1]
+        calls = ((X, coords, sets), (X, swapped, sets), (X, swapped, sets[::-1]),
+                 (shuffled, swapped, sets[::-1]))
+        for i, (pts, F, S) in enumerate(calls, 1):
+            assert brun._hit_masks(pts, F, S) == _loop_masks(pts, F, S)
+            assert len(builds) == i
 
     def test_mixed_dimension_sets_rejected(self):
         support = SieveSupport((5, 7), 11)

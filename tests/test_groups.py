@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sievelab import groups
 from sievelab.groups import (
     GroupSpec,
     _code_ops,
@@ -169,6 +170,24 @@ class TestDensities:
     def test_nonunit_delta_rejected(self):
         with pytest.raises(ValueError):
             charpoly_class_density(GroupSpec(1, 5, "gsp"), 0)
+
+    def test_gsp4_table_built_once(self, monkeypatch):
+        # the char-poly table of GSp4(F_l) is built once per process, and
+        # no caller can change what the next one gets
+        groups._gsp4_charpoly_counts.cache_clear()
+        builds = []
+        table = groups.class_table
+        monkeypatch.setattr(groups, "class_table",
+                            lambda spec, mode: builds.append((spec, mode)) or table(spec, mode))
+        spec = GroupSpec(2, 3, "gsp")
+        first = charpoly_class_density(spec, 2)
+        want = dict(first)
+        first.clear()
+        other = charpoly_class_density(spec, 1)
+        other[(0, 0)] = Fraction(1)
+        assert charpoly_class_density(spec, 2) == want
+        assert sum(charpoly_class_density(spec, 1).values()) == 1
+        assert builds == [(spec, "charpoly")]
 
 
 class TestLemmas:

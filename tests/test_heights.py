@@ -49,6 +49,13 @@ class TestEnumeration:
     def test_matches_brute_force_at_sandwich_size(self):
         assert [p.coords for p in enumerate_projective(1, 300)] == brute_projective(1, 300)
 
+    def test_matches_brute_force_past_four_prime_heads(self):
+        # the last head 210 = 2*3*5*7 has four primes; 125 = 5^3 and 128 = 2^7 are
+        # prime powers; (c0, 0) is a point for c0 = 1 only
+        assert [p.coords for p in enumerate_projective(1, 210)] == brute_projective(1, 210)
+        for x in range(1, 13):
+            assert [p.coords for p in enumerate_projective(2, x)] == brute_projective(2, x)
+
     def test_points_share_coordinate_ints(self):
         # one int object per coordinate value in [-x, x]: no per-point ints
         ids = {id(c) for p in enumerate_projective(1, 300) for c in p.coords}
