@@ -9,8 +9,9 @@ whole ``ap_table`` while many are live, else by direct character sums
 (``ap_sums``).  Per l it ORs the witness bits of each class
 (a_p mod l, p mod l) into a uint8 state per point (``witness_lut``), one
 bit per condition of the verdict, which one table reads (``VERDICT``).
-Certification only grows with the prime set, so points certified at every
-l >= 5 leave the sweep early.
+States only gain bits, so a point leaves the sweep early once each of its
+states holds every bit its table can set: certified at every l >= 5 in the
+census, every trace seen in the class sieve.
 A point enters the exceptional proxy when it is undecided for at least one
 l; verdicts depend only on (t, l, p-cap), so the proxy is monotone under
 enlarging the height window.
@@ -89,7 +90,7 @@ class CensusRow(namedtuple("CensusRow", "x n_points surjective undecided undecid
 TABLE_MIN_LIVE = 64
 
 
-def _sweep(num, den, family, primes, luts, certified=None):
+def _sweep(num, den, family, primes, luts):
     """(P, len(luts)) states of the LUTs' dtype (uint8 if none): for each
     point and each (l, l) table in ``luts``, the OR of lut[a_p mod l,
     p mod l] over the primes p not dividing den at which the point has
@@ -97,15 +98,19 @@ def _sweep(num, den, family, primes, luts, certified=None):
     ``ap_table`` while more than TABLE_MIN_LIVE are live, else from
     ``ap_sums``.
 
-    Every 8 primes, the points that ``certified(states)`` marks leave the
-    sweep; it must mark only points whose outcome no further bit changes.
+    Every 8 primes, the points whose every state is its LUT's full value,
+    the OR of all its entries, leave the sweep: ORing in more bits cannot
+    change a full state.  With no LUT, every point leaves before the first
+    prime.
     """
-    state = np.zeros((len(num), len(luts)), dtype=np.result_type(np.uint8, *luts))
+    dtype = np.result_type(np.uint8, *luts)
+    full = np.array([np.bitwise_or.reduce(lut, axis=None) for lut in luts], dtype=dtype)
+    state = np.zeros((len(num), len(luts)), dtype=dtype)
     live = np.arange(len(num))
     n, d, s = num, den, state
     dmax = int(den.max(initial=0))
     for k, p in enumerate(primes):
-        if certified is not None and k % 8 == 0 and (done := certified(s)).any():
+        if k % 8 == 0 and (done := (s == full).all(axis=1)).any():
             state[live[done]] = s[done]
             live, n, d, s = live[~done], n[~done], d[~done], s[~done]
         if not len(live):
@@ -123,15 +128,12 @@ def _sweep(num, den, family, primes, luts, certified=None):
 def _reason_codes(num, den, family, pcap, l_values):
     """(P, len(l_values)) int8 over the primes up to pcap that the family
     does not exclude: 0 where 'surjective', else the reason code of the
-    first missing witness (REASONS); l = 3 is always 'l3'.  With no
-    l >= 5 there is no bit to gain: every point is certified before the
-    first prime, and no a_p is evaluated."""
+    first missing witness (REASONS); l = 3 is always 'l3'.  A witness
+    LUT's full value is WITNESSED, so a point leaves the sweep once it is
+    certified at every l >= 5; with no l >= 5 no a_p is evaluated."""
     big = [j for j, l in enumerate(l_values) if l != 3]
     primes = [p for p in primes_below(pcap + 1) if p not in family.excluded_primes]
-    state = _sweep(
-        num, den, family, primes, [witness_lut(l_values[j]) for j in big],
-        certified=lambda s: (s == WITNESSED).all(axis=1),
-    )
+    state = _sweep(num, den, family, primes, [witness_lut(l_values[j]) for j in big])
     out = np.full((len(num), len(l_values)), REASONS.index("l3") + 1, dtype=np.int8)
     out[:, big] = VERDICT[state]
     return out

@@ -150,11 +150,6 @@ def _frequencies(classes, l):
     return {k: Fraction(v, len(classes)) for k, v in sorted(tally.items())}
 
 
-def _measure(family, q, n, l):
-    fld, points = ffield_specializations(family, q, n)
-    return len(points), _frequencies(ffield_frobenius(family, fld, points, l), l)
-
-
 def chebotarev_report(family, q, l, n_range):
     """Per-n census with predictions from the det = q^n coset.
 
@@ -173,15 +168,13 @@ def chebotarev_report(family, q, l, n_range):
         warnings.append("q not coprime to 6l")
     out = []
     for n in n_range:
+        fld, points = ffield_specializations(family, q, n)
+        freqs = _frequencies(ffield_frobenius(family, fld, points, l), l)
         delta = pow(q, n, l)
-        total, freqs = _measure(family, q, n, l)
-        predicted, deviation = None, None
-        if family.genus == 1:
-            dens = {(tr, delta): gl2_class_density(l, tr, delta) for tr in range(l)}
-            predicted, deviation = _predict(freqs, dens, l)
-        out.append(
-            FFieldCensus(q, n, l, total, freqs, predicted, deviation, tuple(warnings))
-        )
+        dens = {(tr, delta): gl2_class_density(l, tr, delta) for tr in range(l)}
+        predicted, deviation = _predict(freqs, dens, l)
+        out.append(FFieldCensus(q, n, l, len(points), freqs, predicted, deviation,
+                                tuple(warnings)))
     return out
 
 

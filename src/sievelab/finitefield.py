@@ -4,11 +4,13 @@ The element d_0 + d_1 z + ... + d_{n-1} z^{n-1} of F_q[z]/(h) is the code
 sum d_i q^i, so codes run over 0..q^n - 1 and sort like the reversed digit
 tuples.  The modulus h is the lexicographically first monic polynomial of
 degree n for which z has order q^n - 1: h is primitive, every nonzero
-element is a power of z, and products go through exp/log tables.  Sums add
-base-q digits mod q: codes spread to base 2q - 1 add without a carry, and
-an unspread table reads the digit sums back mod q.  The tables are tuples
-indexed by code; ``log[0]`` is 2 (q^n - 1), an index past two periods of
-the powers of z.
+element is a power of z, and products go through exp/log tables.  Each
+candidate with h(0) != 0 walks the powers of z on the add tables back to
+1, and the first walk through all q^n - 1 nonzero codes is the exp table.
+Sums add base-q digits mod q: codes spread to base 2q - 1 add without a
+carry, and an unspread table reads the digit sums back mod q.  The tables
+are tuples indexed by code; ``log[0]`` is 2 (q^n - 1), an index past two
+periods of the powers of z.
 """
 
 from __future__ import annotations
@@ -18,31 +20,6 @@ import itertools
 import operator
 
 from .config import _prime_divisors
-
-
-def _mulmod(a, b, h, q):
-    """a b mod (h, q) for ascending digit lists of length n; h holds the n
-    low coefficients of a monic modulus of degree n."""
-    n = len(h)
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k] % q
-        for i in range(n):
-            prod[k - n + i] -= c * h[i]
-    return [v % q for v in prod[:n]]
-
-
-def _powmod(a, e, h, q):
-    out = [1] + [0] * (len(h) - 1)
-    while e:
-        if e & 1:
-            out = _mulmod(out, a, h, q)
-        a = _mulmod(a, a, h, q)
-        e >>= 1
-    return out
 
 
 def _spread(q, n, base):
@@ -78,29 +55,32 @@ class ExtField:
         self.q, self.n = q, n
         Q = q**n
         m = Q - 1
-        one = [1] + [0] * (n - 1)
+        base = 2 * q - 1
+        self.spread = spread = tuple(_spread(q, n, base))
+        self.unspread = unspread = _unspread(q, n, base)
+        top = q ** (n - 1)
         for tail in itertools.product(range(q), repeat=n):
-            z = [0, 1] + [0] * (n - 2) if n > 1 else [-tail[0] % q]
-            # z divides h when h(0) = 0, so z is no unit then
-            if tail[0] and _powmod(z, m, tail, q) == one and not any(
-                _powmod(z, m // r, tail, q) == one for r in _prime_divisors(m)
-            ):
+            if not tail[0]:  # z divides h, so z is no unit
+                continue
+            # walk the powers of z back to 1 on the add tables: c z shifts the
+            # digits of c up and adds minus_th[t], the spread code of -t h for top digit t
+            minus_th = [0] * q
+            for i, h in enumerate(tail):
+                w = base**i
+                minus_th = [s + (-t * h) % q * w for t, s in enumerate(minus_th)]
+            exp, c = [], 1
+            while True:
+                exp.append(c)
+                c = unspread[spread[c % top * q] + minus_th[c // top]]
+                if c == 1:
+                    break
+            if len(exp) == m:
                 break
         self.modulus = (*tail, 1)
-        weights = [q**i for i in range(n)]
-        exp, d = [], one
-        for _ in range(m):
-            exp.append(sum(map(operator.mul, d, weights)))
-            # times z: shift the digits up, then subtract the top digit times h
-            top = d[-1]
-            d = [(v - top * h) % q for v, h in zip([0, *d[:-1]], tail)]
         log = [2 * m] * Q
         for k, c in enumerate(exp):
             log[c] = k
         self.exp, self.log = tuple(exp), tuple(log)
-        base = 2 * q - 1
-        self.spread = tuple(_spread(q, n, base))
-        self.unspread = _unspread(q, n, base)
         # y^2 = v has 2 roots when log v is even, none when odd; one root of
         # each v in characteristic 2
         self._sqrt = (1,) + tuple(2 - 2 * (k % 2) if q != 2 else 1 for k in log[1:])

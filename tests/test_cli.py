@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -161,7 +162,8 @@ class TestCensus:
             [[surjectivity_verdict(c[l], l, 1) == "surjective" for l in l_values] for c in classes])
         assert np.array_equal(surjective, expected)
         assert expected[:, 1:].any() and not expected.all()
-        # without the early exit, each state is the OR of its classes' bits
+        # each state is the OR of its classes' bits: a point that left the
+        # sweep early already held every bit its LUT can set
         luts = [witness_lut(l) for l in l_values[1:]]
         states = _sweep(num, den, fam, primes, luts)
         for j, (l, lut) in enumerate(zip(l_values[1:], luts)):
@@ -272,6 +274,37 @@ class TestClassSieving:
                 sets[p] = SievingSet(p, 2, frozenset(omega))
             expected = sandwich(points, F, sets, SieveSupport(support, Q)).exact
             assert rep.count == expected
+
+    def test_trace_sweep_drops_points_that_saw_every_trace(self, monkeypatch):
+        from sievelab import census as census_mod
+
+        live = []  # the residues read at each support prime, in sweep order
+
+        class Recorded:
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, t):
+                live.append(len(t))
+                return self.table[t]
+
+        def sums(family, p, t, real=census_mod.ap_sums):
+            live.append(len(t))
+            return real(family, p, t)
+
+        real_table = census_mod.ap_table
+        monkeypatch.setattr(census_mod, "ap_table", lambda family, p: Recorded(real_table(family, p)))
+        monkeypatch.setattr(census_mod, "ap_sums", sums)
+        fam = default_elliptic_family()
+        rep = sifted_class_set(fam, 60, 5, (0, 1), 1000, 1000)
+        # the live set changes only between 8-prime blocks, and it shrinks
+        assert 0 < len(live) <= len(rep.support)
+        assert all(live[k] == live[k - 1] for k in range(1, len(live)) if k % 8)
+        assert any(live[k] < live[k - 1] for k in range(8, len(live), 8))
+        # the count of the per-point loop over ap_table
+        tables = {p: ap_table(fam, p) for p in rep.support}
+        classes = _oracle_classes(_oracle_points(60, fam.bad_locus), tables, (5,))
+        assert rep.count == sum((0, 1) not in c[5] for c in classes)
 
     def test_containment_cross_check(self):
         fam = default_elliptic_family()
@@ -544,6 +577,32 @@ class TestCli:
         assert written[0] == written[2] == ["class_set_l5_tr4.json"]
         assert written[1] == written[3]
         assert json.loads(written[1])["class"] == [4, 1]
+
+    def test_artifacts_stay_byte_identical(self, tmp_path):
+        # CRC-32 of the benchmark's finite-field results and the census-wide
+        # artifacts; a refactor that changes a byte must say why
+        from sievelab.chebotarev import chebotarev_report, genus2_census
+
+        reports = chebotarev_report(default_elliptic_family(), 7, 3, [1, 2, 3])
+        crcs = {
+            "chebotarev": zlib.crc32("\n".join(c.to_json() for c in reports).encode()),
+            "genus2": zlib.crc32(genus2_census(default_genus2_family(), 11, 5).to_json().encode()),
+        }
+        out = str(tmp_path / "out")
+        common = ["--x", "20,40,60", "--lmax", "13", "--pcap", "200", "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(common + ["census"]) == 0
+            assert main(common + ["sifted-class-set", "--l", "5", "--class", "0,1", "--Q", "200"]) == 0
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                crcs[name] = zlib.crc32(fh.read())
+        assert crcs == {
+            "chebotarev": 1866568472,
+            "genus2": 296028361,
+            "census.csv": 1849435720,
+            "census_reasons.csv": 2051400799,
+            "class_set_l5_tr0.json": 3974932368,
+        }
 
     def test_import_leaves_out_libcrypto(self):
         # hashlib maps OpenSSL's libcrypto (about 3.5 MiB of RSS) into

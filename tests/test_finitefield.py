@@ -50,10 +50,16 @@ class TestArithmetic:
             assert fld.mul(x, y) == _code(gf_rem(gf_mul(fx, fy, q, ZZ), h, q, ZZ), q)
             assert fld.add(x, y) == _code(gf_add(fx, fy, q, ZZ), q)
 
-    @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(2, 1), (3, 1), (7, 3), (11, 2)])
+    @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
+                                            (2, 4), (5, 3), (7, 3), (11, 2), (5, 4)])
     def test_modulus_is_first_primitive(self, q, n):
-        h = field(q, n).modulus
+        fld = field(q, n)
+        h = fld.modulus
         assert len(h) == n + 1 and h[-1] == 1
+        # exp walks every nonzero code once, log inverts it and parks 0 past two periods
+        assert sorted(fld.exp) == list(range(1, q**n))
+        assert all(fld.log[c] == k for k, c in enumerate(fld.exp))
+        assert fld.log[0] == 2 * (q**n - 1)
         assert _z_order(list(h[::-1]), q) == q**n - 1
         # no lexicographically earlier monic polynomial is primitive
         for tail in itertools.product(range(q), repeat=n):
