@@ -135,18 +135,19 @@ def _hit_masks(X, F, sets):
     """Per-prime bitsets (Python ints, bit i for X[i]) of the points whose
     image F(u) reduces into the prime's Omega_p.
 
-    F is called once per point.  The last masks are kept with their images
-    and sets, compared by ``==`` and never hashed, and a repeat call with
-    equal ones (the sandwich at another depth) reuses them.
+    F is called once per point.  The masks are kept with a tuple snapshot
+    of the images and sets, compared by ``==``, never hashed: a repeat call
+    with equal ones (the sandwich at another depth) reuses them.
     """
     if not sets:
         return {}
     dim = sets[0].dim
     if any(s.dim != dim for s in sets):
         raise ValueError("sieving sets of different dimensions")
-    key = tuple(map(tuple, map(F, X))), tuple(sets)
+    images, sets = tuple(map(F, X)), tuple(sets)
     last, masks = _last  # one read, so another thread's call cannot split the pair
-    if last != key:  # a hit's images equal checked ones
+    if last != (images, sets) and last != (key := (tuple(map(tuple, images)), sets)):
+        del images  # the snapshot alone stays under the mask build's columns
         wrong = set(map(len, key[0])) - {dim}
         if wrong:
             raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")

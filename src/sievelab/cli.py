@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -187,8 +188,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         if args.command in ("census", "sifted-class-set") and cfg.family.genus != 1:
@@ -217,5 +217,14 @@ def main(argv=None):
         return EXIT_CONFIG
 
 
+def run():
+    """The process entry: a command makes no cycles to collect, and a frozen
+    heap spares interpreter teardown its walk.  ``main`` leaves gc alone."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -248,6 +248,23 @@ class TestSandwich:
             assert brun._hit_masks(pts, F, S) == _loop_masks(pts, F, S)
             assert len(builds) == i
 
+    def test_mutated_list_images_build_again(self, builds):
+        # F hands back the caller's own lists: equal lists still hit the
+        # memo, and a change to them between calls is seen by the next one
+        rows = [list(u.coords) for u in _points(20)]
+        sets = [SievingSet(p, 2, frozenset({(0, 1), (1, 1), (2, 0)})) for p in (3, 5)]
+        calls = []
+        F = lambda row: calls.append(row) or row
+        seen = []
+        for shift in (0, 0, 1, -1):
+            for row in rows:
+                row[1] += shift
+            seen.append(brun._hit_masks(rows, F, sets))
+            assert seen[-1] == _loop_masks(rows, tuple, sets)
+            assert len(calls) == len(rows) * len(seen)  # F once per point per call
+        assert builds == [len(rows)] * 3
+        assert seen[0] == seen[1] == seen[3] != seen[2]
+
     def test_mixed_dimension_sets_rejected(self):
         support = SieveSupport((5, 7), 11)
         sets = {5: _omega_zero(5), 7: SievingSet(7, 2, frozenset({(0, 0)}))}

@@ -768,6 +768,81 @@ class TestCli:
             assert raised is expected, l
 
 
+def _env():
+    """The environment with the sources first on the path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _entry(argv, tmp_path):
+    """``python -m sievelab.cli`` with argv in a fresh process: the process
+    entry that the console script goes through too."""
+    return subprocess.run([sys.executable, "-m", "sievelab.cli", *argv], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntry:
+    def test_census_prints_the_path_and_matches_main(self, tmp_path):
+        common = ["--x", "10,20", "--lmax", "7", "--pcap", "50", "--out"]
+        proc = _entry(common + ["entry", "census"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, os.path.join("entry", "census.csv") + "\n", "")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(common + [str(tmp_path / "main"), "census"]) == 0
+        for name in ("census.csv", "census_reasons.csv"):
+            assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["--pcap", "0", "census"], 2, "config error: "),
+        (["--x", "10", "--pcap", "100000", "census"], 3, "infeasible: "),
+    ])
+    def test_errors_exit_with_one_line(self, tmp_path, argv, code, prefix):
+        proc = _entry(argv, tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(prefix) and "Traceback" not in proc.stderr
+
+    def test_in_process_callers_keep_the_collector(self, tmp_path):
+        # only the process entry pauses and freezes the collector: importing
+        # any module or calling main leaves it as it was
+        out = _fresh_interpreter(
+            "import gc, importlib, pkgutil, sievelab\n"
+            "for m in pkgutil.iter_modules(sievelab.__path__):\n"
+            "    importlib.import_module('sievelab.' + m.name)\n"
+            "from sievelab.cli import main\n"
+            f"main(['--x', '10', '--pcap', '50', '--out', {str(tmp_path)!r}, 'census'])\n"
+            "main(['--pcap', '0', 'census'])\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n",
+            [],
+        )
+        assert out[-2:] == ["True 0", "[]"]
+
+    def test_entry_pauses_and_freezes_the_collector(self, tmp_path):
+        # as interpreter teardown begins, after the command's exit
+        out = _fresh_interpreter(
+            "import atexit, gc\n"
+            "from sievelab.cli import run\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+            f"sys.argv[1:] = ['--x', '10', '--out', {str(tmp_path)!r}, 'goodred']\n"
+            "try:\n    run()\nexcept SystemExit as e:\n    print(e.code)\n",
+            [],
+        )
+        assert out == [os.path.join(str(tmp_path), "goodred.csv"), "0", "[]", "False True"]
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(SRC)
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["sievelab"]
+        with open(os.path.join(SRC, "sievelab", "cli.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        called = [node.func.id for node in ast.walk(block)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert [f"sievelab.cli:{name}" for name in called] == [script]
+
+
 def _fresh_interpreter(code, modules):
     """The stdout lines of ``code`` run in a fresh interpreter with the
     sources on the path; ``print_modules()`` there prints which of
@@ -777,9 +852,7 @@ def _fresh_interpreter(code, modules):
         f"def print_modules():\n    print(sorted(m for m in {modules!r} if m in sys.modules))\n"
         f"{code}print_modules()\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

@@ -103,15 +103,27 @@ class TestApCount:
 
 def _ap_table_oracle(family, p):
     """The (p x p) character-sum grid: a_p(t) = -sum_x chi(x^3 + A(t)x + B(t)),
-    with BAD_SENTINEL where the discriminant vanishes mod p."""
-    A = np.array([family.A.eval_mod((t,), p) for t in range(p)], dtype=np.int64)
-    B = np.array([family.B.eval_mod((t,), p) for t in range(p)], dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
+    with BAD_SENTINEL where the discriminant vanishes mod p.  A and B are
+    evaluated by Horner on all residues at once; the grid is int32, and
+    Ax mod p + x^3 mod p + B < 3p indexes chi repeated three times."""
+    t = np.arange(p, dtype=np.int64)
+
+    def values(poly):
+        out = np.zeros(p, dtype=np.int64)
+        for k in range(poly.degree(), -1, -1):
+            out = (out * t + poly.terms.get((k,), 0) % p) % p
+        return out
+
+    A, B = values(family.A), values(family.B)
+    chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
-    chi[[y * y % p for y in range(1, p)]] = 1
-    x = np.arange(p, dtype=np.int64)
-    f = (x * x % p * x)[None, :] + A[:, None] * x[None, :] + B[:, None]
-    a = -chi[f % p].sum(axis=1)
+    chi[t[1:] * t[1:] % p] = 1
+    x = t.astype(np.int32)
+    grid = A.astype(np.int32)[:, None] * x
+    np.remainder(grid, p, out=grid)
+    grid += x * x % p * x % p
+    grid += B.astype(np.int32)[:, None]
+    a = -np.tile(chi, 3)[grid].sum(axis=1, dtype=np.int64)
     a[-16 * (4 * A**3 + 27 * B**2) % p == 0] = BAD_SENTINEL
     return a
 
