@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ def sandwich(X, F, sets_by_prime, support, b=None):
     ``sets_by_prime`` maps each support prime to its SievingSet.  With
     b = None the coefficients are the full Moebius weights and
     lower = exact = upper.  ``F`` maps a point to an integer vector with the
-    sieving sets' dimension; any other length raises ValueError.
+    sieving sets' dimension; another length or a non-integer raises ValueError.
     """
     from .sieve import local_density  # here only, so goodred loads no sieve
 
@@ -137,7 +138,8 @@ def _hit_masks(X, F, sets):
 
     F is called once per point.  The masks are kept with a tuple snapshot
     of the images and sets, compared by ``==``, never hashed: a repeat call
-    with equal ones (the sandwich at another depth) reuses them.
+    with equal ones (the sandwich at another depth) reuses them; on a miss,
+    ``_masks`` checks the images (length, integer coordinates) and builds them.
     """
     if not sets:
         return {}
@@ -148,29 +150,61 @@ def _hit_masks(X, F, sets):
     last, masks = _last  # one read, so another thread's call cannot split the pair
     if last != (images, sets) and last != (key := (tuple(map(tuple, images)), sets)):
         del images  # the snapshot alone stays under the mask build's columns
-        wrong = set(map(len, key[0])) - {dim}
-        if wrong:
-            raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
         _last[:] = key, (masks := _masks(*key))
     return dict(masks)
 
 
 _last = [None, ()]  # the (images, sets) key of the last _hit_masks call, and its masks
 _BITS = bytes.maketrans(b"\0\1", b"01")
+_BLOCK = 4096  # points per block of words, so that the word arrays stay small
 
 
 def _masks(images, sets):
-    """((p, mask), ...) for _hit_masks.  Each coordinate column is reduced
-    mod p and the residue tuples are looked up in Omega_p, one byte per
-    point, so no table of size p^dim is built.  The bytes, read as binary
-    digits, give the mask."""
-    cols = [list(map(operator.itemgetter(i), images)) for i in range(sets[0].dim)]
-    masks = []
-    for s in sets:
+    """((p, mask), ...) for _hit_masks, once each image is checked to have
+    the sets' dimension and integer coordinates (``operator.index`` on every
+    coordinate), else ValueError.
+
+    Up to eight sets with p^dim <= 256 share one pass per column: each
+    distinct value v of column k maps once to a 64-bit word whose byte lane j
+    (in memory order on any machine) holds (v mod p_j) p_j^(dim-1-k).  Per
+    block of points, the columns' words, array('Q')s read by int.from_bytes,
+    add without a carry into each point's mixed-radix residue code per lane,
+    and a strided slice through a 256-byte indicator of Omega_p gives a set's
+    digits.  Other sets look each point's residue tuple up in Omega_p.  The
+    digits, b"0" or b"1" per point and read as binary, give the mask.
+    """
+    dim = sets[0].dim
+    wrong = set(map(len, images)) - {dim}
+    if wrong:
+        raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
+    try:  # each column's distinct values, as ints
+        values = [set(map(operator.index, map(operator.itemgetter(k), images))) for k in range(dim)]
+    except TypeError:
+        raise ValueError("F gave a non-integer coordinate") from None
+    from array import array  # here only, so goodred and the finite-field runs load no array
+    digits = {}  # by id(s), so that no set is hashed
+    small = [s for s in sets if s.p**dim <= 256]
+    for g in range(0, len(small), 8):
+        # per lane: the set, its digits so far, and Omega_p's indicator by residue code
+        lanes = [(s, bytearray(), bytes(b"01"[w in s.residues] for w in itertools.product(
+            range(s.p), repeat=dim)).ljust(256, b"0")) for s in small[g:g + 8]]
+        words = [{i: int.from_bytes(bytes(i % s.p * s.p ** (dim - 1 - k) for s, _, _ in lanes)
+                                    .ljust(8, b"\0"), sys.byteorder) for i in col}
+                 for k, col in enumerate(values)]
+        for start in range(0, len(images), _BLOCK):
+            block = images[start:start + _BLOCK]
+            total = sum(int.from_bytes(array("Q", map(word.__getitem__, map(
+                operator.itemgetter(k), block))), "little") for k, word in enumerate(words))
+            codes = total.to_bytes(8 * len(block), "little")
+            for j, (s, hit, omega) in enumerate(lanes):
+                hit += codes[j::8].translate(omega)
+        digits.update((id(s), hit) for s, hit, _ in lanes)
+    big = [s for s in sets if id(s) not in digits]
+    cols = [list(map(operator.itemgetter(i), images)) for i in range(dim) if big]
+    for s in big:
         reduced = [map(operator.mod, col, itertools.repeat(s.p)) for col in cols]
-        hit = bytes(map(s.residues.__contains__, zip(*reduced)))
-        masks.append((s.p, int(b"0" + hit.translate(_BITS)[::-1], 2)))
-    return tuple(masks)
+        digits[id(s)] = bytes(map(s.residues.__contains__, zip(*reduced))).translate(_BITS)
+    return tuple((s.p, int(b"0" + digits[id(s)][::-1], 2)) for s in sets)
 
 
 C_AUDIT = 8.0  # the constant of the remainder audit's bound

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,15 +31,24 @@ def _omega_zero(p):
 
 
 def _loop_masks(X, F, sets):
-    """Oracle for ``brun._hit_masks``: one residue tuple per point and prime."""
+    """Oracle for ``brun._hit_masks``: one residue tuple of ints per point and
+    set, looked up in Omega_p; the last set of a prime gives its mask."""
     masks = {}
     for s in sets:
         m = 0
         for i, u in enumerate(X):
-            if tuple(c % s.p for c in F(u)) in s.residues:
+            if tuple(operator.index(c) % s.p for c in F(u)) in s.residues:
                 m |= 1 << i
         masks[s.p] = m
     return masks
+
+
+def _sandwich_sets(primes):
+    """The sieving sets of the benchmark's sandwich: the zeros of the
+    homogenised bad locus of the default family mod p, in dimension 2."""
+    f = default_elliptic_family().bad_locus.homogenize()
+    return {p: SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
+            for p in primes}
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,12 +145,8 @@ class TestSandwich:
     @pytest.mark.parametrize("b", [1, 2, 3, None])
     @pytest.mark.parametrize("height", [0, 60])
     def test_array_masks_match_point_loop(self, monkeypatch, b, height):
-        f = default_elliptic_family().bad_locus.homogenize()
         primes = (5, 7, 11, 13)
-        sets = {
-            p: SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
-            for p in primes
-        }
+        sets = _sandwich_sets(primes)
         support = SieveSupport(primes, 17)
         X = _points(height) if height else []
         F = operator.attrgetter("coords")
@@ -150,18 +156,73 @@ class TestSandwich:
         monkeypatch.setattr(brun, "_hit_masks", _loop_masks)
         assert rep == sandwich(X, F, sets, support, b=b)
 
-    @given(
-        st.sampled_from([2, 3, 5, 7]),
-        st.integers(1, 3),
-        st.data(),
-    )
-    def test_hit_masks_match_point_loop(self, p, dim, data):
-        # residues outside [0, p) are never hit, as in the tuple lookup
-        vec = st.tuples(*[st.integers(-2 * p, 2 * p)] * dim)
-        residues = data.draw(st.frozensets(vec, max_size=12))
-        X = data.draw(st.lists(vec, max_size=40))
-        sets = [SievingSet(p, dim, residues), SievingSet(11, dim, frozenset())]
-        assert brun._hit_masks(X, lambda u: u, sets) == _loop_masks(X, lambda u: u, sets)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_hit_masks_match_point_loop(self, dim, data):
+        # primes on both sides of p^dim = 256 (byte lanes and the per-point
+        # lookup), often more than eight byte-coded sets (two words); Omega_p
+        # with residues outside [0, p) and tuples of the wrong length, never
+        # hit, as in the tuple lookup; coordinates near +-10^30; and at times
+        # more points than one block
+        primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 257]),
+                                    min_size=1, max_size=12))
+        q = max(primes)
+        near = st.integers(-2 * q, 2 * q)
+        coord = near | near.map(lambda c: c + 10**30) | near.map(lambda c: c - 10**30)
+        X = data.draw(st.lists(st.tuples(*[coord] * dim), max_size=40))
+        if data.draw(st.booleans()):
+            rng = random.Random(data.draw(st.integers(0, 9)))
+            X += [tuple(rng.randrange(-3 * q, 3 * q) for _ in range(dim))
+                  for _ in range(brun._BLOCK + 1)]
+        sets = []
+        for p in primes:
+            entry = st.lists(st.integers(-1, p), min_size=dim - 1, max_size=dim + 1).map(tuple)
+            residues = data.draw(st.frozensets(entry, max_size=12))
+            sets.append(SievingSet(p, dim, residues | {tuple(c % p for c in u) for u in X[:2]}))
+        # each set's own mask, the sets of a repeated prime included
+        expected = tuple((s.p, _loop_masks(X, tuple, [s])[s.p]) for s in sets)
+        assert brun._masks(tuple(X), tuple(sets)) == expected
+        assert brun._hit_masks(X, tuple, sets) == dict(expected)
+
+    @pytest.mark.parametrize("primes", [(5, 13), (17, 19)], ids=["lanes", "per-point"])
+    @pytest.mark.parametrize("coord", [2.0, Fraction(2), np.float64(2)])
+    def test_non_integer_coordinates_rejected(self, monkeypatch, primes, coord):
+        # a float or Fraction equal to an int once passed as that int; on a
+        # memo miss, both paths reject it
+        monkeypatch.setattr(brun, "_last", [None, ()])
+        sets = {p: SievingSet(p, 2, frozenset({(2, 1)})) for p in primes}
+        support = SieveSupport(primes, 23)
+        F = lambda t: (coord, 1) if t == 3 else (t, 1)
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            brun._hit_masks([1, 2, 3], F, list(sets.values()))
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            sandwich([1, 2, 3], F, sets, support)
+
+    def test_numpy_images_match_ints(self):
+        # numpy int64 coordinates on both paths; the memo, which compares
+        # by ==, would hand the int images' masks back, so build each time
+        X = _points(60)
+        sets = (*_sandwich_sets((5, 7, 11, 13)).values(),
+                SievingSet.from_predicate(17, 2, lambda v: (v[0] * v[0] - v[1]) % 17 == 0))
+        as_ints = brun._masks(tuple(u.coords for u in X), sets)
+        int64 = tuple(tuple(np.array(u.coords, dtype=np.int64)) for u in X)
+        assert type(int64[0][0]) is np.int64
+        assert brun._masks(int64, sets) == as_ints
+        assert dict(as_ints) == _loop_masks(X, operator.attrgetter("coords"), sets)
+
+    def test_mask_build_memory_at_300(self):
+        # the tracemalloc peak of the mask build over the images of the
+        # benchmark's x = 300 sandwich: the word arrays are built in blocks,
+        # and no bytes are joined per point
+        images = tuple(u.coords for u in _points(300))
+        sets = tuple(_sandwich_sets((5, 7, 11, 13)).values())
+        tracemalloc.start()
+        try:
+            brun._masks(images, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_mixed_length_images_rejected(self):
         support = SieveSupport((5,), 7)
@@ -222,12 +283,8 @@ class TestSandwich:
                                    lambda u: list(u.coords)],
                              ids=["same", "fresh-tuples", "lists"])
     def test_depths_build_masks_once(self, builds, F):
-        f = default_elliptic_family().bad_locus.homogenize()
         primes = (5, 7, 11, 13)
-        sets = {
-            p: SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
-            for p in primes
-        }
+        sets = _sandwich_sets(primes)
         support = SieveSupport(primes, 17)
         X = _points(60)
         for b in (1, 2, 3, None):

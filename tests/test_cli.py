@@ -579,29 +579,44 @@ class TestCli:
         assert json.loads(written[1])["class"] == [4, 1]
 
     def test_artifacts_stay_byte_identical(self, tmp_path):
-        # CRC-32 of the benchmark's finite-field results and the census-wide
-        # artifacts; a refactor that changes a byte must say why
+        # CRC-32 of the benchmark's finite-field results, its x = 300
+        # sandwich, and the census-wide and brun-sandwich artifacts; a
+        # refactor that changes a byte must say why
+        from sievelab import brun, heights, sieve
         from sievelab.chebotarev import chebotarev_report, genus2_census
 
         reports = chebotarev_report(default_elliptic_family(), 7, 3, [1, 2, 3])
+        # the sandwich as perfbench/ops.py runs it at x = 300
+        family = default_elliptic_family()
+        f = family.bad_locus.homogenize()
+        primes = tuple(p for p in primes_below(17) if p not in family.excluded_primes)
+        sets = {p: sieve.SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
+                for p in primes}
+        points = heights.enumerate_projective(1, 300)
+        sandwiches = [brun.sandwich(points, operator.attrgetter("coords"), sets,
+                                    sieve.SieveSupport(primes, 17), b=b) for b in (1, 2, 3, None)]
         crcs = {
             "chebotarev": zlib.crc32("\n".join(c.to_json() for c in reports).encode()),
             "genus2": zlib.crc32(genus2_census(default_genus2_family(), 11, 5).to_json().encode()),
+            "sandwich": zlib.crc32("\n".join(r.to_json() for r in sandwiches).encode()),
         }
         out = str(tmp_path / "out")
         common = ["--x", "20,40,60", "--lmax", "13", "--pcap", "200", "--out", out]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(common + ["census"]) == 0
             assert main(common + ["sifted-class-set", "--l", "5", "--class", "0,1", "--Q", "200"]) == 0
+            assert main(["--x", "300,2000", "--out", out, "goodred"]) == 0
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
                 crcs[name] = zlib.crc32(fh.read())
         assert crcs == {
             "chebotarev": 1866568472,
             "genus2": 296028361,
+            "sandwich": 3297640705,
             "census.csv": 1849435720,
             "census_reasons.csv": 2051400799,
             "class_set_l5_tr0.json": 3974932368,
+            "goodred.csv": 1635435571,
         }
 
     def test_import_leaves_out_libcrypto(self):
