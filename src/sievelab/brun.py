@@ -16,7 +16,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .config import primes_below, smallest_prime_factors
+from .config import _every, coprime_rows, primes_below
 
 
 def _squarefree_products(primes):
@@ -148,7 +148,11 @@ def _hit_masks(X, F, sets):
         raise ValueError("sieving sets of different dimensions")
     images, sets = tuple(map(F, X)), tuple(sets)
     last, masks = _last  # one read, so another thread's call cannot split the pair
-    if last != (images, sets) and last != (key := (tuple(map(tuple, images)), sets)):
+    try:
+        hit = last == (images, sets)
+    except ValueError:  # an ndarray image compares elementwise: only its snapshot can hit
+        hit = False
+    if not hit and last != (key := (tuple(map(tuple, images)), sets)):
         del images  # the snapshot alone stays under the mask build's columns
         _last[:] = key, (masks := _masks(*key))
     return dict(masks)
@@ -278,19 +282,11 @@ def good_reduction_census(family, x, Q):
 
 def _census_bitset(f, r, x, support):
     """Count the canonical points (c : b) of P^r(Q) of height <= x, c the
-    first r coordinates, with f(c, b) != 0 mod every support prime.
-
-    Each prefix c != 0 (first nonzero entry positive) owns one bit row over
-    b in [-x, x]: a Python int, bit i for b = -x + i.  Per prime p and
-    residue c mod p there is one allowed row.  f is evaluated once per point
-    of P^r(F_p) (first nonzero coordinate 1), and each zero (c0 : b0) clears
-    b = lambda b0 in the row of lambda c0, for lambda = 1 .. p - 1.  The row
-    of c is the AND of its primes' rows and of the "q does not divide b" row
-    of each distinct prime factor q of gcd(c), from the least prime factors
-    (the point is primitive); ``int.bit_count`` counts it.  c = 0 gives only
-    (0 : ... : 0 : 1).  Rows take about sum_{p in support} p^r (2x + 1) / 8
-    bytes, and the "q does not divide b" rows, cached per q, at most
-    pi(x) (2x + 1) / 8.
+    first r coordinates, with f(c, b) != 0 mod every support prime: each row
+    of ``coprime_rows`` ANDed with the allowed row of c mod p for each p.
+    f is evaluated once per point of P^r(F_p) (first nonzero coordinate 1),
+    and each zero (c0 : b0) clears b = lambda b0 in the row of lambda c0,
+    for lambda = 1 .. p - 1.  Allowed rows take sum_p p^r (2x + 1) / 8 bytes.
     """
     n = 2 * x + 1
     full = (1 << n) - 1
@@ -309,39 +305,15 @@ def _census_bitset(f, r, x, support):
                             code = code * p + lam * v % p
                         cleared[code] |= every << (lam * b0 + x) % p
         tables.append((p, [full & ~m for m in cleared]))
-    spf = smallest_prime_factors(x)
-    coprime = {}  # q -> the row of the b that q does not divide
-    count = int(all(f.eval_mod((0,) * r + (1,), p) for p in support))
-    # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
-    prefixes = itertools.product(range(-x, x + 1), repeat=r)
-    for c in itertools.islice(prefixes, n**r // 2 + 1, None):
-        m = full
+    count = 0
+    for c, m in coprime_rows(r, x):
         for p, rows in tables:
             code = 0
             for v in c:
                 code = code * p + v % p
             m &= rows[code]
-        g = math.gcd(*c)
-        while g > 1:
-            q = spf[g]
-            if q not in coprime:
-                coprime[q] = full & ~(_every(q, n) << x % q)
-            m &= coprime[q]
-            while g % q == 0:
-                g //= q
         count += m.bit_count()
     return count
-
-
-def _every(q, n):
-    """Bits 0, q, 2q, ..., every multiple of q below n and some beyond, by
-    doubling shifts.  Shifted by s < q and cut to n bits, it is the row of
-    the i in [0, n) with i = s mod q."""
-    m, span = 1, q
-    while span < n:
-        m |= m << span
-        span *= 2
-    return m
 
 
 def density_condition_check(densities, w, Q, kappa, C):

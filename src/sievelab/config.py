@@ -1,6 +1,7 @@
-"""Configuration, limits, family documents and the primes sieve, without
-numpy; reads and writes no file."""
+"""Configuration, limits, family documents, the primes sieve and the
+coprime rows, without numpy; reads and writes no file."""
 
+import itertools
 import json
 import math
 import os
@@ -42,6 +43,41 @@ def smallest_prime_factors(n):
     for k in range(math.isqrt(n), 1, -1):
         spf[k * k :: k] = [k] * len(range(k * k, n + 1, k))
     return spf
+
+
+def coprime_rows(r, x):
+    """Yield (c, row) for each canonical prefix c (the first r coordinates)
+    of P^r(Q) at height <= x: c = 0 first, its row b = 1 only, then each c
+    with first nonzero entry > 0, in lexicographic order.  Row bit i, for
+    b = -x + i, is set where gcd(c, b) = 1.  The lab's one coprimality sieve."""
+    n = 2 * x + 1
+    full = (1 << n) - 1
+    yield (0,) * r, 1 << x + 1
+    spf = smallest_prime_factors(x)
+    coprime = {}  # q -> the row of the b that q does not divide
+    # in lexicographic order the c with first nonzero entry > 0 follow c = 0, the middle
+    prefixes = itertools.product(range(-x, x + 1), repeat=r)
+    for c in itertools.islice(prefixes, n**r // 2 + 1, None):
+        m = full
+        g = math.gcd(*c)
+        while g > 1:
+            q = spf[g]
+            if q not in coprime:
+                coprime[q] = full & ~(_every(q, n) << x % q)
+            m &= coprime[q]
+            while g % q == 0:
+                g //= q
+        yield c, m
+
+
+def _every(q, n):
+    """Bits 0, q, 2q, ... below n and some beyond, by doubling shifts: shifted
+    by s < q and cut to n bits, the row of the i in [0, n) with i = s mod q."""
+    m, span = 1, q
+    while span < n:
+        m |= m << span
+        span *= 2
+    return m
 
 
 def primes_below(n):

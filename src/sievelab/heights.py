@@ -15,9 +15,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .config import smallest_prime_factors
+from .config import coprime_rows, smallest_prime_factors
 
 SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes compress reads
 
 
 class ProjectivePoint:
@@ -53,13 +54,10 @@ class ProjectivePoint:
 def enumerate_projective(r, x):
     """All canonical points of P^r(Q) with height <= x, in lexicographic order.
 
-    The tails (last r coordinates) of the box [-x, x]^{r+1} form one lex-ordered
-    block; each head c0 in 0..x keeps the tails with gcd(c0, gcd(tail)) = 1 by
-    a mask of one byte per tail: 0 those of gcd 1 in the upper half (first
-    nonzero coordinate positive), a prime those whose gcd it does not divide,
-    any other c0 the AND of the masks of p = spf(c0) and c0 / p.  Every point
-    shares the int objects of one tuple of coordinate values.  C allocates
-    the points and sets their slot, past ``__init__`` (no tuple here is zero),
+    Each row of ``config.coprime_rows``, one byte per last coordinate,
+    compresses the product of its prefix with [-x, x]; every point shares
+    the int objects of one tuple of coordinate values.  C allocates the
+    points and sets their slot, past ``__init__`` (no tuple here is zero),
     with the cyclic garbage collector paused and then restored as it was.
     """
     if r < 1:
@@ -68,22 +66,14 @@ def enumerate_projective(r, x):
     if x < 1:
         raise ValueError("height bound must be >= 1")
     vals = tuple(range(-x, x + 1))
-    n = len(vals) ** r
-    by_gcd = [bytearray(n) for _ in range(x + 1)]  # by_gcd[g]: a 1 for each tail of gcd g
-    for i, g in enumerate(itertools.starmap(math.gcd, itertools.product(vals, repeat=r))):
-        by_gcd[g][i] = 1
-    by_gcd = [int.from_bytes(m, "big") for m in by_gcd]
-    keep = [by_gcd[1] % 256 ** (n // 2), sum(by_gcd)]  # heads 0 (the upper half) and 1
-    for c0, q in enumerate(smallest_prime_factors(x)[2:], 2):  # q the least prime factor
-        keep.append(keep[1] - sum(by_gcd[::q]) if q == c0 else keep[q] & keep[c0 // q])
     enabled = gc.isenabled()
     gc.disable()  # the points hold tuples of ints only: no cycle can form
     try:
         coords = []
-        for head in vals[x:]:
-            tuples = itertools.product((head,), *(vals,) * r)
-            coords += itertools.compress(tuples, keep[head].to_bytes(n, "big"))
-        del by_gcd, keep  # not held while the points are allocated
+        for c, row in coprime_rows(r, x):
+            flags = bin(row)[:1:-1].ljust(len(vals), "0").encode().translate(_FLAGS)
+            head = [(vals[v + x],) for v in c]  # the shared ints, not the product's
+            coords += itertools.compress(itertools.product(*head, vals), flags)
         out = list(map(object.__new__, itertools.repeat(ProjectivePoint, len(coords))))
         collections.deque(map(ProjectivePoint.coords.__set__, out, coords), maxlen=0)
     finally:
@@ -125,7 +115,8 @@ def affine_line_points(x, bad_locus):
     bad_locus(t) != 0, as int64 arrays ordered by den, then num.
 
     These are the canonical points (den : num) of P^1(Q) with den > 0, in
-    the order of ``enumerate_projective``.  The bad locus is removed
+    the order of ``enumerate_projective``: the rows of ``coprime_rows`` for
+    den = 1 .. x, unpacked into one bit per num.  The bad locus is removed
     exactly through its rational roots, so no value of it is formed in
     fixed-width integers.
     """
@@ -133,12 +124,13 @@ def affine_line_points(x, bad_locus):
         raise ValueError("bad locus must be a nonzero polynomial")
     import numpy as np
 
-    den, num = np.divmod(np.arange(x * (2 * x + 1)), 2 * x + 1)
-    den, num = den + 1, num - x
-    keep = np.gcd(num, den) == 1
+    rows = itertools.islice(coprime_rows(1, x), 1, None)  # past c = 0, the point at infinity
+    packed = b"".join(row.to_bytes(x // 4 + 1, "little") for _, row in rows)
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little").reshape(x, -1)
     for n, d in _rational_roots(bad_locus, x):
-        keep &= (num != n) | (den != d)
-    return num[keep], den[keep]
+        bits[d - 1, n + x] = 0
+    den, num = np.nonzero(bits)
+    return num - x, den + 1
 
 
 def _rational_roots(poly, x):

@@ -209,6 +209,12 @@ class TestSandwich:
         assert type(int64[0][0]) is np.int64
         assert brun._masks(int64, sets) == as_ints
         assert dict(as_ints) == _loop_masks(X, operator.attrgetter("coords"), sets)
+        # ndarray images through the memo after an int call: == on an ndarray
+        # is elementwise, so the memo compares their tuple snapshot
+        assert brun._hit_masks(X, operator.attrgetter("coords"), sets) == dict(as_ints)
+        arrays = lambda u: np.array(u.coords, dtype=np.int64)
+        assert type(arrays(X[0])) is np.ndarray
+        assert brun._hit_masks(X, arrays, sets) == dict(as_ints)
 
     def test_mask_build_memory_at_300(self):
         # the tracemalloc peak of the mask build over the images of the

@@ -580,8 +580,9 @@ class TestCli:
 
     def test_artifacts_stay_byte_identical(self, tmp_path):
         # CRC-32 of the benchmark's finite-field results, its x = 300
-        # sandwich, and the census-wide and brun-sandwich artifacts; a
-        # refactor that changes a byte must say why
+        # sandwich and point list, the census's x = 1000 points, and the
+        # census-wide and brun-sandwich artifacts; a refactor that changes a
+        # byte must say why
         from sievelab import brun, heights, sieve
         from sievelab.chebotarev import chebotarev_report, genus2_census
 
@@ -593,12 +594,16 @@ class TestCli:
         sets = {p: sieve.SievingSet.from_predicate(p, 2, lambda v, p=p: f.eval_mod(v, p) == 0)
                 for p in primes}
         points = heights.enumerate_projective(1, 300)
+        num, den = heights.affine_line_points(1000, family.bad_locus)  # the census at X_LIMIT
         sandwiches = [brun.sandwich(points, operator.attrgetter("coords"), sets,
                                     sieve.SieveSupport(primes, 17), b=b) for b in (1, 2, 3, None)]
         crcs = {
             "chebotarev": zlib.crc32("\n".join(c.to_json() for c in reports).encode()),
             "genus2": zlib.crc32(genus2_census(default_genus2_family(), 11, 5).to_json().encode()),
             "sandwich": zlib.crc32("\n".join(r.to_json() for r in sandwiches).encode()),
+            "enumerate_projective": zlib.crc32(repr([p.coords for p in points]).encode()),
+            "affine_line_points": zlib.crc32(num.astype("<i8").tobytes()
+                                             + den.astype("<i8").tobytes()),
         }
         out = str(tmp_path / "out")
         common = ["--x", "20,40,60", "--lmax", "13", "--pcap", "200", "--out", out]
@@ -613,6 +618,8 @@ class TestCli:
             "chebotarev": 1866568472,
             "genus2": 296028361,
             "sandwich": 3297640705,
+            "enumerate_projective": 3337347054,
+            "affine_line_points": 3145404169,
             "census.csv": 1849435720,
             "census_reasons.csv": 2051400799,
             "class_set_l5_tr0.json": 3974932368,
@@ -695,7 +702,7 @@ class TestCli:
         out = _fresh_interpreter(
             "from sievelab.cli import main\n"
             f"main(['--x', '5', '--out', {str(tmp_path)!r}, 'goodred'])\n",
-            ["sievelab.census", "sievelab.curves"],
+            ["sievelab.census", "sievelab.curves", "sievelab.heights"],
         )
         assert out[-1] == "[]"
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sievelab.config import primes_below, smallest_prime_factors
+from sievelab.brun import good_reduction_census
+from sievelab.config import (coprime_rows, default_elliptic_family, primes_below,
+                              smallest_prime_factors)
 from sievelab.heights import (
     affine_line_points,
     count_projective,
@@ -33,6 +35,31 @@ def brute_projective(r, x):
         if first > 0 and math.gcd(*coords) == 1:
             out.append(coords)
     return out
+
+
+class TestCoprimeRows:
+    @pytest.mark.parametrize("r, xmax", [(1, 30), (2, 6), (3, 3)])
+    def test_matches_gcd_loop(self, r, xmax):
+        # every prefix c = 0 or with first nonzero entry > 0, in lexicographic
+        # order, with the bits of the b that make (c : b) canonical
+        for x in range(1, xmax + 1):
+            expected = []
+            for c in itertools.product(range(-x, x + 1), repeat=r):
+                if next((v for v in c if v), 1) > 0:
+                    row = sum(1 << b + x for b in range(-x, x + 1)
+                              if math.gcd(*c, b) == 1 and (any(c) or b > 0))
+                    expected.append((c, row))
+            assert expected[0] == ((0,) * r, 1 << x + 1)
+            assert list(coprime_rows(r, x)) == expected
+
+    @pytest.mark.parametrize("x", [1, 2, 7, 30, 97])
+    def test_consumers_count_the_same_points(self, x):
+        # the sandwich's point list, the census's affine points plus the point
+        # at infinity, and goodred with no support prime (Q = 2)
+        num, _ = affine_line_points(x, Poly.const(1, 1))
+        goodred = good_reduction_census(default_elliptic_family(), x, 2)
+        assert goodred.support == ()
+        assert len(enumerate_projective(1, x)) == 1 + len(num) == goodred.count
 
 
 class TestHeight:
