@@ -16,15 +16,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .config import _every, coprime_rows, primes_below
-
-
-def _squarefree_products(primes):
-    """(d, omega(d)) over squarefree products of the given primes."""
-    out = [(1, 0)]
-    for p in primes:
-        out += [(d * p, w + 1) for d, w in out]
-    return out
+from .config import _every, coprime_rows, primes_below, squarefree_products
 
 
 def brun_coefficients(support_primes, b, sign):
@@ -39,9 +31,9 @@ def brun_coefficients(support_primes, b, sign):
     else:
         cutoff = 2 * b if sign == "upper" else 2 * b - 1
     return {
-        d: 1 if w % 2 == 0 else -1
-        for d, w in _squarefree_products(sorted(support_primes))
-        if cutoff is None or w <= cutoff
+        d: (-1) ** len(factors)
+        for d, factors in squarefree_products(support_primes)
+        if cutoff is None or len(factors) <= cutoff
     }
 
 
@@ -91,33 +83,26 @@ def sandwich(X, F, sets_by_prime, support, b=None):
 
     H = Fraction(n)
     densities = {p: local_density(sets_by_prime[p]) for p in primes}
-
     full = (1 << n) - 1
 
-    def S(d, prime_factors):
-        m = full
-        for p in prime_factors:
+    upper_w, lower_w = (brun_coefficients(primes, b, sign) for sign in ("upper", "lower"))
+    # sum lambda_d S_d and sum |S_d - nu_d H| over each sign's d
+    upper = lower = r_plus = r_minus = Fraction(0)
+    for d, factors in squarefree_products(primes):
+        if d not in upper_w and d not in lower_w:
+            continue
+        m, nu_d = full, Fraction(1)
+        for p in factors:
             m &= masks[p]
-        return m.bit_count()
-
-    def factor(d):
-        return [p for p in primes if d % p == 0]
-
-    # (sum lambda_d S_d, sum |S_d - nu_d H|) for each sign
-    sums = {}
-    for sign in ("upper", "lower"):
-        total = Fraction(0)
-        remainder = Fraction(0)
-        for d, lam in brun_coefficients(primes, b, sign).items():
-            fs = factor(d)
-            Sd = S(d, fs)
-            nu_d = Fraction(1)
-            for p in fs:
-                nu_d *= densities[p]
-            total += lam * Sd
-            remainder += abs(Fraction(Sd) - nu_d * H)
-        sums[sign] = (total, remainder)
-    (upper, r_plus), (lower, r_minus) = sums["upper"], sums["lower"]
+            nu_d *= densities[p]
+        Sd = m.bit_count()
+        remainder = abs(Fraction(Sd) - nu_d * H)
+        if d in upper_w:
+            upper += upper_w[d] * Sd
+            r_plus += remainder
+        if d in lower_w:
+            lower += lower_w[d] * Sd
+            r_minus += remainder
 
     main = H
     for p in primes:
@@ -137,9 +122,11 @@ def _hit_masks(X, F, sets):
     image F(u) reduces into the prime's Omega_p.
 
     F is called once per point.  The masks are kept with a tuple snapshot
-    of the images and sets, compared by ``==``, never hashed: a repeat call
-    with equal ones (the sandwich at another depth) reuses them; on a miss,
-    ``_masks`` checks the images (length, integer coordinates) and builds them.
+    of the images and sets, never hashed.  A repeat call whose images are the
+    very tuples of the snapshot, checked when it was stored, and whose sets
+    are equal (the sandwich at another depth) reuses them unchecked; equal
+    images that are other objects are checked first (``_check_images``); on
+    a miss, ``_masks`` checks the images and builds the masks.
     """
     if not sets:
         return {}
@@ -148,13 +135,15 @@ def _hit_masks(X, F, sets):
         raise ValueError("sieving sets of different dimensions")
     images, sets = tuple(map(F, X)), tuple(sets)
     last, masks = _last  # one read, so another thread's call cannot split the pair
-    try:
-        hit = last == (images, sets)
-    except ValueError:  # an ndarray image compares elementwise: only its snapshot can hit
-        hit = False
-    if not hit and last != (key := (tuple(map(tuple, images)), sets)):
+    same = (last is not None and last[1] == sets and len(last[0]) == len(images)
+            and all(map(operator.is_, images, last[0])))
+    if not same:
+        key = tuple(map(tuple, images)), sets
         del images  # the snapshot alone stays under the mask build's columns
-        _last[:] = key, (masks := _masks(*key))
+        if last == key:
+            _check_images(key[0], dim)
+        else:
+            _last[:] = key, (masks := _masks(*key))
     return dict(masks)
 
 
@@ -164,9 +153,7 @@ _BLOCK = 4096  # points per block of words, so that the word arrays stay small
 
 
 def _masks(images, sets):
-    """((p, mask), ...) for _hit_masks, once each image is checked to have
-    the sets' dimension and integer coordinates (``operator.index`` on every
-    coordinate), else ValueError.
+    """((p, mask), ...) for _hit_masks, once ``_check_images`` passes.
 
     Up to eight sets with p^dim <= 256 share one pass per column: each
     distinct value v of column k maps once to a 64-bit word whose byte lane j
@@ -178,13 +165,7 @@ def _masks(images, sets):
     digits, b"0" or b"1" per point and read as binary, give the mask.
     """
     dim = sets[0].dim
-    wrong = set(map(len, images)) - {dim}
-    if wrong:
-        raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
-    try:  # each column's distinct values, as ints
-        values = [set(map(operator.index, map(operator.itemgetter(k), images))) for k in range(dim)]
-    except TypeError:
-        raise ValueError("F gave a non-integer coordinate") from None
+    values = _check_images(images, dim)
     from array import array  # here only, so goodred and the finite-field runs load no array
     digits = {}  # by id(s), so that no set is hashed
     small = [s for s in sets if s.p**dim <= 256]
@@ -209,6 +190,19 @@ def _masks(images, sets):
         reduced = [map(operator.mod, col, itertools.repeat(s.p)) for col in cols]
         digits[id(s)] = bytes(map(s.residues.__contains__, zip(*reduced))).translate(_BITS)
     return tuple((s.p, int(b"0" + digits[id(s)][::-1], 2)) for s in sets)
+
+
+def _check_images(images, dim):
+    """Each column's distinct values, as ints, once every image is checked
+    to have dim coordinates, all integers (``operator.index`` on every
+    coordinate), else ValueError."""
+    wrong = set(map(len, images)) - {dim}
+    if wrong:
+        raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
+    try:
+        return [set(map(operator.index, map(operator.itemgetter(k), images))) for k in range(dim)]
+    except TypeError:
+        raise ValueError("F gave a non-integer coordinate") from None
 
 
 C_AUDIT = 8.0  # the constant of the remainder audit's bound

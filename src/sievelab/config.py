@@ -1,6 +1,7 @@
-"""Configuration, limits, family documents, the primes sieve and the
-coprime rows, without numpy; reads and writes no file."""
+"""Configuration, limits, family documents, the primes sieve, the coprime
+rows and the squarefree walk, without numpy; reads and writes no file."""
 
+import bisect
 import itertools
 import json
 import math
@@ -84,6 +85,21 @@ def primes_below(n):
     """The primes p < n, as a list of ints."""
     spf = smallest_prime_factors(n - 1)
     return [k for k in range(2, len(spf)) if spf[k] == k]
+
+
+def squarefree_products(primes, bound=None):
+    """Yield (d, factors) for each squarefree product d <= bound of the given
+    distinct primes (every product when bound is None), ``factors`` the
+    ascending tuple of d's primes: d = 1 first, then depth first over the
+    sorted primes, each branch cut at the first prime that takes d past the
+    bound.  The lab's one walk over squarefree divisors."""
+    primes = sorted(primes)
+    stack = [(1, (), 0)]  # (d, its factors, the index of the first prime d may take)
+    while stack:
+        d, factors, i = stack.pop()
+        yield d, factors
+        j = len(primes) if bound is None else bisect.bisect_right(primes, bound // d, i)
+        stack += [(d * primes[k], (*factors, primes[k]), k + 1) for k in range(j - 1, i - 1, -1)]
 
 
 def _prime_divisors(n):

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .config import coprime_rows, smallest_prime_factors
+from .config import coprime_rows, primes_below, squarefree_products
 
 SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes compress reads
@@ -86,7 +86,7 @@ def count_projective(r, x):
     """|B(x)| in closed form, without enumerating points.
 
     Moebius inversion over the common divisor d of the nonzero vectors of
-    [-x, x]^{r+1}, halved for the sign:
+    [-x, x]^{r+1}, halved for the sign, on ``config``'s squarefree walk:
     |B(x)| = sum_{d <= x} mu(d) ((2 floor(x/d) + 1)^{r+1} - 1) / 2.
     """
     if r < 1:
@@ -94,20 +94,8 @@ def count_projective(r, x):
     x = int(x)
     if x < 1:
         raise ValueError("height bound must be >= 1")
-    mu = mobius(x)
-    return sum(mu[d] * ((2 * (x // d) + 1) ** (r + 1) - 1) // 2 for d in range(1, x + 1) if mu[d])
-
-
-def mobius(n):
-    """List of mu(k) for 0 <= k <= max(n, 1) (mu(0) = 0), from the least
-    prime factor: mu(k) = 0 if p^2 | k, else -mu(k / p), with p = spf(k)."""
-    spf = smallest_prime_factors(n)
-    mu = [0, 1] + [0] * (len(spf) - 2)
-    for k in range(2, len(spf)):
-        p = spf[k]
-        rest = k // p
-        mu[k] = 0 if rest % p == 0 else -mu[rest]
-    return mu
+    return sum((-1) ** len(f) * ((2 * (x // d) + 1) ** (r + 1) - 1) // 2
+               for d, f in squarefree_products(primes_below(x + 1), x))
 
 
 def affine_line_points(x, bad_locus):

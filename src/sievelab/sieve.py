@@ -7,8 +7,11 @@ implied constant of the large-sieve upper bound is never applied.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
+
+from .config import squarefree_products
 
 
 class SieveSupport(namedtuple("SieveSupport", "primes Q")):
@@ -56,33 +59,17 @@ def local_density(s):
 
 
 def large_sieve_L(support, densities):
-    """L(Q) = sum over squarefree support products a <= Q of prod nu/(1-nu).
-
-    DFS over sorted support primes with early cutoff at Q; the empty product
-    contributes 1.  Densities are per-prime Fractions < 1.
+    """L(Q) = sum over squarefree support products a <= Q of prod nu/(1-nu);
+    the empty product contributes 1.  Densities are per-prime Fractions < 1.
     """
-    primes = sorted(support.primes)
-    ratios = {}
-    for p in primes:
+    num, den = {}, {}  # nu / (1 - nu) = n / (m - n) for nu = n / m, in lowest terms
+    for p in support.primes:
         nu = Fraction(densities.get(p, 0))
         if nu >= 1:
             raise ValueError("degenerate sieving set")
-        ratios[p] = nu / (1 - nu)
-    Q = support.Q
-    total = Fraction(0)
-
-    def walk(i, prod_val, weight):
-        nonlocal total
-        total += weight
-        for j in range(i, len(primes)):
-            p = primes[j]
-            if prod_val * p > Q:
-                # primes are sorted, later ones only larger
-                break
-            walk(j + 1, prod_val * p, weight * ratios[p])
-
-    walk(0, 1, Fraction(1))
-    return total
+        num[p], den[p] = nu.numerator, nu.denominator - nu.numerator
+    return sum((Fraction(math.prod(map(num.get, f)), math.prod(map(den.get, f)))
+                for _, f in squarefree_products(support.primes, support.Q)), Fraction(0))
 
 
 def large_sieve_bound(x, Q, r, L_of_Q):

@@ -198,6 +198,37 @@ class TestSandwich:
         with pytest.raises(ValueError, match="non-integer coordinate"):
             sandwich([1, 2, 3], F, sets, support)
 
+    @pytest.mark.parametrize("primes", [(5, 13), (17, 19)], ids=["lanes", "per-point"])
+    def test_equal_non_integer_images_rejected_after_int_call(self, monkeypatch, primes):
+        # float or Fraction images equal to the last call's int ones once
+        # got its masks back unchecked
+        monkeypatch.setattr(brun, "_last", [None, ()])
+        sets = {p: SievingSet(p, 2, frozenset({(2, 1)})) for p in primes}
+        support = SieveSupport(primes, 23)
+        for kind in (float, Fraction):
+            brun._hit_masks([1, 2, 3], lambda t: (t, 1), list(sets.values()))
+            with pytest.raises(ValueError, match="non-integer coordinate"):
+                brun._hit_masks([1, 2, 3], lambda t: (kind(t), 1), list(sets.values()))
+            sandwich([1, 2, 3], lambda t: (t, 1), sets, support)
+            with pytest.raises(ValueError, match="non-integer coordinate"):
+                sandwich([1, 2, 3], lambda t: (kind(t), 1), sets, support)
+
+    def test_same_tuples_hit_unchecked(self, monkeypatch, builds):
+        # the stored tuples were checked when stored; equal other tuples
+        # are checked, not built
+        checks = []
+        check = brun._check_images
+        monkeypatch.setattr(brun, "_check_images",
+                            lambda images, dim: checks.append(len(images)) or check(images, dim))
+        X = _points(20)
+        sets = list(_sandwich_sets((5, 7)).values())
+        first = brun._hit_masks(X, operator.attrgetter("coords"), sets)
+        assert checks == builds == [len(X)]
+        assert brun._hit_masks(X, operator.attrgetter("coords"), sets) == first
+        assert checks == builds == [len(X)]
+        assert brun._hit_masks(X, lambda u: tuple(list(u.coords)), sets) == first
+        assert checks == [len(X)] * 2 and builds == [len(X)]
+
     def test_numpy_images_match_ints(self):
         # numpy int64 coordinates on both paths; the memo, which compares
         # by ==, would hand the int images' masks back, so build each time

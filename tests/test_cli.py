@@ -580,9 +580,10 @@ class TestCli:
 
     def test_artifacts_stay_byte_identical(self, tmp_path):
         # CRC-32 of the benchmark's finite-field results, its x = 300
-        # sandwich and point list, the census's x = 1000 points, and the
-        # census-wide and brun-sandwich artifacts; a refactor that changes a
-        # byte must say why
+        # sandwich, L(Q) and point list, the census's x = 1000 points, an
+        # L(Q) where most products pass Q, the Brun weights over the primes
+        # below 30, and the census-wide and brun-sandwich artifacts; a
+        # refactor that changes a byte must say why
         from sievelab import brun, heights, sieve
         from sievelab.chebotarev import chebotarev_report, genus2_census
 
@@ -597,6 +598,10 @@ class TestCli:
         num, den = heights.affine_line_points(1000, family.bad_locus)  # the census at X_LIMIT
         sandwiches = [brun.sandwich(points, operator.attrgetter("coords"), sets,
                                     sieve.SieveSupport(primes, 17), b=b) for b in (1, 2, 3, None)]
+        L = sieve.large_sieve_L(sieve.SieveSupport(primes, 17),
+                                {p: sieve.local_density(s) for p, s in sets.items()})
+        L_2000 = sieve.large_sieve_L(sieve.SieveSupport(primes_below(2000), 2000),
+                                     {p: Fraction(1, p) for p in primes_below(2000)})
         crcs = {
             "chebotarev": zlib.crc32("\n".join(c.to_json() for c in reports).encode()),
             "genus2": zlib.crc32(genus2_census(default_genus2_family(), 11, 5).to_json().encode()),
@@ -604,6 +609,11 @@ class TestCli:
             "enumerate_projective": zlib.crc32(repr([p.coords for p in points]).encode()),
             "affine_line_points": zlib.crc32(num.astype("<i8").tobytes()
                                              + den.astype("<i8").tobytes()),
+            "L_of_Q": zlib.crc32(f"{L.numerator}/{L.denominator}".encode()),
+            "L_2000": zlib.crc32(f"{L_2000.numerator}/{L_2000.denominator}".encode()),
+            "brun_coefficients": zlib.crc32(repr([
+                sorted(brun.brun_coefficients(primes_below(30), b, sign).items())
+                for b in (1, 2, 3, None) for sign in ("upper", "lower")]).encode()),
         }
         out = str(tmp_path / "out")
         common = ["--x", "20,40,60", "--lmax", "13", "--pcap", "200", "--out", out]
@@ -620,6 +630,9 @@ class TestCli:
             "sandwich": 3297640705,
             "enumerate_projective": 3337347054,
             "affine_line_points": 3145404169,
+            "L_of_Q": 2095561731,
+            "L_2000": 367957266,
+            "brun_coefficients": 4232814490,
             "census.csv": 1849435720,
             "census_reasons.csv": 2051400799,
             "class_set_l5_tr0.json": 3974932368,
@@ -650,14 +663,21 @@ class TestCli:
         assert out == ["[]"]
 
     def test_sandwich_leaves_out_numpy(self):
-        # the imports of perfbench/ops.py, its sandwich experiment, and the
-        # point enumeration in the dimensions that its tests cover
+        # the imports of perfbench/ops.py, its sandwich experiment, the
+        # point enumeration in the dimensions that its tests cover, and the
+        # other readers of the squarefree walk: the closed-form point count
+        # and an L(Q) where most products pass Q
         perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
         out = _fresh_interpreter(
             f"sys.path.insert(0, {perfbench!r})\n"
-            "from ops import heights, run_sandwich\n"
+            "from ops import heights, run_sandwich, sieve\n"
             "run_sandwich(60, [1, 2, 3])\n"
-            "for r in (1, 2, 3):\n    heights.enumerate_projective(r, 5)\n",
+            "for r in (1, 2, 3):\n    heights.enumerate_projective(r, 5)\n"
+            "heights.count_projective(3, 15)\n"
+            "from fractions import Fraction\n"
+            "from sievelab.config import primes_below\n"
+            "ps = primes_below(2000)\n"
+            "sieve.large_sieve_L(sieve.SieveSupport(ps, 2000), {p: Fraction(1, p) for p in ps})\n",
             ["numpy", *RECORD_MODULES],
         )
         assert out == ["[]"]

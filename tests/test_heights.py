@@ -8,12 +8,11 @@ from hypothesis import given, strategies as st
 
 from sievelab.brun import good_reduction_census
 from sievelab.config import (coprime_rows, default_elliptic_family, primes_below,
-                              smallest_prime_factors)
+                              smallest_prime_factors, squarefree_products)
 from sievelab.heights import (
     affine_line_points,
     count_projective,
     enumerate_projective,
-    mobius,
     ProjectivePoint,
     SCHANUEL_C1,
 )
@@ -176,16 +175,38 @@ class TestPrimeSieve:
         assert spf[2:] == [min(primefactors(k)) for k in range(2, n + 1)]
         assert primes_below(n) == list(primerange(2, n))
 
-    def test_mobius(self):
-        from sympy import mobius as sympy_mobius
-
-        mu = mobius(500)
-        assert mu[0] == 0
-        assert [int(m) for m in mu[1:]] == [int(sympy_mobius(k)) for k in range(1, 501)]
-
     def test_tiny_bounds(self):
         assert smallest_prime_factors(1) == [0, 1]
-        assert mobius(1) == [0, 1]
+        assert list(squarefree_products(primes_below(2), 1)) == [(1, ())]
+
+
+class TestSquarefreeWalk:
+    @pytest.mark.parametrize("primes", [[], [7], [13, 2, 7, 3], [31, 5, 17], primes_below(38)],
+                             ids=["empty", "one", "unsorted", "unsorted-3", "twelve"])
+    @pytest.mark.parametrize("bound", [None, 1, "below", 6, 30, 500, 30030, 10**7])
+    def test_matches_combinations(self, primes, bound):
+        if bound == "below":  # one below the smallest prime
+            bound = min(primes, default=2) - 1
+        walk = list(squarefree_products(primes, bound))
+        brute = [(math.prod(c), c) for k in range(len(primes) + 1)
+                 for c in itertools.combinations(sorted(primes), k)
+                 if bound is None or math.prod(c) <= bound]
+        assert walk[0] == (1, ())
+        assert sorted(walk) == sorted(brute)
+        assert len({d for d, _ in walk}) == len(walk)
+        assert all(d == math.prod(f) and list(f) == sorted(f) for d, f in walk)
+        # depth first: the factor tuples in lexicographic order
+        assert [f for _, f in walk] == sorted(f for _, f in walk)
+
+    def test_matches_sympy_mobius(self):
+        from sympy import mobius as sympy_mobius
+
+        walk = dict(squarefree_products(primes_below(501), 500))
+        for d in range(1, 501):
+            mu = int(sympy_mobius(d))
+            assert (d in walk) == (mu != 0)
+            if d in walk:
+                assert (-1) ** len(walk[d]) == mu
 
 
 class TestSchanuel:
