@@ -14,7 +14,6 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
 from .config import _every, coprime_rows, primes_below, squarefree_products
 
@@ -46,6 +45,7 @@ class SandwichReport(namedtuple("SandwichReport",
 
     def to_json(self):
         import json
+        from fractions import Fraction
 
         def fr(v):
             v = Fraction(v)
@@ -72,6 +72,8 @@ def sandwich(X, F, sets_by_prime, support, b=None):
     lower = exact = upper.  ``F`` maps a point to an integer vector with the
     sieving sets' dimension; another length or a non-integer raises ValueError.
     """
+    from fractions import Fraction
+
     from .sieve import local_density  # here only, so goodred loads no sieve
 
     primes = sorted(support.primes)
@@ -224,6 +226,8 @@ def lattice_remainder_audit(d, omega_d, x, r):
     the relative error: d^2 log x / x when r = 1, else d^{r+1} / x (field
     degree 1 throughout; d here is the modulus).
     """
+    from fractions import Fraction
+
     B = (2 * x + 1) ** (r + 1)
     if d == 1:
         return RemainderAudit(1, x, r, Fraction(0), 0.0, True)
@@ -317,6 +321,8 @@ def density_condition_check(densities, w, Q, kappa, C):
     """
     if not 2 <= w <= Q:
         raise ValueError("need 2 <= w <= Q")
+    from fractions import Fraction
+
     lhs = Fraction(1)
     for p, nu in densities.items():
         if w <= p < Q:

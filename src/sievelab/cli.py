@@ -5,15 +5,16 @@ and JSON artifacts in the configured directory.  This module alone reads
 and writes files: the layers return data, and ``_write`` writes every
 artifact.  Exit codes: 0 success, 2 configuration error, 3 infeasible-cap
 error.  Commands load numpy only after their checks, and ``goodred`` and
-``report`` not at all.
+``report`` not at all.  ``json`` loads only to read a config or family
+document and to write the class-set and report JSON, ``csv`` only to write
+a CSV or read the report's inputs, and ``fractions`` only in
+``sifted-class-set``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import json
 import os
 import sys
 
@@ -39,8 +40,9 @@ def _load_family(value):
                 raise ConfigError(f"family file not found: {value}")
             with open(value, encoding="utf-8") as fh:
                 return CurveFamily.from_json(fh.read())
+        import json
         return CurveFamily.from_json(json.dumps(value))
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ConfigError(f"bad family document: {e!r}")
 
 
@@ -55,10 +57,11 @@ def load_config(args):
     if args.config:
         if not os.path.isfile(args.config):
             raise ConfigError(f"config file not found: {args.config}")
+        import json
         try:
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"bad config JSON: {e}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -103,6 +106,7 @@ def _write(out_dir, name, body, header=None):
         if header is None:
             fh.write(body)
         else:
+            import csv
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(body)
@@ -131,6 +135,7 @@ def cmd_census(cfg):
 def cmd_sifted_class_set(cfg, l, class_key, Q):
     x = max(cfg.x_values)
     check_class_set(x, l, class_key)
+    import json
     from .census import sifted_class_set
     rep = sifted_class_set(cfg.family, x, l, class_key, cfg.pcap, Q)
     doc = {"l": rep.l, "class": list(rep.class_key), "x": rep.x, "Q": rep.Q,
@@ -153,6 +158,8 @@ def cmd_goodred(cfg):
 
 def cmd_report(cfg):
     """Deterministic JSON merge of the census and goodred CSVs; idempotent."""
+    import csv
+    import json
     sources = {}
     for name in ("census.csv", "goodred.csv"):
         path = os.path.join(cfg.out_dir, name)

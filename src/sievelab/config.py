@@ -3,11 +3,9 @@ rows and the squarefree walk, without numpy; reads and writes no file."""
 
 import bisect
 import itertools
-import json
 import math
 import os
 from collections import namedtuple
-from fractions import Fraction
 
 from .polynomials import Poly
 
@@ -130,6 +128,8 @@ def gl2_class_density(l, tr, det):
     matrices with trace tr in the det coset of GL2(F_l): l (l + chi) of its
     |SL2(F_l)| = l (l^2 - 1) elements, chi the quadratic character by
     Euler's criterion."""
+    from fractions import Fraction
+
     chi = pow(tr * tr - 4 * det, (l - 1) // 2, l)
     return Fraction(l + (chi if chi < 2 else -1), l * l - 1)
 
@@ -214,6 +214,8 @@ class CurveFamily(namedtuple("CurveFamily", "genus A B quintic bad_locus exclude
         return self.genus * (self.genus + 1) // 2
 
     def to_json(self):
+        import json
+
         doc = {
             "genus": self.genus,
             "bad_locus": self.bad_locus.to_terms(),
@@ -229,6 +231,8 @@ class CurveFamily(namedtuple("CurveFamily", "genus A B quintic bad_locus exclude
     @classmethod
     def from_json(cls, text):
         """Parse a family document; ValueError on a malformed one."""
+        import json
+
         doc = json.loads(text)
         g = doc["genus"]
         if not _is_int(g) or g not in (1, 2):
@@ -261,7 +265,7 @@ def _is_int(v):
 
 def _poly_from_terms(terms, key, r):
     """A polynomial from terms [coefficient, e_1, .., e_r], all integers,
-    exponents >= 0, total degree <= MAX_DEGREE."""
+    exponents >= 0, total degree <= MAX_DEGREE, no exponent tuple twice."""
     if not isinstance(terms, list) or not all(
         isinstance(t, list) and len(t) == r + 1 and all(_is_int(v) for v in t)
         and min(t[1:]) >= 0
@@ -271,6 +275,8 @@ def _poly_from_terms(terms, key, r):
                          f"{r} non-negative integer exponents]")
     if any(sum(t[1:]) > MAX_DEGREE for t in terms):
         raise ValueError(f"{key}: a term has total degree above {MAX_DEGREE}")
+    if len({tuple(t[1:]) for t in terms}) < len(terms):
+        raise ValueError(f"{key}: an exponent tuple is repeated")
     return Poly.from_terms(r, terms)
 
 

@@ -13,7 +13,6 @@ import collections
 import gc
 import itertools
 import math
-from fractions import Fraction
 
 from .config import coprime_rows, primes_below, squarefree_products
 
@@ -125,12 +124,14 @@ def _rational_roots(poly, x):
     """The roots n/d (lowest terms, d > 0) of a nonzero univariate
     polynomial with max(|n|, d) <= x.  With the factor t^k removed, n
     divides the lowest coefficient and d the leading one (rational root
-    theorem); each candidate is checked in exact rationals."""
+    theorem); each candidate s/d is checked in exact integers, as
+    d^deg poly(s/d) = sum_e c_e s^e d^(deg - e) = 0."""
     low, top = poly.terms[min(poly.terms)], poly.terms[max(poly.terms)]
     roots = [(0, 1)] if min(poly.terms) > (0,) else []
     nums = [n for n in range(1, x + 1) if low % n == 0]
+    deg = poly.degree()
     for d in range(1, x + 1):
         if top % d == 0:
-            roots += [(s, d) for n in nums if math.gcd(n, d) == 1
-                      for s in (n, -n) if poly(Fraction(s, d)) == 0]
+            roots += [(s, d) for n in nums if math.gcd(n, d) == 1 for s in (n, -n)
+                      if sum(c * s**e * d ** (deg - e) for (e,), c in poly.terms.items()) == 0]
     return roots

@@ -9,7 +9,6 @@ it runs in the log domain of the field's tables.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 
@@ -103,6 +102,8 @@ class Poly:
 
     def __call__(self, *values):
         """Evaluate at rational values; returns a Fraction."""
+        from fractions import Fraction
+
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
         vals = [Fraction(v) for v in values]

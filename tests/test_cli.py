@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,6 +52,8 @@ GOOD_G2 = json.loads(default_genus2_family().to_json())
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # the records are named tuples: a dataclass would load these at import
 RECORD_MODULES = ["dataclasses", "inspect"]
+# nested past the JSON decoder's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 def _oracle_points(x, bad_locus):
@@ -513,6 +516,35 @@ class TestCli:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("terms", [{"A": [[1, 1], [2, 1]]}, {"bad_locus": [[1, 1], [-1, 1]]}])
+    def test_repeated_monomial_rejected(self, tmp_path, capsys, terms):
+        # t + 2t would read as 2t, and t - t as -t, past the nonzero bad locus check
+        (key,) = terms
+        doc = {**GOOD_FAMILY, **terms}
+        with pytest.raises(ValueError, match=f"^{key}: an exponent tuple is repeated$"):
+            CurveFamily.from_json(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": doc}))
+        assert main(["--config", str(cfg), "--x", "5", "--out", str(tmp_path / "out"), "goodred"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: bad family document: ")
+        assert f"{key}: an exponent tuple is repeated" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via_family, prefix", [(False, "config error: bad config JSON: "),
+                                                    (True, "config error: bad family document: ")])
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, via_family, prefix):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        config = deep
+        if via_family:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"family": str(deep)}))
+        assert main(["--config", str(config), "--x", "5", "--out", str(tmp_path / "out"), "goodred"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(prefix) and "recursion" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["census", "goodred"])
     @pytest.mark.parametrize("excluded", [[-5, 0, 1], [4], [2, 9], [10007]])
     def test_excluded_primes_must_be_primes(self, tmp_path, capsys, command, excluded):
@@ -651,6 +683,38 @@ class TestCli:
         )
         assert out == ["[]"]
 
+    def test_setup_leaves_out_json_csv_and_fractions(self):
+        # the set-up code of perfbench/run.py: no step of it reads or writes a
+        # document or forms a Fraction
+        out = _fresh_interpreter(
+            "import sievelab.cli\n"
+            "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
+            "default_elliptic_family(), default_genus2_family()\n",
+            ["csv", "decimal", "fractions", "json", "numbers"],
+        )
+        assert out == ["[]"]
+
+    @pytest.mark.parametrize("argv", [["--x", "5", "goodred"],
+                                      ["--x", "5", "--lmax", "7", "--pcap", "50", "census"]])
+    def test_goodred_and_census_leave_out_json_and_fractions(self, tmp_path, argv):
+        out = _fresh_interpreter(
+            "from sievelab.cli import main\n"
+            f"print(main({['--out', str(tmp_path), *argv]!r}))\n",
+            ["decimal", "fractions", "json"],
+        )
+        assert out[-2:] == ["0", "[]"]
+
+    def test_report_leaves_out_fractions(self, tmp_path):
+        out = str(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--x", "5", "--lmax", "5", "--pcap", "50", "--out", out, "census"]) == 0
+            assert main(["--x", "5", "--out", out, "goodred"]) == 0
+        lines = _fresh_interpreter(
+            f"from sievelab.cli import main\nprint(main(['--out', {out!r}, 'report']))\n",
+            ["decimal", "fractions"],
+        )
+        assert lines == [os.path.join(out, "report.json"), "0", "[]"]
+
     def test_ffield_censuses_leave_out_numpy(self):
         # the imports of perfbench/ops.py and its two finite-field experiments
         out = _fresh_interpreter(
@@ -768,6 +832,16 @@ class TestCli:
         lines = [line for line in lines if not line.startswith(out)]  # written paths
         # numpy itself loads inspect, once the census imports it
         assert lines == ["[]", "0", "0", "['inspect']"]
+
+    def test_sources_parse_at_the_python_floor(self):
+        # syntax newer than requires-python fails here, with no second interpreter
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+            minor = int(re.search(r'requires-python = ">=3\.(\d+)"', fh.read()).group(1))
+        package = os.path.join(SRC, "sievelab")
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    ast.parse(fh.read(), filename=name, feature_version=(3, minor))
 
     def test_only_cli_opens_files(self):
         # every artifact goes through the CLI's one writer
@@ -948,7 +1022,7 @@ class TestFrontDoorFuzz:
             st.none(),
             st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.none(), max_size=4).flatmap(
                 lambda d: st.fixed_dictionaries({k: st.sampled_from(CONFIG_VALUES[k]) for k in d})),
-            st.sampled_from([[10], "x", 5, "{not json"]),
+            st.sampled_from([[10], "x", 5, "{not json", DEEP_JSON]),
         ),
     )
     def test_exit_code_without_traceback(self, flags, command, class_set, config):
@@ -965,7 +1039,8 @@ class TestFrontDoorFuzz:
                 open("file", "w").close()
                 if config is not None:
                     with open("cfg.json", "w", encoding="utf-8") as fh:
-                        fh.write(config if config == "{not json" else json.dumps(config))
+                        fh.write(config if config in ("{not json", DEEP_JSON)
+                                 else json.dumps(config))
                     if "--config" not in argv:
                         argv = ["--config", "cfg.json"] + argv
                 out, err = io.StringIO(), io.StringIO()

@@ -10,6 +10,7 @@ from sievelab.brun import good_reduction_census
 from sievelab.config import (coprime_rows, default_elliptic_family, primes_below,
                               smallest_prime_factors, squarefree_products)
 from sievelab.heights import (
+    _rational_roots,
     affine_line_points,
     count_projective,
     enumerate_projective,
@@ -157,6 +158,35 @@ class TestEnumeration:
     def test_zero_bad_locus_rejected(self):
         with pytest.raises(ValueError):
             affine_line_points(2, Poly.const(1, 0))
+
+    @given(
+        st.integers(1, 12).flatmap(lambda x: st.tuples(st.just(x), st.lists(
+            st.tuples(st.integers(-x, x), st.integers(1, x)), max_size=4))),
+        st.integers(0, 3),
+        st.integers(-6, 6).filter(bool),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any),
+    )
+    def test_rational_roots_match_fraction_oracle(self, box_and_roots, k, lead, extra):
+        x, planted = box_and_roots
+        # planted roots n/d in the box (negative ones too), a factor t^k and a
+        # leading coefficient other than 1; the integer test against the
+        # rational one, over the same candidates in the same order
+        t = Poly.var(1, 0)
+        poly = lead * t**k * Poly.univariate(extra)
+        for n, d in planted:
+            poly = poly * (d * t - n)
+        low, top = poly.terms[min(poly.terms)], poly.terms[max(poly.terms)]
+        oracle = [(0, 1)] if min(poly.terms) > (0,) else []
+        oracle += [(s, d) for d in range(1, x + 1) if top % d == 0
+                   for n in range(1, x + 1) if low % n == 0 and math.gcd(n, d) == 1
+                   for s in (n, -n) if poly(Fraction(s, d)) == 0]
+        roots = _rational_roots(poly, x)
+        assert roots == oracle
+        # and every root in the box, by the rational root theorem
+        box = {(n, d) for d in range(1, x + 1) for n in range(-x, x + 1)
+               if math.gcd(n, d) == 1 and poly(Fraction(n, d)) == 0}
+        assert set(roots) == box
+        assert {(n // math.gcd(n, d), d // math.gcd(n, d)) for n, d in planted} <= box
 
 
 class TestPrimeSieve:
