@@ -11,7 +11,7 @@ whole ``ap_table`` while many are live, else by direct character sums
 bit per condition of the verdict, which one table reads (``VERDICT``).
 States only gain bits, so a point leaves the sweep early once each of its
 states holds every bit its table can set: certified at every l >= 5 in the
-census, every trace seen in the class sieve.
+census, the class's trace seen in the class sieve.
 A point enters the exceptional proxy when it is undecided for at least one
 l; verdicts depend only on (t, l, p-cap), so the proxy is monotone under
 enlarging the height window.
@@ -196,8 +196,8 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     tr0, det0 = check_class_set(x, l, class_key)
     support_primes = _support_primes(family, l, pcap, Q)
     num, den = affine_line_points(x, family.bad_locus)
-    traces = _sweep(num, den, family, support_primes, [_trace_lut(l)])[:, 0]
-    count = int(np.count_nonzero((traces >> tr0) & 1 == 0))
+    seen = _sweep(num, den, family, support_primes, [(_trace_lut(l) >> tr0) & 1])[:, 0]
+    count = int(np.count_nonzero(seen == 0))
     # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}, with C's
     # share of the det = det0 coset of GL2(F_l) in closed form
     inv_density = float(1 / gl2_class_density(l, tr0, det0))

@@ -76,16 +76,12 @@ def ffield_frobenius(family, fld, t, l):
         raise ValueError("l divides the field order")
     if family.genus != 1:
         raise ValueError("field-model Frobenius implemented for genus 1")
-    if not all(family.bad_locus.eval_field(fld, t)):
-        raise ValueError("singular specialization")
-    A = family.A.eval_field(fld, t)
-    B = family.B.eval_field(fld, t)
     # delta = -16 (4A^3 + 27B^2) must be nonzero in the field
-    q = fld.q
-    if q == 2 or not all(fld.add(fld.mul(4 % q, fld.mul(fld.mul(a, a), a)),
-                                 fld.mul(27 % q, fld.mul(b, b))) for a, b in zip(A, B)):
+    bad, delta = family.bad_locus, 4 * family.A**3 + 27 * family.B**2
+    if fld.q == 2 or not all(bad.eval_field(fld, t)) or not all(delta.eval_field(fld, t)):
         raise ValueError("singular specialization")
     det = fld.order % l
+    A, B = family.A.eval_field(fld, t), family.B.eval_field(fld, t)
     return [((fld.order - n) % l, det) for n in fld.affine_points([B, A, 0, 1])]
 
 

@@ -42,7 +42,7 @@ def _load_family(value):
                 return CurveFamily.from_json(fh.read())
         import json
         return CurveFamily.from_json(json.dumps(value))
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad family document: {e!r}")
 
 

@@ -233,24 +233,29 @@ class CurveFamily(namedtuple("CurveFamily", "genus A B quintic bad_locus exclude
         """Parse a family document; ValueError on a malformed one."""
         import json
 
-        doc = json.loads(text)
-        g = doc["genus"]
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("family document nested past the JSON recursion limit") from None
+        if not isinstance(doc, dict):
+            raise ValueError("family document must be a JSON object")
+        g = doc.get("genus")
         if not _is_int(g) or g not in (1, 2):
             raise ValueError("genus must be 1 or 2")
         r = g * (g + 1) // 2
-        bad = _poly_from_terms(doc["bad_locus"], "bad_locus", r)
+        bad = _poly_from_terms(doc.get("bad_locus"), "bad_locus", r)
         if bad.is_zero():
             raise ValueError("bad_locus must be nonzero")
-        excl = doc["excluded_primes"]
+        excl = doc.get("excluded_primes")
         # no sieve reads a prime past PCAP_LIMIT, which bounds the primality test
         if not isinstance(excl, list) or not all(
                 _is_int(p) and p <= PCAP_LIMIT and _prime_divisors(p) == [p] for p in excl):
             raise ValueError(f"excluded_primes must be a list of primes up to {PCAP_LIMIT}")
         if g == 1:
-            A = _poly_from_terms(doc["A"], "A", 1)
-            B = _poly_from_terms(doc["B"], "B", 1)
+            A = _poly_from_terms(doc.get("A"), "A", 1)
+            B = _poly_from_terms(doc.get("B"), "B", 1)
             return cls(1, A, B, (), bad, frozenset(excl))
-        quintic = doc["quintic"]
+        quintic = doc.get("quintic")
         if not isinstance(quintic, list) or len(quintic) != 6:
             raise ValueError("quintic must list six coefficients, x^0 to x^5")
         quintic = tuple(_poly_from_terms(t, "quintic", r) for t in quintic)

@@ -15,6 +15,7 @@ periods of the powers of z.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
@@ -52,8 +53,8 @@ class ExtField:
     def __init__(self, q, n):
         if q < 2 or _prime_divisors(q) != [q] or n < 1:
             raise ValueError("need a prime q and n >= 1")
-        self.q, self.n = q, n
         Q = q**n
+        self.q, self.n, self.order = q, n, Q
         m = Q - 1
         base = 2 * q - 1
         self.spread = spread = tuple(_spread(q, n, base))
@@ -85,10 +86,7 @@ class ExtField:
         # each v in characteristic 2
         self._sqrt = (1,) + tuple(2 - 2 * (k % 2) if q != 2 else 1 for k in log[1:])
         self._count_tables, self._getters = {}, {}
-
-    @property
-    def order(self):
-        return self.q**self.n
+        self._by_code = operator.itemgetter(0, *log[1:])  # x = z^j to code order, 0 apart
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -103,20 +101,66 @@ class ExtField:
         return self._sqrt
 
     def _tables(self, terms):
-        """(spexp, roots) for sums of ``terms`` spread codes: base
-        b = terms (q - 1) + 1 holds their digit sums without a carry.
-        ``spexp`` is the spread exp table twice over and then q^n - 1 zeros,
-        so spexp[log c + i] is the spread code of c z^i for 0 <= i < q^n - 1
-        and every c, zero included; ``roots`` is a byte view that maps a
-        spread sum to the square-root count of the code it reduces to."""
+        """(spexp, spread, unspread, roots) for sums of ``terms`` spread codes
+        in base b = terms (q - 1) + 1, which holds them without a carry.
+        spexp[log c + i] is the spread code of c z^i for 0 <= i < q^n - 1 and
+        every c, zero included (two periods, then zeros); the views map a
+        spread sum to its code and to that code's square-root count.  Two
+        terms share the field's own add tables."""
         if terms not in self._count_tables:
             q, n, b = self.q, self.n, terms * (self.q - 1) + 1
-            spread = _spread(q, n, b)
+            spread, unspread = ((self.spread, self.unspread) if b == 2 * q - 1
+                                else (_spread(q, n, b), _unspread(q, n, b)))
             spexp = [spread[c] for c in self.exp]
-            roots = bytes(map(self.sqrt_counts().__getitem__, _unspread(q, n, b)))
-            m = self.order - 1
-            self._count_tables[terms] = (tuple(spexp * 2 + [0] * m), memoryview(roots))
+            roots = bytes(operator.itemgetter(*unspread)(self.sqrt_counts()))
+            self._count_tables[terms] = (tuple(spexp * 2 + [0] * (self.order - 1)), tuple(spread),
+                                         memoryview(array.array("I", unspread)), memoryview(roots))
         return self._count_tables[terms]
+
+    def _powers(self, spexp, k, c):
+        """The spread codes of c x^k at x = z^j, j = 0..q^n - 2, for k >= 1:
+        a slice of the doubled spread exp table, read through an
+        ``itemgetter`` kept on the field unless k = 1 mod q^n - 1."""
+        m, lc = self.order - 1, self.log[c]
+        if k % m == 1 % m:
+            return spexp[lc:lc + m]
+        if k % m not in self._getters:
+            self._getters[k % m] = operator.itemgetter(*(j * k % m for j in range(m)))
+        return self._getters[k % m](spexp[lc:lc + m])
+
+    def poly_values(self, rows):
+        """For each row (c_0, .., c_d) of coefficient codes, the codes of
+        sum_k c_k x^k at every code x, as a list of q^n codes in code order.
+
+        The ``_powers`` add as spread codes, c_0 counted as a term, at most t
+        at a time, and a full sum spreads again as one term; no new table
+        has over 2^16 entries, nor more than the batch has values, as a
+        build costs about a pass over them.  The sums go to code order and
+        through the unspread view offset by c_0, the value at x = 0."""
+        q, n, Q = self.q, self.n, self.order
+        most = max((sum(map(bool, row)) for row in rows), default=0)
+        t = min(most, 2)  # two terms share the field's own add tables
+        while t < most and ((t + 1) * (q - 1) + 1) ** n <= min(1 << 16, Q * len(rows)):
+            t += 1
+        spexp, spread, unspread, _ = self._tables(max(t, 1))
+        out = []
+        for row in rows:
+            total, offset, held = None, spread[row[0]], bool(row[0])
+            for k, c in enumerate(row):
+                if k and c:
+                    if held == t:  # fold the full sum, c_0 included, into one term
+                        total = map(spread.__getitem__, map(unspread[offset:].__getitem__, total))
+                        offset, held = 0, 1
+                    p = self._powers(spexp, k, c)
+                    total = p if total is None else map(operator.add, total, p)
+                    held += 1
+            if total is None:
+                out.append([row[0]] * Q)
+                continue
+            values = list(operator.itemgetter(*self._by_code(tuple(total)))(unspread[offset:]))
+            values[0] = row[0]  # the sums' slot for x = 0 holds x = 1
+            out.append(values)
+        return out
 
     def affine_points(self, coeffs):
         """#{(x, y) : y^2 = f(x)} over the field, f from ascending
@@ -124,51 +168,39 @@ class ExtField:
 
         Each coefficient is an int or a list of T codes; row i of the lists
         is the curve y^2 = f_i(x).  Returns an int when every coefficient is
-        an int, else a list of T counts.  At x = z^j the term c_k x^k is
-        spexp[log c_k + j k mod (q^n - 1)]: over all j, a slice of the
-        doubled spread exp table for k = 1 (and every k = 1 mod q^n - 1),
-        and that slice through a fixed ``itemgetter``, kept on the field,
-        for other k.  The terms with k >= 1 add as spread codes by
-        ``map(operator.add, ..)``.
-        The spread code of c_0, the value at x = 0, offsets the byte view
-        of square-root counts, and one ``itemgetter`` over the sums, and
-        over 0 for x = 0, reads the count at every x.  Each distinct row is
-        counted once.
+        an int, else a list of T counts.  The terms c_k x^k with k >= 1 are
+        ``_powers`` slices over x = z^j that add as spread codes by
+        ``map(operator.add, ..)``.  The spread code of c_0, the value at
+        x = 0, offsets a byte view of square-root counts, and one
+        ``itemgetter`` over the sums, and over 0 for x = 0, reads the count
+        at every x: it is built once per distinct (c_1, .., c_d) and read
+        at the offset of each distinct c_0 that comes with it.
         """
-        m = self.order - 1
         T = next((len(c) for c in coeffs if not isinstance(c, int)), None)
         # a list with one value throughout is a fixed term
         coeffs = [c[0] if not isinstance(c, int) and c and c.count(c[0]) == len(c) else c
                   for c in coeffs]
         live = [(k, c) for k, c in enumerate(coeffs) if not isinstance(c, int) or c]
-        spexp, roots = self._tables(max(1, len(live)))
-        log, getters = self.log, self._getters
-        for k, _ in live:  # built once per field and k
-            if k and k % m != 1 % m and k not in getters:
-                getters[k] = operator.itemgetter(*(j * k % m for j in range(m)))
-
-        def powers(k, c):
-            """The spread codes of c x^k at x = z^j, j = 0..m - 1, k >= 1."""
-            lc = log[c]
-            return spexp[lc:lc + m] if k not in getters else getters[k](spexp[lc:lc + m])
-
-        fixed = [0] * m
+        (spexp, _, _, roots), log = self._tables(max(1, len(live))), self.log
+        fixed = [0] * (self.order - 1)
         for k, c in live:
             if k and isinstance(c, int):
-                fixed = list(map(operator.add, fixed, powers(k, c)))
+                fixed = list(map(operator.add, fixed, self._powers(spexp, k, c)))
         ks = [k for k, c in live if k and not isinstance(c, int)]
         c0 = coeffs[0] if coeffs else 0
         c0 = c0 if not isinstance(c0, int) else [c0] * (1 if T is None else T)
         rows = list(zip(*(coeffs[k] for k in ks), c0))
         counts = {}
         for row in rows:  # each distinct curve once
-            if row not in counts:
-                total = fixed
-                for k, c in zip(ks, row):
-                    total = map(operator.add, total, powers(k, c))
-                at = roots[spexp[log[row[-1]]]:]
-                counts[row] = sum(operator.itemgetter(0, *total)(at))
-        out = [counts[row] for row in rows]
+            counts.setdefault(row[:-1], {})[row[-1]] = 0
+        for part, by_c0 in counts.items():
+            total = fixed
+            for k, c in zip(ks, part):
+                total = map(operator.add, total, self._powers(spexp, k, c))
+            get = operator.itemgetter(0, *total)
+            for c in by_c0:
+                by_c0[c] = sum(get(roots[spexp[log[c]]:]))
+        out = [counts[row[:-1]][row[-1]] for row in rows]
         return out[0] if T is None else out
 
 

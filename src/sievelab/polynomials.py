@@ -4,12 +4,12 @@ Small utility ring used for family coefficient polynomials and bad loci.
 Coefficients are ints (the constructor rejects any other value); exponents
 are tuples.  Evaluation at rationals is exact, in Fractions; at residues
 mod p it is integer arithmetic, and at points of a ``finitefield.ExtField``
-it runs in the log domain of the field's tables.
+it reads whole-field values of univariate rows (``ExtField.poly_values``).
 """
 
 from __future__ import annotations
 
-from operator import mul
+import operator
 
 
 class Poly:
@@ -134,37 +134,8 @@ class Poly:
     def eval_field(self, field, points):
         """Evaluate at a list of points of a ``finitefield.ExtField``, each a
         tuple of element codes, one per variable; returns a list of codes.
-
-        In the log domain: a term c prod v_i^e_i is exp[log c + sum e_i
-        log v_i], and zero where c is 0 mod q or some v_i with e_i > 0 is
-        0; the terms add by ``field.add``.  With f = sum_k f_k(v_1, ..,
-        v_{r-1}) v_r^k, the f_k are evaluated once per run of points that
-        share their first r - 1 coordinates.
-        """
-        q, m = field.q, field.order - 1
-        log, exp, add = field.log, field.exp, field.add
-
-        def value(terms, pt):
-            """The sum at pt of terms given as (log c, exponents)."""
-            logs = [log[v] for v in pt]
-            s = 0
-            for lc, exps in terms:
-                if 0 not in pt or all(v or not e for v, e in zip(pt, exps)):
-                    s = add(s, exp[(lc + sum(map(mul, exps, logs))) % m])
-            return s
-
-        by_last = {}
-        for exps, c in self.terms.items():
-            if c % q:
-                by_last.setdefault(exps[-1], []).append((log[c % q], exps[:-1]))
-        out, head = [], None
-        for pt in points:
-            if pt[:-1] != head:
-                head = pt[:-1]
-                inner = [(value(terms, head), k) for k, terms in by_last.items()]
-                last = [(log[v], (k,)) for v, k in inner if v]
-            out.append(value(last, pt[-1:]))
-        return out
+        ``_field_values`` recurses on the last variable."""
+        return _field_values(self.terms, field, points)
 
     def homogenize(self):
         """Homogenize with a new leading variable t0: f(t) -> t0^deg f(t/t0)."""
@@ -185,3 +156,27 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
+
+
+def _field_values(terms, field, points):
+    """The codes at each point of sum c prod v_i^e_i over terms {exponents:
+    c}: the f_k of f = sum_k f_k(v_1, .., v_{r-1}) v_r^k are evaluated one
+    variable down at the distinct heads (v_1, .., v_{r-1}), each head gives
+    a row (f_0, f_1, ..), one ``poly_values`` call evaluates the distinct
+    rows, and each point reads its row at v_r.  An exponent k >= 1 folds to
+    1 + (k - 1) mod (q^n - 1), the same power at every x."""
+    if not points or not points[0]:  # a constant: its code is its residue mod q
+        return [sum(terms.values()) % field.q] * len(points)
+    m, by_k = field.order - 1, {}
+    for exps, c in terms.items():
+        part = by_k.setdefault(exps[-1] and 1 + (exps[-1] - 1) % m, {})
+        part[exps[:-1]] = part.get(exps[:-1], 0) + c
+    head_of = list(map(operator.itemgetter(slice(0, -1)), points))
+    heads = list(dict.fromkeys(head_of))
+    rows = list(zip(*(_field_values(by_k[k], field, heads) if k in by_k else [0] * len(heads)
+                      for k in range(max(by_k, default=0) + 1))))
+    distinct = list(dict.fromkeys(rows))
+    values = dict(zip(distinct, field.poly_values(distinct)))
+    at = dict(zip(heads, map(values.__getitem__, rows)))  # each head's row of values
+    last = map(operator.itemgetter(-1), points)
+    return list(map(operator.getitem, map(at.__getitem__, head_of), last))

@@ -309,6 +309,25 @@ class TestClassSieving:
         classes = _oracle_classes(_oracle_points(60, fam.bad_locus), tables, (5,))
         assert rep.count == sum((0, 1) not in c[5] for c in classes)
 
+    def test_class_sweep_stops_at_the_class_trace(self, monkeypatch):
+        # census-deep's class sieve: a point leaves the sweep once it shows
+        # tr0 = 3, so it reads fewer tables than its 28 support primes
+        calls = _record_ap_calls(monkeypatch, ("ap_table",))
+        rep = sifted_class_set(default_elliptic_family(), 20, 7, (3, 1), 1000, 1000)
+        assert len(calls) < len(rep.support) == 28
+
+    @pytest.mark.parametrize("x, l, tr0, Q", [(20, 7, 3, 1000), (30, 7, 6, 500), (60, 5, 0, 1000),
+                                              (20, 11, 4, 1000)])
+    def test_class_count_matches_all_trace_sweep(self, x, l, tr0, Q):
+        from sievelab.census import _trace_lut
+        from sievelab.heights import affine_line_points
+
+        fam = default_elliptic_family()
+        rep = sifted_class_set(fam, x, l, (tr0, 1), 1000, Q)
+        num, den = affine_line_points(x, fam.bad_locus)
+        traces = _sweep(num, den, fam, rep.support, [_trace_lut(l)])[:, 0]
+        assert rep.count == np.count_nonzero((traces >> tr0) & 1 == 0)
+
     def test_containment_cross_check(self):
         fam = default_elliptic_family()
         n_undecided, failures = exceptional_containment_check(fam, 20, 5, 1000, 200)
@@ -543,6 +562,20 @@ class TestCli:
         assert main(["--config", str(config), "--x", "5", "--out", str(tmp_path / "out"), "goodred"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(prefix) and "recursion" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[]", "1", "null", '{"genus": 1}', DEEP_JSON],
+                             ids=["list", "number", "null", "no-keys", "deep"])
+    def test_malformed_family_document_raises_value_error(self, tmp_path, capsys, text):
+        with pytest.raises(ValueError):
+            CurveFamily.from_json(text)
+        family = tmp_path / "family.json"
+        family.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": str(family)}))
+        assert main(["--config", str(cfg), "--x", "5", "--out", str(tmp_path / "out"), "goodred"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: bad family document: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["census", "goodred"])

@@ -100,12 +100,14 @@ class TestPointCounts:
     @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(11, 2)])
     def test_batched_count_matches_per_row_calls(self, q, n):
         """List coefficients, mixed with int ones as in [B, A, 0, 1], count
-        each row as its own scalar call would."""
+        each row as its own scalar call would; in the last two, rows share
+        (c_1, .., c_d) and differ in c_0."""
         fld = field(q, n)
         rng = np.random.default_rng(q * 10 + n)
         T = 203
         B, A, C = (rng.integers(0, fld.order, T).tolist() for _ in range(3))
-        for coeffs in ([B, A, 0, 1], [C, 0, A, 1, B, 1]):
+        few = rng.integers(0, fld.order, 3)[rng.integers(0, 3, T)].tolist()
+        for coeffs in ([B, A, 0, 1], [C, 0, A, 1, B, 1], [B, few, 0, 1], [C, few, few, 1]):
             batched = fld.affine_points(coeffs)
             assert type(batched) is list and len(batched) == T
             assert all(type(v) is int for v in batched)
