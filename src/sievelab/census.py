@@ -11,7 +11,8 @@ whole ``ap_table`` while many are live, else by direct character sums
 bit per condition of the verdict, which one table reads (``VERDICT``).
 States only gain bits, so a point leaves the sweep early once each of its
 states holds every bit its table can set: certified at every l >= 5 in the
-census, the class's trace seen in the class sieve.
+census, the class's trace seen in the class sieve, every trace mod l seen in
+the containment check.
 A point enters the exceptional proxy when it is undecided for at least one
 l; verdicts depend only on (t, l, p-cap), so the proxy is monotone under
 enlarging the height window.
@@ -91,21 +92,19 @@ TABLE_MIN_LIVE = 64
 
 
 def _sweep(num, den, family, primes, luts):
-    """(P, len(luts)) states of the LUTs' dtype (uint8 if none): for each
-    point and each (l, l) table in ``luts``, the OR of lut[a_p mod l,
-    p mod l] over the primes p not dividing den at which the point has
-    good reduction.  a_p is read at the live points only: from
-    ``ap_table`` while more than TABLE_MIN_LIVE are live, else from
-    ``ap_sums``.
+    """(P, len(luts)) uint8 states: for each point and each (l, l) uint8
+    table in ``luts``, the OR of lut[a_p mod l, p mod l] over the primes p
+    not dividing den at which the point has good reduction.  a_p is read at
+    the live points only: from ``ap_table`` while more than TABLE_MIN_LIVE
+    are live, else from ``ap_sums``.
 
     Every 8 primes, the points whose every state is its LUT's full value,
     the OR of all its entries, leave the sweep: ORing in more bits cannot
     change a full state.  With no LUT, every point leaves before the first
     prime.
     """
-    dtype = np.result_type(np.uint8, *luts)
-    full = np.array([np.bitwise_or.reduce(lut, axis=None) for lut in luts], dtype=dtype)
-    state = np.zeros((len(num), len(luts)), dtype=dtype)
+    full = np.array([np.bitwise_or.reduce(lut, axis=None) for lut in luts], dtype=np.uint8)
+    state = np.zeros((len(num), len(luts)), dtype=np.uint8)
     live = np.arange(len(num))
     n, d, s = num, den, state
     dmax = int(den.max(initial=0))
@@ -139,9 +138,11 @@ def _reason_codes(num, den, family, pcap, l_values):
     return out
 
 
-def _trace_lut(l):
-    """(l, l) table of the trace bit 1 << tr of the class (tr, det)."""
-    return np.repeat((1 << np.arange(l, dtype=np.uint16))[:, None], l, axis=1)
+def _trace_table(l, tr):
+    """(l, l) uint8 table, 1 on the classes (tr, det) and 0 elsewhere."""
+    table = np.zeros((l, l), dtype=np.uint8)
+    table[tr] = 1
+    return table
 
 
 def census(family, x_values, l_values, pcap):
@@ -196,7 +197,7 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     tr0, det0 = check_class_set(x, l, class_key)
     support_primes = _support_primes(family, l, pcap, Q)
     num, den = affine_line_points(x, family.bad_locus)
-    seen = _sweep(num, den, family, support_primes, [(_trace_lut(l) >> tr0) & 1])[:, 0]
+    seen = _sweep(num, den, family, support_primes, [_trace_table(l, tr0)])[:, 0]
     count = int(np.count_nonzero(seen == 0))
     # bound shape: (|G^g| / |C|) * l * log x / sqrt(x) * x^{r+1}, with C's
     # share of the det = det0 coset of GL2(F_l) in closed form
@@ -215,7 +216,7 @@ def exceptional_containment_check(family, x, l, pcap, Q):
     num, den = num[undecided], den[undecided]
     support = _support_primes(family, l, pcap, Q)
     # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
-    traces = _sweep(num, den, family, support, [_trace_lut(l)])[:, 0]
-    failed = traces == (1 << l) - 1
+    seen = _sweep(num, den, family, support, [_trace_table(l, tr) for tr in range(l)])
+    failed = seen.all(axis=1)
     return len(num), list(zip(num[failed].tolist(), den[failed].tolist()))
 

@@ -19,8 +19,8 @@ import os
 import sys
 
 from .config import (ConfigError, CurveFamily, ExperimentConfig, InfeasibleError, L_LIMIT,
-                     _check_x, _prime_divisors, check_class_set, check_goodred_x,
-                     default_elliptic_family, default_genus2_family)
+                     _check_x, check_class_set, check_goodred_x, default_elliptic_family,
+                     default_genus2_family, primes_below)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,8 +78,7 @@ def load_config(args):
     l_values = doc.get("l", [5, 7, 11, 13])
     if args.lmax is not None:
         # primes past 2 * L_LIMIT add nothing but the same infeasibility
-        l_values = [l for l in range(3, min(args.lmax, 2 * L_LIMIT) + 1)
-                    if _prime_divisors(l) == [l]]
+        l_values = [l for l in primes_below(min(args.lmax, 2 * L_LIMIT) + 1) if l >= 3]
 
     def pick(flag, key, default):
         return flag if flag is not None else doc.get(key, default)

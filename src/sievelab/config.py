@@ -19,8 +19,8 @@ class InfeasibleError(Exception):
 
 
 PCAP_LIMIT = 10**4
-# the class sieve's trace bits fill a uint16 (l <= 16); time and memory at
-# the caps were measured up to 13.  The witness state does not limit l.
+# the cap is time and memory, measured at the caps up to l = 13; no sweep
+# table limits l, and ``census.witness_lut`` holds for l < 211
 L_LIMIT = 13
 X_LIMIT = 1000  # census and class sieve only: both hold all x (2x + 1) candidates
 # goodred, by the family's r: one bit row (a Python int) over the last

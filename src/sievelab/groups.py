@@ -4,10 +4,10 @@ A matrix over F_l is an int64 code: its entries, row by row, as base-l digits
 with the first entry most significant, so sorted codes sort like the entry
 tuples; 4 x 4 codes fit int64 up to l = 13, and the order cap keeps g = 2 at
 l = 3.  A group is the sorted read-only array of its codes, built once per
-GroupSpec; products, inverses and conjugations act on whole code arrays.  The
-symplectic form is the standard block J = [[0, -I], [I, 0]].  Brute-force
-operations are capped by group order; larger cases are served by formulas or
-char-poly statistics only.
+GroupSpec by closure; products, inverses and conjugations act on whole code
+arrays.  The symplectic form is the standard block J = [[0, -I], [I, 0]].
+Brute-force operations are capped by group order; larger cases are served by
+formulas or char-poly statistics only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import gl2_class_density, sp_order
+from .config import sp_order
 
 BRUTE_ORDER_CAP = 10**6
 SUBGROUP_ORDER_CAP = 10**4
@@ -157,38 +157,20 @@ def group_order(spec):
 
 @functools.cache
 def spec_elements(spec):
-    """Sorted read-only codes of a group: GL2/SL2 by filtering every 2 x 2
-    matrix on det, Sp4/GSp4 by closure; the smaller code of +-m for the
-    quotient."""
+    """Sorted read-only codes of a group, by closure over ``_generators``;
+    the smaller code of +-m for the quotient."""
     if group_order(spec) > BRUTE_ORDER_CAP:
         raise ValueError("brute force infeasible")
     l = spec.l
     if spec.pm1_quotient:
         base = spec_elements(spec._replace(pm1_quotient=False))
         elems = np.unique(_pm1(base, l, 2 * spec.g))
-    elif spec.g == 1:
-        codes = np.arange(l**4, dtype=np.int64)
-        m = _decode(codes, l, 2)
-        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % l
-        elems = codes[det == 1] if spec.flavor == "sp" else codes[det != 0]
     else:
-        elems = closure(_generators(spec), _code_ops(l, 4)[0])
+        elems = closure(_generators(spec), _code_ops(l, 2 * spec.g)[0])
     if elems.size != group_order(spec):
         raise AssertionError("element set does not match the order formula")
     elems.flags.writeable = False
     return elems
-
-
-def gl2_elements(l):
-    return spec_elements(GroupSpec(1, l, "gsp"))
-
-
-def sl2_elements(l):
-    return spec_elements(GroupSpec(1, l, "sp"))
-
-
-def sp4_elements(l):
-    return spec_elements(GroupSpec(2, l, "sp"))
 
 
 # --------------------------------------------------------------- class data
@@ -251,18 +233,14 @@ def class_table(spec, mode):
 
 
 def charpoly_class_density(spec, delta):
-    """Char-poly densities on the fixed-similitude coset det = delta.
-
-    g=1: keys are traces over the {det = delta} coset of GL2(F_l), in the
-    closed form of ``config.gl2_class_density``.
-    g=2: keys are (a1, a2) over the {similitude = delta} coset of GSp4(F_l).
-    """
+    """Densities of the char-poly keys (a1, a2) on the {similitude = delta}
+    coset of GSp4(F_l); GL2(F_l)'s are ``config.gl2_class_density``."""
     l = spec.l
+    if spec.g != 2:
+        raise ValueError("g = 2 only; GL2 densities are config.gl2_class_density")
     if delta % l == 0:
         raise ValueError("delta must be a unit")
     delta = delta % l
-    if spec.g == 1:
-        return {t: gl2_class_density(l, t, delta) for t in range(l)}
     counts = {key[:2]: v for key, v in _gsp4_charpoly_counts(l).items() if key[2] == delta}
     total = sum(counts.values())
     return {k: Fraction(v, total) for k, v in sorted(counts.items())}
@@ -332,14 +310,6 @@ def jordan_check_elements(elements, mul, inv):
     )
 
 
-def jordan_check(spec):
-    if group_order(spec) > SUBGROUP_ORDER_CAP:
-        raise ValueError("brute force infeasible")
-    return jordan_check_elements(
-        spec_elements(spec), *_code_ops(spec.l, 2 * spec.g, spec.pm1_quotient)
-    )
-
-
 def pm1_lifting_check(g, l):
     """g=1, l=3: any subgroup of GL2(F_3) surjecting mod +-1 is everything,
     checked over the full subgroup lattice.  g=2: the constructive witness,
@@ -347,7 +317,7 @@ def pm1_lifting_check(g, l):
     if g == 1:
         if l != 3:
             raise ValueError("exhaustive check only for l = 3")
-        elems = gl2_elements(3)
+        elems = spec_elements(GroupSpec(1, 3, "gsp"))
         quotient_size = np.unique(_pm1(elems, 3, 2)).size
         return not any(
             np.unique(_pm1(H, 3, 2)).size == quotient_size and len(H) != len(elems)

@@ -15,14 +15,13 @@ from sievelab.chebotarev import chebotarev_report, envelope_check, genus2_census
 from sievelab.curves import default_elliptic_family, default_genus2_family
 from sievelab.groups import (
     GroupSpec,
+    _code_ops,
     class_table,
-    gl2_elements,
     group_order,
-    jordan_check,
+    jordan_check_elements,
     pm1_lifting_check,
     property1_check,
-    sl2_elements,
-    sp4_elements,
+    spec_elements,
 )
 from sievelab.heights import SCHANUEL_C1, count_projective
 from sievelab.sieve import SieveSupport, SievingSet, large_sieve_L
@@ -148,13 +147,15 @@ def test_acceptance_6_chebotarev_decay(capsys):
 def test_acceptance_7_group_identities(capsys):
     ok = True
     for l in (3, 5, 7):
-        ok = ok and len(gl2_elements(l)) == group_order(GroupSpec(1, l, "gsp"))
-        ok = ok and len(sl2_elements(l)) == group_order(GroupSpec(1, l, "sp"))
+        for flavor in ("gsp", "sp"):
+            spec = GroupSpec(1, l, flavor)
+            ok = ok and len(spec_elements(spec)) == group_order(spec)
+        gl2 = spec_elements(GroupSpec(1, l, "gsp"))
         ct = class_table(GroupSpec(1, l, "gsp"), "brute")
-        ok = ok and len(ct.entries) == l * l - 1 and ct.total == len(gl2_elements(l))
-    ok = ok and len(sp4_elements(3)) == 51840
-    ok = ok and jordan_check(GroupSpec(1, 3, "gsp"))
-    ok = ok and jordan_check(GroupSpec(1, 3, "sp"))
+        ok = ok and len(ct.entries) == l * l - 1 and ct.total == len(gl2)
+    ok = ok and len(spec_elements(GroupSpec(2, 3, "sp"))) == 51840
+    for flavor in ("gsp", "sp"):
+        ok = ok and jordan_check_elements(spec_elements(GroupSpec(1, 3, flavor)), *_code_ops(3, 2))
     ok = ok and pm1_lifting_check(1, 3) and pm1_lifting_check(2, 3)
     rep1 = property1_check(1, [3, 5, 7, 11, 13])
     rep2 = property1_check(2, [3])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from sievelab.census import (
     _sweep,
+    _trace_table,
     census,
     exceptional_containment_check,
     sifted_class_set,
@@ -319,14 +320,33 @@ class TestClassSieving:
     @pytest.mark.parametrize("x, l, tr0, Q", [(20, 7, 3, 1000), (30, 7, 6, 500), (60, 5, 0, 1000),
                                               (20, 11, 4, 1000)])
     def test_class_count_matches_all_trace_sweep(self, x, l, tr0, Q):
-        from sievelab.census import _trace_lut
         from sievelab.heights import affine_line_points
 
         fam = default_elliptic_family()
         rep = sifted_class_set(fam, x, l, (tr0, 1), 1000, Q)
         num, den = affine_line_points(x, fam.bad_locus)
-        traces = _sweep(num, den, fam, rep.support, [_trace_lut(l)])[:, 0]
-        assert rep.count == np.count_nonzero((traces >> tr0) & 1 == 0)
+        seen = _sweep(num, den, fam, rep.support, [_trace_table(l, tr) for tr in range(l)])
+        assert rep.count == np.count_nonzero(seen[:, tr0] == 0)
+
+    def test_class_sieve_counts_every_trace_past_l_limit(self, monkeypatch):
+        # l = 17 and 19 have traces past 15: each class count, and at l = 17
+        # each per-trace column, against the per-point loop over ap_table
+        from sievelab import config
+        from sievelab.heights import affine_line_points
+
+        monkeypatch.setattr(config, "L_LIMIT", 23)
+        fam = default_elliptic_family()
+        points = _oracle_points(30, fam.bad_locus)
+        expected = {(17, 15): 625, (17, 16): 608, (19, 16): 733, (19, 17): 760, (19, 18): 774}
+        for (l, tr0), want in expected.items():
+            rep = sifted_class_set(fam, 30, l, (tr0, 1), 1000, 1000)
+            tables = {p: ap_table(fam, p) for p in rep.support}
+            traces = [{tr for tr, _ in c[l]} for c in _oracle_classes(points, tables, (l,))]
+            assert rep.count == sum(tr0 not in t for t in traces) == want, (l, tr0)
+            if l == 17:
+                num, den = affine_line_points(30, fam.bad_locus)
+                seen = _sweep(num, den, fam, rep.support, [_trace_table(l, tr) for tr in range(l)])
+                assert [set(np.flatnonzero(row).tolist()) for row in seen] == traces
 
     def test_containment_cross_check(self):
         fam = default_elliptic_family()
@@ -346,11 +366,15 @@ class TestClassSieving:
     @pytest.mark.parametrize("l", [5, 7, 11, 13])
     def test_bound_matches_group_density(self, l):
         # the closed-form inverse density against the GL2(F_l) class table
-        from sievelab.groups import GroupSpec, charpoly_class_density
+        # on the det = 1 coset
+        from sievelab.groups import GroupSpec, class_table
 
         fam = default_elliptic_family()
         x = 20
-        dens = charpoly_class_density(GroupSpec(1, l, "gsp"), 1)
+        counts = {tr: c for (tr, det), c in
+                  class_table(GroupSpec(1, l, "gsp"), "charpoly").entries.items() if det == 1}
+        dens = {tr: Fraction(c, sum(counts.values())) for tr, c in counts.items()}
+        assert sorted(dens) == list(range(l))
         for tr0 in range(l):
             rep = sifted_class_set(fam, x, l, (tr0, 1), 1000, 60)
             assert rep.bound == float(1 / dens[tr0]) * l * math.log(x) / math.sqrt(x) * x**2
@@ -482,6 +506,7 @@ class TestCli:
             (["census"], [10], 2),
             (["census"], {"l": 5}, 2),
             (["census"], {"family": {"genus": 1}}, 2),
+            (["--lmax", "40", "census"], None, 3),
             (["--lmax", "100", "census"], None, 3),
             (["--out", "", "census"], None, 2),
             (["--out", "{tmp}/file", "census"], None, 2),
@@ -894,12 +919,14 @@ class TestCli:
         assert offenders == []
 
     def test_lmax_primes_match_the_sieve(self, monkeypatch):
-        # the --lmax list against the primes_below-based list it replaced
+        # the --lmax list against the sieve's primes, and pinned at 13
         monkeypatch.setattr(ExperimentConfig, "validate", lambda self: self)
         parser = build_parser()
         for lmax in range(2, 2 * L_LIMIT + 1):
             cfg = load_config(parser.parse_args(["--lmax", str(lmax), "census"]))
             assert list(cfg.l_values) == [l for l in primes_below(lmax + 1) if l >= 3]
+        cfg = load_config(parser.parse_args(["--lmax", "13", "census"]))
+        assert cfg.l_values == (3, 5, 7, 11, 13)
 
     def test_check_l_matches_the_sieve(self):
         for l in range(2, 31):

@@ -17,7 +17,7 @@ from sievelab.curves import (
 )
 from sievelab.census import VERDICT, witness_lut
 from sievelab.config import _prime_divisors, primes_below
-from sievelab.groups import _code_ops, _decode, _encode, closure, gl2_elements
+from sievelab.groups import GroupSpec, _code_ops, _decode, _encode, closure, spec_elements
 from sievelab.polynomials import Poly
 
 from oracles import (
@@ -310,9 +310,8 @@ class TestVerdict:
         # Cartan, order 16) are proper yet meet all six (tr, det) classes
         mul, inv = _code_ops(3, 2)
         sylow = _subgroup([[[1, 2], [1, 1]], [[1, 0], [0, 2]]], 3)
-        conjugates = {
-            frozenset(mul(mul(g, sylow), inv(g)).tolist()) for g in gl2_elements(3)
-        }
+        gl2 = spec_elements(GroupSpec(1, 3, "gsp"))
+        conjugates = {frozenset(mul(mul(g, sylow), inv(g)).tolist()) for g in gl2}
         assert len(conjugates) == 3
         full = {(tr, d) for tr in range(3) for d in (1, 2)}
         for H in conjugates:
@@ -350,7 +349,8 @@ class TestVerdict:
 
     def test_full_group_is_surjective(self):
         for l in (5, 7, 11, 13):
-            assert surjectivity_verdict(_classes(gl2_elements(l), l), l, 1) == "surjective"
+            gl2 = spec_elements(GroupSpec(1, l, "gsp"))
+            assert surjectivity_verdict(_classes(gl2, l), l, 1) == "surjective"
 
     def test_generates_units_matches_closure(self):
         # every subset of F_l^x for l = 5, 7; seeded random subsets for 11, 13
@@ -378,7 +378,7 @@ class TestVerdict:
             gens += [[[[ROOTS[l], 0], [0, ROOTS[l]]]] + lifts
                      for (l2, _), lifts in EXCEPTIONAL_LIFTS.items() if l2 == l]
             cases += [_classes(_subgroup(g, l), l) for g in gens]
-            cases.append(_classes(gl2_elements(l), l))
+            cases.append(_classes(spec_elements(GroupSpec(1, l, "gsp")), l))
             lut = witness_lut(l)
             for classes in cases:
                 state = np.bitwise_or.reduce([lut[tr, d] for tr, d in classes])

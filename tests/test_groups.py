@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sievelab import groups
+from sievelab.config import gl2_class_density
 from sievelab.groups import (
     GroupSpec,
     _code_ops,
@@ -16,14 +17,10 @@ from sievelab.groups import (
     _transvection,
     charpoly_class_density,
     class_table,
-    gl2_elements,
     group_order,
-    jordan_check,
     jordan_check_elements,
     pm1_lifting_check,
     property1_check,
-    sl2_elements,
-    sp4_elements,
     spec_elements,
 )
 
@@ -32,6 +29,15 @@ def _preserves_form(m, l, mu=1):
     """m^T J m = mu J mod l, for a stack of 4 x 4 matrices."""
     J = _J(2)
     return np.all((np.swapaxes(m, -1, -2) @ J @ m - mu * J) % l == 0)
+
+
+def _det_filter(l, flavor):
+    """GL2(F_l) ("gsp") or SL2(F_l) ("sp") as the sorted codes, among all
+    l^4 codes of 2 x 2 matrices, with det != 0 or det = 1."""
+    codes = np.arange(l**4, dtype=np.int64)
+    m = _decode(codes, l, 2)
+    det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % l
+    return codes[det == 1] if flavor == "sp" else codes[det != 0]
 
 
 class TestOrders:
@@ -44,8 +50,19 @@ class TestOrders:
 
     def test_brute_enumeration_matches(self):
         for l in (3, 5, 7):
-            assert len(gl2_elements(l)) == group_order(GroupSpec(1, l, "gsp"))
-            assert len(sl2_elements(l)) == group_order(GroupSpec(1, l, "sp"))
+            for flavor in ("gsp", "sp"):
+                spec = GroupSpec(1, l, flavor)
+                assert len(spec_elements(spec)) == group_order(spec)
+
+    @pytest.mark.parametrize("l", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("flavor", ["gsp", "sp"])
+    def test_closure_matches_det_filter(self, l, flavor):
+        # the closure over transvections (and similitudes) against the
+        # matrices filtered on det, and the quotient by +-1 from them
+        want = _det_filter(l, flavor)
+        assert np.array_equal(spec_elements(GroupSpec(1, l, flavor)), want)
+        assert np.array_equal(spec_elements(GroupSpec(1, l, flavor, pm1_quotient=True)),
+                              np.unique(_pm1(want, l, 2)))
 
     def test_l2_unsupported(self):
         with pytest.raises(ValueError):
@@ -54,7 +71,7 @@ class TestOrders:
 
 class TestMatrixOps:
     def test_codes_sort_like_entry_tuples(self):
-        codes = gl2_elements(5)
+        codes = spec_elements(GroupSpec(1, 5, "gsp"))
         tuples = [tuple(row) for row in _decode(codes, 5, 2).reshape(-1, 4).tolist()]
         assert tuples == sorted(tuples)
         assert np.array_equal(_encode(_decode(codes, 5, 2), 5), codes)
@@ -83,7 +100,7 @@ class TestMatrixOps:
 
 class TestSp4:
     def test_closure_reaches_full_group(self):
-        elems = sp4_elements(3)
+        elems = spec_elements(GroupSpec(2, 3, "sp"))
         assert len(elems) == 51840
         # every element preserves the form with multiplier 1
         assert _preserves_form(_decode(elems, 3, 4), 3)
@@ -140,36 +157,42 @@ class TestClassTable:
 
 class TestDensities:
     def test_sl2_trace_zero_density(self):
-        d = charpoly_class_density(GroupSpec(1, 3, "gsp"), 1)
-        assert d[0] == Fraction(1, 4)
+        # enumeration oracle over the det = 1 coset: 6 of the 24 elements
+        m = _decode(_det_filter(3, "sp"), 3, 2)
+        assert int(np.sum((m[:, 0, 0] + m[:, 1, 1]) % 3 == 0)) == 6
+        assert gl2_class_density(3, 0, 1) == Fraction(1, 4)
 
     def test_trace_two_includes_identity(self):
-        d = charpoly_class_density(GroupSpec(1, 3, "gsp"), 1)
         # enumeration oracle over det=1 coset
-        m = _decode(sl2_elements(3), 3, 2)
+        m = _decode(_det_filter(3, "sp"), 3, 2)
         count = int(np.sum((m[:, 0, 0] + m[:, 1, 1]) % 3 == 2))
-        assert d[2] == Fraction(count, 24)
+        assert gl2_class_density(3, 2, 1) == Fraction(count, 24)
 
     def test_gl2_closed_form_matches_enumeration(self):
         for l in (3, 5, 7, 11, 13):
-            m = _decode(gl2_elements(l), l, 2)
+            m = _decode(_det_filter(l, "gsp"), l, 2)
             tr = (m[:, 0, 0] + m[:, 1, 1]) % l
             det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % l
             for delta in range(1, l):
                 counts = np.bincount(tr[det == delta], minlength=l)
                 want = {t: Fraction(int(c), int(counts.sum())) for t, c in enumerate(counts)}
-                assert charpoly_class_density(GroupSpec(1, l, "gsp"), delta) == want
+                assert {t: gl2_class_density(l, t, delta) for t in range(l)} == want
 
     def test_sums_to_one(self):
         for delta in (1, 2):
-            d = charpoly_class_density(GroupSpec(1, 3, "gsp"), delta)
-            assert sum(d.values()) == 1
+            assert sum(gl2_class_density(3, t, delta) for t in range(3)) == 1
         d = charpoly_class_density(GroupSpec(2, 3, "gsp"), 2)
         assert sum(d.values()) == 1
 
     def test_nonunit_delta_rejected(self):
         with pytest.raises(ValueError):
-            charpoly_class_density(GroupSpec(1, 5, "gsp"), 0)
+            charpoly_class_density(GroupSpec(2, 3, "gsp"), 0)
+
+    def test_gl2_density_is_config_only(self):
+        # GL2(F_l) has one density, config.gl2_class_density
+        for flavor in ("gsp", "sp"):
+            with pytest.raises(ValueError, match="g = 2 only"):
+                charpoly_class_density(GroupSpec(1, 5, flavor), 1)
 
     def test_gsp4_table_built_once(self, monkeypatch):
         # the char-poly table of GSp4(F_l) is built once per process, and
@@ -198,8 +221,8 @@ class TestLemmas:
         assert rep.c1 <= 2 and rep.c2 <= 2
 
     def test_jordan_on_small_groups(self):
-        assert jordan_check(GroupSpec(1, 3, "gsp"))
-        assert jordan_check(GroupSpec(1, 3, "sp"))
+        for flavor in ("gsp", "sp"):
+            assert jordan_check_elements(spec_elements(GroupSpec(1, 3, flavor)), *_code_ops(3, 2))
 
     def test_jordan_cyclic_c6(self):
         c6 = list(range(6))
@@ -210,6 +233,6 @@ class TestLemmas:
         assert pm1_lifting_check(2, 3)
 
     def test_pm1_sl2_image_is_proper(self):
-        image = np.unique(_pm1(sl2_elements(3), 3, 2))
-        full = np.unique(_pm1(gl2_elements(3), 3, 2))
+        image = np.unique(_pm1(spec_elements(GroupSpec(1, 3, "sp")), 3, 2))
+        full = np.unique(_pm1(spec_elements(GroupSpec(1, 3, "gsp")), 3, 2))
         assert len(image) < len(full)
