@@ -506,7 +506,6 @@ class TestCli:
             (["census"], [10], 2),
             (["census"], {"l": 5}, 2),
             (["census"], {"family": {"genus": 1}}, 2),
-            (["--lmax", "40", "census"], None, 3),
             (["--lmax", "100", "census"], None, 3),
             (["--out", "", "census"], None, 2),
             (["--out", "{tmp}/file", "census"], None, 2),
@@ -544,6 +543,8 @@ class TestCli:
             ([command], {"family": {**GOOD_FAMILY, "genus": genus}}, 2)
             for genus in (True, 1.0)
             for command in ("census", "goodred")
+        ] + [
+            (["--lmax", "40", "census"], None, 3),
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):
