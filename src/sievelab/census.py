@@ -2,20 +2,19 @@
 shared by the CLI and the test suite (goodred runs ``brun`` directly).  It
 returns data (``CensusRow``, ``ClassSetReport``); the CLI writes the files.
 
-The census holds the parameters t = num/den of bounded height as int64
-arrays and sweeps them over the primes up to a cap, one prime at a time,
-reading a_p at the residues of the points still live: from the prime's
-whole ``ap_table`` while many are live, else by direct character sums
-(``ap_sums``).  Per l it ORs the witness bits of each class
-(a_p mod l, p mod l) into a uint8 state per point (``witness_lut``), one
-bit per condition of the verdict, which one table reads (``VERDICT``).
-States only gain bits, so a point leaves the sweep early once each of its
-states holds every bit its table can set: certified at every l >= 5 in the
-census, the class's trace seen in the class sieve, every trace mod l seen in
-the containment check.
-A point enters the exceptional proxy when it is undecided for at least one
-l; verdicts depend only on (t, l, p-cap), so the proxy is monotone under
-enlarging the height window.
+The census holds the parameters t = num/den of bounded height as int32
+codes and sweeps them over the primes up to a cap in blocks of eight.  Per
+l, the witness bits of each class (a_p mod l, p mod l) (``witness_lut``),
+one per condition of the verdict that one table reads (``VERDICT``), OR
+into a uint8 state per point.  While many points are live, each prime
+folds every l into one class table over the residues mod p, read at the
+points' codes; past that, one block of character sums (``ap_sums``) serves
+the few left.  States only gain bits, so before each block the points whose
+states hold every bit their tables can set leave: certified at every l >= 5
+in the census, the class's trace seen in the class sieve, every trace mod l
+seen in the containment check.  A point enters the exceptional proxy when
+it is undecided for at least one l; verdicts depend only on (t, l, p-cap),
+so the proxy is monotone under enlarging the height window.
 """
 
 from __future__ import annotations
@@ -82,44 +81,55 @@ class CensusRow(namedtuple("CensusRow", "x n_points surjective undecided undecid
         return self.undecided_any / self.n_points if self.n_points else 0.0
 
 
-# Live points above which the sweep builds a prime's whole ap_table rather
-# than summing characters at each point.  On a 2-core machine a table took
-# about 0.5 us * p for p from 10^3 to 10^4 (0.15-0.25 ms below p = 300), and
-# ap_sums about 6-8 ns * p per point there: the two crossed between 64 and
-# 96 points for p >= 10^3 and above 96 below p = 300, so at 64 the sums cost
-# at most the table they replace.
+# Live points above which the sweep builds a prime's ap_table and class
+# table rather than summing characters at each point.  On a 2-core machine
+# the two took 0.4-0.6 ms near p = 250 and 0.5-0.85 us * p from 10^3 to
+# 10^4, and a block of ap_sums 3.5-7.5 ns * p per point and prime: they
+# cross at 130-190 points for p >= 10^3 (200-400 near p = 250), so at 64
+# the sums cost well under the table they replace.
 TABLE_MIN_LIVE = 64
+BLOCK = 8  # primes per block: points leave the sweep, and sums serve, a block at a time
+
+
+def _classes(luts, ap, p):
+    """(..., len(luts)) uint8 bits lut[a_p mod l, p mod l], 0 at bad a_p."""
+    return np.stack([lut[ap % len(lut), p % len(lut)] * (ap != BAD_SENTINEL) for lut in luts], -1)
 
 
 def _sweep(num, den, family, primes, luts):
     """(P, len(luts)) uint8 states: for each point and each (l, l) uint8
     table in ``luts``, the OR of lut[a_p mod l, p mod l] over the primes p
-    not dividing den at which the point has good reduction.  a_p is read at
-    the live points only: from ``ap_table`` while more than TABLE_MIN_LIVE
-    are live, else from ``ap_sums``.
+    not dividing den at which the point has good reduction.
 
-    Every 8 primes, the points whose every state is its LUT's full value,
-    the OR of all its entries, leave the sweep: ORing in more bits cannot
-    change a full state.  With no LUT, every point leaves before the first
-    prime.
+    The primes go in blocks of BLOCK.  While more than TABLE_MIN_LIVE
+    points are live, each prime ORs in one row gather at the points' int32
+    codes from a (p + 1, len(luts)) class table over the residues, zero at
+    bad residues and at row p, the code where p | den; past that, each block
+    reads a_p from one ``ap_sums`` call.  Before each block, the points
+    whose every state is its LUT's full value (the OR of all its entries)
+    leave: more bits cannot change them.  With no LUT, all leave at once.
     """
     full = np.array([np.bitwise_or.reduce(lut, axis=None) for lut in luts], dtype=np.uint8)
     state = np.zeros((len(num), len(luts)), dtype=np.uint8)
     live = np.arange(len(num))
-    n, d, s = num, den, state
-    dmax = int(den.max(initial=0))
-    for k, p in enumerate(primes):
-        if k % 8 == 0 and (done := (s == full).all(axis=1)).any():
+    n, d, s = num.astype(np.int32), den.astype(np.int32), state
+    dens = np.arange(int(den.max(initial=0)) + 1, dtype=np.int32)
+    for k in range(0, len(primes), BLOCK):
+        if (done := (s == full).all(axis=1)).any():
             state[live[done]] = s[done]
             live, n, d, s = live[~done], n[~done], d[~done], s[~done]
         if not len(live):
             break
-        inv = _pow_mod(np.arange(dmax + 1), p - 2, p)[d]  # 0 where p | den
-        t = n % p * inv % p
-        ap = ap_table(family, p)[t] if len(t) > TABLE_MIN_LIVE else ap_sums(family, p, t)
-        good = (inv != 0) & (ap != BAD_SENTINEL)
-        for j, lut in enumerate(luts):
-            s[:, j] |= lut[ap % len(lut), p % len(lut)] * good
+        p = np.array(primes[k:k + BLOCK], dtype=np.int32)
+        if len(live) > TABLE_MIN_LIVE:
+            inv = _pow_mod(dens, p[:, None] - 2, p[:, None])  # [j, den]: 0 where p_j | den
+            for j, q in enumerate(p.tolist()):
+                table = _classes(luts, np.append(ap_table(family, q), BAD_SENTINEL), q)
+                s |= np.take(table, np.where((iv := inv[j, d]), n % q * iv % q, q), axis=0)
+        else:
+            inv = _pow_mod(d[:, None], p - 2, p)
+            ap = ap_sums(family, p.tolist(), n[:, None] % p * inv % p)
+            s |= np.bitwise_or.reduce(_classes(luts, ap, p) * (inv != 0)[..., None], axis=1)
     state[live] = s
     return state
 

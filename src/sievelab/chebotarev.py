@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import finitefield
 from .config import gl2_class_density, sp_order
+from .polynomials import _field_values
 
 PRIME_CAP_G2 = 300
 
@@ -222,7 +223,7 @@ def genus2_census(family, q, l):
     if t and q in family.excluded_primes:
         raise ValueError("bad reduction")
     # over F_q the codes are the residues
-    coeffs = [c.eval_field(fld, t) for c in family.quintic]
+    coeffs = _field_values([c.terms for c in family.quintic], fld, t)
     if not all(_squarefree(row, q) for row in set(zip(*coeffs))):
         raise ValueError("bad reduction")
     n1, n2 = _quintic_counts(coeffs, q)

@@ -116,9 +116,9 @@ class Poly:
         return out
 
     def eval_mod(self, values, p):
-        """Evaluate at integers mod p.  The values may be ints or int64
+        """Evaluate at integers mod p.  The values and p may be ints or int64
         numpy arrays (broadcast together, each product reduced mod p, so
-        p < 3 * 10^9 stays exact)."""
+        p < 3 * 10^9 stays exact), such as one prime per column."""
         powers = [[1, v % p] for v in values]  # powers[i][e] = values[i]^e mod p
         out = 0
         for exps, c in self.terms.items():
@@ -135,7 +135,7 @@ class Poly:
         """Evaluate at a list of points of a ``finitefield.ExtField``, each a
         tuple of element codes, one per variable; returns a list of codes.
         ``_field_values`` recurses on the last variable."""
-        return _field_values(self.terms, field, points)
+        return _field_values([self.terms], field, points)[0]
 
     def homogenize(self):
         """Homogenize with a new leading variable t0: f(t) -> t0^deg f(t/t0)."""
@@ -158,25 +158,29 @@ class Poly:
         return f"Poly({self.nvars}, {self.terms!r})"
 
 
-def _field_values(terms, field, points):
-    """The codes at each point of sum c prod v_i^e_i over terms {exponents:
-    c}: the f_k of f = sum_k f_k(v_1, .., v_{r-1}) v_r^k are evaluated one
-    variable down at the distinct heads (v_1, .., v_{r-1}), each head gives
-    a row (f_0, f_1, ..), one ``poly_values`` call evaluates the distinct
-    rows, and each point reads its row at v_r.  An exponent k >= 1 folds to
+def _field_values(polys, field, points):
+    """For each term dict {exponents: c} in the list polys, the codes at each
+    point of sum c prod v_i^e_i: the f_k of every f = sum_k f_k(v_1, ..,
+    v_{r-1}) v_r^k are evaluated in one call one variable down at the
+    distinct heads (v_1, .., v_{r-1}), each head gives each f a row (f_0,
+    f_1, ..), one ``poly_values`` call evaluates the distinct rows, and each
+    point reads its rows at v_r.  An exponent k >= 1 folds to
     1 + (k - 1) mod (q^n - 1), the same power at every x."""
-    if not points or not points[0]:  # a constant: its code is its residue mod q
-        return [sum(terms.values()) % field.q] * len(points)
-    m, by_k = field.order - 1, {}
-    for exps, c in terms.items():
-        part = by_k.setdefault(exps[-1] and 1 + (exps[-1] - 1) % m, {})
-        part[exps[:-1]] = part.get(exps[:-1], 0) + c
+    if not points or not points[0]:  # constants: a code is the residue mod q
+        return [[sum(terms.values()) % field.q] * len(points) for terms in polys]
+    m, parts = field.order - 1, []
+    for terms in polys:
+        by_k = {}
+        for exps, c in terms.items():
+            part = by_k.setdefault(exps[-1] and 1 + (exps[-1] - 1) % m, {})
+            part[exps[:-1]] = part.get(exps[:-1], 0) + c
+        parts.append([by_k.get(k, {}) for k in range(max(by_k, default=0) + 1)])
     head_of = list(map(operator.itemgetter(slice(0, -1)), points))
     heads = list(dict.fromkeys(head_of))
-    rows = list(zip(*(_field_values(by_k[k], field, heads) if k in by_k else [0] * len(heads)
-                      for k in range(max(by_k, default=0) + 1))))
-    distinct = list(dict.fromkeys(rows))
-    values = dict(zip(distinct, field.poly_values(distinct)))
-    at = dict(zip(heads, map(values.__getitem__, rows)))  # each head's row of values
-    last = map(operator.itemgetter(-1), points)
-    return list(map(operator.getitem, map(at.__getitem__, head_of), last))
+    down = iter(_field_values([part for f in parts for part in f], field, heads))
+    rows = [list(zip(*(next(down) for _ in f))) for f in parts]  # each f's row at each head
+    values = dict.fromkeys(row for f_rows in rows for row in f_rows)
+    values = dict(zip(values, field.poly_values(list(values))))
+    last = list(map(operator.itemgetter(-1), points))
+    ats = (dict(zip(heads, map(values.__getitem__, f_rows))) for f_rows in rows)
+    return [list(map(operator.getitem, map(at.__getitem__, head_of), last)) for at in ats]

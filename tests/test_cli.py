@@ -87,7 +87,8 @@ def _oracle_classes(points, tables, l_values):
 
 def _record_ap_calls(monkeypatch, names):
     """The primes at which the census module calls the named a_p
-    evaluators (``ap_table``, ``ap_sums``), appended as they are made."""
+    evaluators (``ap_table``, and ``ap_sums`` with a block of primes), one
+    entry per prime, appended as they are made."""
     from sievelab import census as census_mod
 
     calls = []
@@ -95,7 +96,7 @@ def _record_ap_calls(monkeypatch, names):
         real = getattr(census_mod, name)
 
         def counting(family, p, *rest, real=real):
-            calls.append(p)
+            calls.extend(p if isinstance(p, list) else [p])
             return real(family, p, *rest)
 
         monkeypatch.setattr(census_mod, name, counting)
@@ -173,6 +174,45 @@ class TestCensus:
         for j, (l, lut) in enumerate(zip(l_values[1:], luts)):
             want = [functools.reduce(operator.or_, (int(lut[k]) for k in c[l]), 0) for c in classes]
             assert states[:, j].tolist() == want, l
+
+    def test_blocked_sweep_matches_prime_by_prime_loop(self, monkeypatch):
+        # 44 primes, five blocks of 8 and one of 4, at the t + 2 family,
+        # whose residue 0 is good: 5 (first block) and 7 (last block) divide
+        # some dens, and both have bad residues.  With the l = 13 trace
+        # tables, 17 LUTs, the 85 points stay live long enough that at
+        # TABLE_MIN_LIVE = 70 four blocks read tables and two read sums
+        from sievelab import census as census_mod
+        from sievelab.heights import affine_line_points
+
+        s = Poly.var(1, 0) + 2
+        fam = CurveFamily(1, 3 * (1 - s) * s, 2 * (1 - s) ** 2 * s, (), s * (1 - s),
+                          frozenset({2, 3}))
+        num, den = affine_line_points(8, fam.bad_locus)
+        primes = [5] + primes_below(200)[4:48] + [7]
+        luts = [witness_lut(l) for l in (5, 7, 11, 13)] + [_trace_table(13, tr) for tr in range(13)]
+        seen, bad = {}, {}  # each prime's states, and its points at bad residues
+        for p in primes:
+            table, seen[p] = ap_table(fam, p), np.zeros((len(num), len(luts)), dtype=np.uint8)
+            for i, (n, d) in enumerate(zip(num.tolist(), den.tolist())):
+                ap = int(table[n * pow(d, -1, p) % p]) if d % p else None
+                bad[p] = bad.get(p, 0) + (ap == BAD_SENTINEL)
+                if ap is not None and ap != BAD_SENTINEL:
+                    for j, lut in enumerate(luts):
+                        seen[p][i, j] |= lut[ap % len(lut), p % len(lut)]
+        for p in (5, 7):
+            assert (den % p == 0).any() and ap_table(fam, p)[0] != BAD_SENTINEL and bad[p] > 0
+        monkeypatch.setattr(census_mod, "TABLE_MIN_LIVE", 70)
+        tabled = _record_ap_calls(monkeypatch, ("ap_table",))
+        summed = _record_ap_calls(monkeypatch, ("ap_sums",))
+        want = functools.reduce(operator.or_, seen.values())
+        assert np.array_equal(_sweep(num, den, fam, primes, luts), want)
+        assert (tabled, summed) == (primes[:32], primes[32:])
+        # 5 and 7 alone, from a table and from sums: a point with p | den
+        # reads nothing, where all 44 primes could hide a stray bit
+        for live_min in (0, len(num)):
+            monkeypatch.setattr(census_mod, "TABLE_MIN_LIVE", live_min)
+            for p in (5, 7):
+                assert np.array_equal(_sweep(num, den, fam, [p], luts), seen[p]), (live_min, p)
 
     def test_exact_bad_locus_at_x_limit(self):
         # degree 7 with the root -907/953: the homogenised locus reaches
@@ -282,22 +322,25 @@ class TestClassSieving:
     def test_trace_sweep_drops_points_that_saw_every_trace(self, monkeypatch):
         from sievelab import census as census_mod
 
-        live = []  # the residues read at each support prime, in sweep order
+        live = []  # the points read at each support prime, in sweep order
 
-        class Recorded:
-            def __init__(self, table):
-                self.table = table
+        class Recorded:  # a table block's inverses of every den, one row per prime
+            def __init__(self, inv):
+                self.inv = inv
 
-            def __getitem__(self, t):
-                live.append(len(t))
-                return self.table[t]
+            def __getitem__(self, key):  # (j, the live dens)
+                live.append(len(key[1]))
+                return self.inv[key]
 
-        def sums(family, p, t, real=census_mod.ap_sums):
-            live.append(len(t))
-            return real(family, p, t)
+        def pow_mod(base, e, p, real=census_mod._pow_mod):
+            inv = real(base, e, p)
+            return Recorded(inv) if np.ndim(base) == 1 else inv
 
-        real_table = census_mod.ap_table
-        monkeypatch.setattr(census_mod, "ap_table", lambda family, p: Recorded(real_table(family, p)))
+        def sums(family, primes, t, real=census_mod.ap_sums):
+            live.extend([len(t)] * len(primes))
+            return real(family, primes, t)
+
+        monkeypatch.setattr(census_mod, "_pow_mod", pow_mod)
         monkeypatch.setattr(census_mod, "ap_sums", sums)
         fam = default_elliptic_family()
         rep = sifted_class_set(fam, 60, 5, (0, 1), 1000, 1000)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sievelab.curves import (
     BAD_SENTINEL,
+    _pow_mod,
     ap_sums,
     ap_table,
     default_elliptic_family,
@@ -189,27 +190,44 @@ class TestApTable:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sums_match_table(self, data):
-        # random families of degree <= 3 (A or B may vanish); the residues
-        # repeat and include 0 (the one read where p divides den) and, when
-        # there are any, bad ones; 2 and 3 are never excluded here
+        # random families of degree <= 3 (A or B may vanish) over blocks of
+        # 1 to 8 primes, some repeated; the residues repeat and include 0
+        # (the one read where p divides den) and, when there are any, bad
+        # ones; 2 and 3 are never excluded here
         poly = st.lists(st.integers(-30, 30), max_size=4).map(
             lambda cs: Poly.from_terms(1, [[c, e] for e, c in enumerate(cs)]))
         fam = _oracle_family(data.draw(poly), data.draw(poly))
-        for p in (2, 3, data.draw(st.sampled_from(primes_below(2000)))):
-            table = ap_table(fam, p)
-            t = data.draw(st.lists(st.integers(0, p - 1), max_size=40))
-            t = np.array(t + t[:5] + [0] + np.flatnonzero(table == BAD_SENTINEL)[:5].tolist(),
-                         dtype=np.int64)
-            a = ap_sums(fam, p, t)
-            assert a.dtype == np.int16
-            assert np.array_equal(a, table[t]), p
+        drawn = data.draw(st.lists(st.sampled_from(primes_below(2000)), min_size=1, max_size=8))
+        for block in ([2], [3, 2], drawn, [3] + drawn[:6] + [2]):
+            tables = [ap_table(fam, p) for p in block]
+            raw = data.draw(st.lists(st.integers(0, 10**6), max_size=40))
+            t = np.array(raw + raw[:5] + [0], dtype=np.int64)[:, None] % block
+            bad = [np.flatnonzero(table == BAD_SENTINEL)[:5].tolist() for table in tables]
+            t = np.vstack([t, [[b[i] if i < len(b) else 0 for b in bad] for i in range(5)]])
+            a = ap_sums(fam, block, t)
+            assert a.dtype == np.int16 and a.shape == t.shape
+            for j, (p, table) in enumerate(zip(block, tables)):
+                assert np.array_equal(a[:, j], table[t[:, j]]), p
 
     def test_sums_refuse_g2_and_primes_above_cap(self):
-        t = np.arange(3, dtype=np.int64)
+        t = np.zeros((3, 2), dtype=np.int64)
         with pytest.raises(ValueError, match="g=1 only"):
-            ap_sums(default_genus2_family(), 7, t)
-        with pytest.raises(ValueError, match="prime cap"):
-            ap_sums(default_elliptic_family(), 10007, t)
+            ap_sums(default_genus2_family(), [5, 7], t)
+        for block in ([10007, 7], [7, 10007]):
+            with pytest.raises(ValueError, match="prime cap"):
+                ap_sums(default_elliptic_family(), block, t)
+
+    def test_pow_mod_takes_an_exponent_row(self):
+        # one exponent and one prime per column, against Python's pow: the
+        # inverses p - 2 are 0 where p | d, as the sweep reads them
+        primes = np.array([3, 5, 7, 97, 9973])
+        d = np.arange(-20, 2000)
+        for dtype in (np.int64, np.int32):
+            inv = _pow_mod(d.astype(dtype)[:, None], primes - 2, primes)
+            assert inv.tolist() == [[pow(x, p - 2, p) for p in primes.tolist()] for x in d.tolist()]
+            assert np.array_equal(inv == 0, d[:, None] % primes == 0)
+        assert _pow_mod(d, 0, 7).tolist() == [1] * len(d)
+        assert _pow_mod(d, 12, 13).tolist() == [pow(x, 12, 13) for x in d.tolist()]
 
 
 class TestGenus2:
