@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from collections import namedtuple
 
 from .config import _every, coprime_rows, primes_below, squarefree_products
@@ -127,8 +126,8 @@ def _hit_masks(X, F, sets):
     of the images and sets, never hashed.  A repeat call whose images are the
     very tuples of the snapshot, checked when it was stored, and whose sets
     are equal (the sandwich at another depth) reuses them unchecked; equal
-    images that are other objects are checked first (``_check_images``); on
-    a miss, ``_masks`` checks the images and builds the masks.
+    images that are other objects are checked first, block by block
+    (``_check_images``); on a miss, ``_masks`` checks them and builds the masks.
     """
     if not sets:
         return {}
@@ -141,9 +140,10 @@ def _hit_masks(X, F, sets):
             and all(map(operator.is_, images, last[0])))
     if not same:
         key = tuple(map(tuple, images)), sets
-        del images  # the snapshot alone stays under the mask build's columns
+        del images  # the snapshot alone stays during the mask build
         if last == key:
-            _check_images(key[0], dim)
+            for start in range(0, len(key[0]), _BLOCK):
+                _check_images(key[0][start:start + _BLOCK], dim)
         else:
             _last[:] = key, (masks := _masks(*key))
     return dict(masks)
@@ -151,58 +151,55 @@ def _hit_masks(X, F, sets):
 
 _last = [None, ()]  # the (images, sets) key of the last _hit_masks call, and its masks
 _BITS = bytes.maketrans(b"\0\1", b"01")
-_BLOCK = 4096  # points per block of words, so that the word arrays stay small
+_BLOCK = 4096  # images per block, so that the columns and words of a block stay small
 
 
 def _masks(images, sets):
-    """((p, mask), ...) for _hit_masks, once ``_check_images`` passes.
+    """((p, mask), ...) for _hit_masks, in one loop over blocks of _BLOCK
+    images, each checked and split into columns by ``_check_images``.
 
-    Up to eight sets with p^dim <= 256 share one pass per column: each
-    distinct value v of column k maps once to a 64-bit word whose byte lane j
-    (in memory order on any machine) holds (v mod p_j) p_j^(dim-1-k).  Per
-    block of points, the columns' words, array('Q')s read by int.from_bytes,
-    add without a carry into each point's mixed-radix residue code per lane,
-    and a strided slice through a 256-byte indicator of Omega_p gives a set's
-    digits.  Other sets look each point's residue tuple up in Omega_p.  The
-    digits, b"0" or b"1" per point and read as binary, give the mask.
+    Up to eight sets with p^dim <= 256 share a pass per column: each distinct
+    value v of column k maps once to a word of one byte per set, byte j
+    holding (v mod p_j) p_j^(dim-1-k).  A block's words, joined per column
+    and read by int.from_bytes, add without a carry into each point's
+    mixed-radix residue code per byte, and a strided slice through a 256-byte
+    indicator of Omega_p gives a set's digits.  Other sets look each residue
+    tuple of the block's columns up in Omega_p.  The digits, b"0" or b"1" per
+    point and read as binary, give the mask.
     """
     dim = sets[0].dim
-    values = _check_images(images, dim)
-    from array import array  # here only, so goodred and the finite-field runs load no array
-    digits = {}  # by id(s), so that no set is hashed
-    small = [s for s in sets if s.p**dim <= 256]
-    for g in range(0, len(small), 8):
-        # per lane: the set, its digits so far, and Omega_p's indicator by residue code
-        lanes = [(s, bytearray(), bytes(b"01"[w in s.residues] for w in itertools.product(
-            range(s.p), repeat=dim)).ljust(256, b"0")) for s in small[g:g + 8]]
-        words = [{i: int.from_bytes(bytes(i % s.p * s.p ** (dim - 1 - k) for s, _, _ in lanes)
-                                    .ljust(8, b"\0"), sys.byteorder) for i in col}
-                 for k, col in enumerate(values)]
-        for start in range(0, len(images), _BLOCK):
-            block = images[start:start + _BLOCK]
-            total = sum(int.from_bytes(array("Q", map(word.__getitem__, map(
-                operator.itemgetter(k), block))), "little") for k, word in enumerate(words))
-            codes = total.to_bytes(8 * len(block), "little")
+    hits = [bytearray() for _ in sets]
+    small = [(s, hit, bytes(b"01"[w in s.residues] for w in itertools.product(
+        range(s.p), repeat=dim)).ljust(256, b"0")) for s, hit in zip(sets, hits) if s.p**dim <= 256]
+    big = [(s, hit) for s, hit in zip(sets, hits) if s.p**dim > 256]
+    groups = [(small[g:g + 8], [{} for _ in range(dim)]) for g in range(0, len(small), 8)]
+    for start in range(0, len(images), _BLOCK):
+        block = images[start:start + _BLOCK]
+        columns, values = _check_images(block, dim)
+        for lanes, words in groups:
+            total = 0
+            for k, (col, word) in enumerate(zip(columns, words)):
+                for v in values[k] - word.keys():
+                    word[v] = bytes(v % s.p * s.p ** (dim - 1 - k) for s, _, _ in lanes)
+                total += int.from_bytes(b"".join(map(word.__getitem__, col)), "little")
+            codes = total.to_bytes(len(lanes) * len(block), "little")
             for j, (s, hit, omega) in enumerate(lanes):
-                hit += codes[j::8].translate(omega)
-        digits.update((id(s), hit) for s, hit, _ in lanes)
-    big = [s for s in sets if id(s) not in digits]
-    cols = [list(map(operator.itemgetter(i), images)) for i in range(dim) if big]
-    for s in big:
-        reduced = [map(operator.mod, col, itertools.repeat(s.p)) for col in cols]
-        digits[id(s)] = bytes(map(s.residues.__contains__, zip(*reduced))).translate(_BITS)
-    return tuple((s.p, int(b"0" + digits[id(s)][::-1], 2)) for s in sets)
+                hit += codes[j::len(lanes)].translate(omega)
+        for s, hit in big:
+            reduced = [map(operator.mod, col, itertools.repeat(s.p)) for col in columns]
+            hit += bytes(map(s.residues.__contains__, zip(*reduced))).translate(_BITS)
+    return tuple((s.p, int(b"0" + hit[::-1], 2)) for s, hit in zip(sets, hits))
 
 
 def _check_images(images, dim):
-    """Each column's distinct values, as ints, once every image is checked
-    to have dim coordinates, all integers (``operator.index`` on every
-    coordinate), else ValueError."""
-    wrong = set(map(len, images)) - {dim}
-    if wrong:
+    """(coordinate columns as lists, each column's distinct values as ints),
+    once every image is checked to have dim coordinates, all integers
+    (``operator.index`` on every coordinate), else ValueError."""
+    if wrong := set(map(len, images)) - {dim}:
         raise ValueError(f"F gave {min(wrong)} coordinates, the sieving sets have {dim}")
+    columns = [list(map(operator.itemgetter(k), images)) for k in range(dim)]
     try:
-        return [set(map(operator.index, map(operator.itemgetter(k), images))) for k in range(dim)]
+        return columns, [set(map(operator.index, col)) for col in columns]
     except TypeError:
         raise ValueError("F gave a non-integer coordinate") from None
 

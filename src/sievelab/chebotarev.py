@@ -77,12 +77,14 @@ def ffield_frobenius(family, fld, t, l):
         raise ValueError("l divides the field order")
     if family.genus != 1:
         raise ValueError("field-model Frobenius implemented for genus 1")
+    if fld.q == 2:
+        raise ValueError("singular specialization")
     # delta = -16 (4A^3 + 27B^2) must be nonzero in the field
-    bad, delta = family.bad_locus, 4 * family.A**3 + 27 * family.B**2
-    if fld.q == 2 or not all(bad.eval_field(fld, t)) or not all(delta.eval_field(fld, t)):
+    polys = family.bad_locus, 4 * family.A**3 + 27 * family.B**2, family.A, family.B
+    bad, delta, A, B = _field_values([f.terms for f in polys], fld, t)
+    if not all(bad) or not all(delta):
         raise ValueError("singular specialization")
     det = fld.order % l
-    A, B = family.A.eval_field(fld, t), family.B.eval_field(fld, t)
     return [((fld.order - n) % l, det) for n in fld.affine_points([B, A, 0, 1])]
 
 

@@ -24,11 +24,12 @@ def _pow_mod(base, e, p):
     """base^e mod p by square-and-multiply, p^2 within base's int dtype; e and p broadcast."""
     import numpy as np
 
-    out, base, e = np.ones_like(base), base % p, np.asarray(e)
-    for _ in range(int(e.max()).bit_length()):
-        out = np.where(e & 1, out * base % p, out)
+    out, base = np.ones_like(base), base % p
+    some = int(np.bitwise_or.reduce(e, axis=None))  # a multiply only at bits some e has
+    for i in range(some.bit_length()):
+        if some >> i & 1:
+            out = np.where(e >> i & 1, out * base % p, out)
         base = base * base % p
-        e = e >> 1
     return out
 
 

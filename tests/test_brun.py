@@ -213,6 +213,26 @@ class TestSandwich:
             with pytest.raises(ValueError, match="non-integer coordinate"):
                 sandwich([1, 2, 3], lambda t: (kind(t), 1), sets, support)
 
+    @pytest.mark.parametrize("primes", [(5, 13), (17, 19)], ids=["lanes", "per-point"])
+    def test_non_integer_coordinate_in_later_block_stores_nothing(self, monkeypatch, primes):
+        # the images are checked block by block: a float past the first block
+        # still raises, the memo keeps the last good call, and the next call
+        # builds the right masks; equal images through the memo are checked
+        # past the first block too
+        monkeypatch.setattr(brun, "_last", [None, ()])
+        sets = [SievingSet(p, 2, frozenset({(2, 1), (0, 1)})) for p in primes]
+        X = range(brun._BLOCK + 10)
+        good = lambda t: (t, 1)
+        brun._hit_masks(X[:20], good, sets)
+        bad = lambda t: (float(t), 1) if t == brun._BLOCK + 5 else (t, 1)
+        for expected in (_loop_masks(X[:20], good, sets), _loop_masks(X, good, sets)):
+            before = list(brun._last)
+            with pytest.raises(ValueError, match="non-integer coordinate"):
+                brun._hit_masks(X, bad, sets)
+            assert brun._last[0] is before[0] and brun._last[1] is before[1]
+            assert dict(brun._last[1]) == expected
+            assert brun._hit_masks(X, good, sets) == _loop_masks(X, good, sets)
+
     def test_same_tuples_hit_unchecked(self, monkeypatch, builds):
         # the stored tuples were checked when stored; equal other tuples
         # are checked, not built
@@ -247,12 +267,14 @@ class TestSandwich:
         assert type(arrays(X[0])) is np.ndarray
         assert brun._hit_masks(X, arrays, sets) == dict(as_ints)
 
-    def test_mask_build_memory_at_300(self):
+    @pytest.mark.parametrize("primes", [(5, 7, 11, 13), (5, 7, 11, 13, 17, 19, 23)],
+                             ids=["lanes", "lanes-and-per-point"])
+    def test_mask_build_memory_at_300(self, primes):
         # the tracemalloc peak of the mask build over the images of the
-        # benchmark's x = 300 sandwich: the word arrays are built in blocks,
-        # and no bytes are joined per point
+        # benchmark's x = 300 sandwich: columns, words and residue codes are
+        # built per block, for the per-point sets too
         images = tuple(u.coords for u in _points(300))
-        sets = tuple(_sandwich_sets((5, 7, 11, 13)).values())
+        sets = tuple(_sandwich_sets(primes).values())
         tracemalloc.start()
         try:
             brun._masks(images, sets)

@@ -4,9 +4,12 @@
 genus-2 censuses); each experiment is run once at a small size, so a
 change to the library that breaks the benchmark fails here first.
 ``perfbench/tracer.py`` wraps sievelab's functions and the ``Poly`` and
-``ExtField`` methods it names, so a traced run is smoke-tested too.
+``ExtField`` methods it names, so a traced run is smoke-tested too.  One
+round of each workload of ``perfbench/run.py`` runs at its benchmark size
+and must pass the benchmark's own output checks (``perfbench/checks.py``).
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +18,29 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_bench():
+    """perfbench/run.py as a module; it imports checks.py from its own directory."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path.pop(0)
+
+
+bench = _load_bench()
+
+
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_workload_round_passes_its_checks(tmp_path, workload):
+    # one round as the benchmark runs it: each operation a fresh process
+    # writing into one round directory, then the same verdict as the run's
+    runner = bench.Runner(ROOT, str(tmp_path), 1)
+    out = str(tmp_path / "round0")
+    results = [bench.run_op(runner, op, out) for op in bench.WORKLOADS[workload]]
+    failed, _, problems = bench.verify(results)
+    assert (failed, problems) == (0, [])
 
 
 @pytest.mark.parametrize(
