@@ -3,13 +3,13 @@
 For a curve family over the t-line and an auxiliary prime l, measure the
 distribution of char-poly classes of Frobenius over all good specializations
 t in F_{q^n}, compare against the fixed-determinant coset densities (GL2
-in closed form, GSp4 from the matrix-group tables), and track the q^{-n/2}
-deviation envelope across n.  Everything runs on Python lists and ints:
-point counts are batched sums over x in ``finitefield`` with one lookup of
-the square-root counts per x, O(q^n) per elliptic curve, and for the
-genus-2 quintics, each checked squarefree mod q by Euclid first, O(q^2)
-through F_q and F_{q^2}, with q <= PRIME_CAP_G2.  ``groups`` (and with it
-numpy) is loaded only for the GSp4(F_3) predictions of ``genus2_census``.
+and GSp4 in closed form), and track the q^{-n/2} deviation envelope across
+n.  Everything runs on Python lists and ints: point counts are batched sums
+over x in ``finitefield`` with one lookup of the square-root counts per x,
+O(q^n) per elliptic curve, and for the genus-2 quintics, each checked
+squarefree mod q by Euclid first, O(q^2) through F_q and F_{q^2}, with
+q <= PRIME_CAP_G2.  ``groups`` is loaded only for the GSp4(F_l) predictions
+of ``genus2_census``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import finitefield
-from .config import gl2_class_density, sp_order
+from .config import L_LIMIT, gl2_class_density, primes_below, sp_order
 from .polynomials import _field_values
 
 PRIME_CAP_G2 = 300
@@ -210,12 +210,12 @@ def genus2_census(family, q, l):
     """Char-poly class census for a genus-2 family over the base field F_q.
 
     Classes are (a1 mod l, a2 mod l, q mod l); predictions come from the
-    similitude = q coset of GSp4(F_l) when l = 3, else None.  The t in
-    F_q^r off the bad locus come from ``ffield_specializations``, whose
-    codes are the residues mod q: the quintic's coefficients are evaluated
-    there, a curve with bad reduction raises, and every curve is counted in
-    one batched call per field.  Field extensions (n > 1) are out of reach
-    for the quintic point counts.
+    similitude = q coset of GSp4(F_l), in closed form, for an odd prime
+    l <= L_LIMIT, else None.  The t in F_q^r off the bad locus come from
+    ``ffield_specializations``, whose codes are the residues mod q: the
+    quintic's coefficients are evaluated there, a curve with bad reduction
+    raises, and every curve is counted in one batched call per field.  Field
+    extensions (n > 1) are out of reach for the quintic point counts.
     """
     if family.genus != 2:
         raise ValueError("genus-2 family required")
@@ -236,9 +236,9 @@ def genus2_census(family, q, l):
         classes.append((a1 % l, a2 % l, q % l))
     freqs = _frequencies(classes, l)
     predicted, deviation = None, None
-    if l == 3:
-        from .groups import GroupSpec, charpoly_class_density
+    if l in primes_below(L_LIMIT + 1)[1:]:
+        from .groups import charpoly_class_density
 
-        dens = charpoly_class_density(GroupSpec(2, l, "gsp"), q % l)
+        dens = charpoly_class_density(l, q % l)
         predicted, deviation = _predict(freqs, {(*k, q % l): v for k, v in dens.items()}, l)
     return FFieldCensus(q, 1, l, len(t), freqs, predicted, deviation)

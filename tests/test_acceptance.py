@@ -13,7 +13,10 @@ from sievelab.brun import good_reduction_census, primes_below, sandwich
 from sievelab.census import census, exceptional_containment_check
 from sievelab.chebotarev import chebotarev_report, envelope_check, genus2_census
 from sievelab.curves import default_elliptic_family, default_genus2_family
-from sievelab.groups import (
+from sievelab.heights import SCHANUEL_C1, count_projective
+from sievelab.sieve import SieveSupport, SievingSet, large_sieve_L
+
+from group_oracle import (
     GroupSpec,
     _code_ops,
     class_table,
@@ -23,9 +26,6 @@ from sievelab.groups import (
     property1_check,
     spec_elements,
 )
-from sievelab.heights import SCHANUEL_C1, count_projective
-from sievelab.sieve import SieveSupport, SievingSet, large_sieve_L
-
 from oracles import ap_count, ap_count_pointloop, genus2_counts, reduction_type, specialize
 
 

@@ -18,6 +18,7 @@ from sievelab.chebotarev import (
 )
 from sievelab.curves import default_elliptic_family, default_genus2_family
 from sievelab.finitefield import field
+from sievelab.groups import charpoly_class_density
 from sievelab.polynomials import Poly
 
 from oracles import ap_count, genus2_counts, reduction_type, specialize
@@ -162,10 +163,20 @@ class TestGenus2Census:
         with pytest.raises(ValueError, match=match):
             genus2_census(fam, q, l)
 
-    def test_larger_l_has_no_prediction(self):
-        census = genus2_census(default_genus2_family(), 7, 5)
-        assert census.predicted is None
-        assert sum(census.frequencies.values()) == 1
+    def test_larger_l_predicts_the_closed_form(self):
+        # the GSp4(F_l) densities on the q coset, folded through pm_class,
+        # at each odd prime l <= L_LIMIT, and none past it
+        fam = default_genus2_family()
+        for q, l in ((7, 5), (5, 7)):
+            census = genus2_census(fam, q, l)
+            want = {}
+            for (a1, a2), v in charpoly_class_density(l, q % l).items():
+                key = pm_class((a1, a2, q % l), l)
+                want[key] = want.get(key, 0) + v
+            assert census.predicted == want
+            assert sum(census.predicted.values()) == 1
+            assert sum(census.frequencies.values()) == 1
+        assert genus2_census(fam, 5, 17).predicted is None
 
     @pytest.mark.parametrize("q, l", [(5, 3), (7, 3), (11, 5)])
     def test_matches_specialization_oracle(self, q, l):

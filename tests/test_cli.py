@@ -410,7 +410,7 @@ class TestClassSieving:
     def test_bound_matches_group_density(self, l):
         # the closed-form inverse density against the GL2(F_l) class table
         # on the det = 1 coset
-        from sievelab.groups import GroupSpec, class_table
+        from group_oracle import GroupSpec, class_table
 
         fam = default_elliptic_family()
         x = 20
@@ -588,6 +588,10 @@ class TestCli:
             for command in ("census", "goodred")
         ] + [
             (["--lmax", "40", "census"], None, 3),
+            (["--x", "20,a", "census"], None, 2),
+            # the prefix's --pcap overrides a config pcap, so a float seed
+            # reaches ExperimentConfig.validate's integer check
+            (["census"], {"seed": 2.5}, 2),
         ],
     )
     def test_bad_input_one_line_exit(self, tmp_path, capsys, argv, config, code):
@@ -760,7 +764,7 @@ class TestCli:
                 crcs[name] = zlib.crc32(fh.read())
         assert crcs == {
             "chebotarev": 1866568472,
-            "genus2": 296028361,
+            "genus2": 55425910,
             "sandwich": 3297640705,
             "enumerate_projective": 3337347054,
             "affine_line_points": 3145404169,
@@ -824,7 +828,7 @@ class TestCli:
             "from sievelab.curves import default_elliptic_family, default_genus2_family\n"
             "chebotarev.chebotarev_report(default_elliptic_family(), 7, 3, [1, 2, 3])\n"
             "chebotarev.genus2_census(default_genus2_family(), 11, 5)\n",
-            ["numpy", "sievelab.groups", *RECORD_MODULES],
+            ["numpy", *RECORD_MODULES],
         )
         assert out == ["[]"]
 
@@ -849,14 +853,16 @@ class TestCli:
         assert out == ["[]"]
 
     def test_genus2_census_at_l3_loads_groups(self):
-        # the GSp4(F_3) predictions come from the group tables
+        # the GSp4(F_l) predictions come from the closed form, with no numpy
         out = _fresh_interpreter(
             "from sievelab.chebotarev import genus2_census\n"
             "from sievelab.curves import default_genus2_family\n"
-            "print(genus2_census(default_genus2_family(), 5, 3).predicted is not None)\n",
-            ["sievelab.groups"],
+            "print(genus2_census(default_genus2_family(), 5, 3).predicted is not None)\n"
+            "print_modules()\n"
+            "print(genus2_census(default_genus2_family(), 7, 5).predicted is not None)\n",
+            ["numpy", "sievelab.groups"],
         )
-        assert out == ["True", "['sievelab.groups']"]
+        assert out == ["True", "['sievelab.groups']", "True", "['sievelab.groups']"]
 
     def test_report_and_config_errors_leave_out_numpy(self, tmp_path):
         out = str(tmp_path / "out")

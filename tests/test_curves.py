@@ -18,9 +18,9 @@ from sievelab.curves import (
 )
 from sievelab.census import VERDICT, witness_lut
 from sievelab.config import _prime_divisors, primes_below
-from sievelab.groups import GroupSpec, _code_ops, _decode, _encode, closure, spec_elements
 from sievelab.polynomials import Poly
 
+from group_oracle import GroupSpec, _code_ops, _decode, _encode, closure, spec_elements
 from oracles import (
     _generates_units,
     ap_count,

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from sievelab import groups
-from sievelab.config import gl2_class_density
-from sievelab.groups import (
+from sievelab.config import gl2_class_density, primes_below, sp_order
+from sievelab.groups import charpoly_class_density
+
+from group_oracle import (
     GroupSpec,
     _code_ops,
     _decode,
@@ -15,7 +17,6 @@ from sievelab.groups import (
     _pm1,
     _similitude,
     _transvection,
-    charpoly_class_density,
     class_table,
     group_order,
     jordan_check_elements,
@@ -181,36 +182,56 @@ class TestDensities:
     def test_sums_to_one(self):
         for delta in (1, 2):
             assert sum(gl2_class_density(3, t, delta) for t in range(3)) == 1
-        d = charpoly_class_density(GroupSpec(2, 3, "gsp"), 2)
+        d = charpoly_class_density(3, 2)
         assert sum(d.values()) == 1
 
     def test_nonunit_delta_rejected(self):
         with pytest.raises(ValueError):
-            charpoly_class_density(GroupSpec(2, 3, "gsp"), 0)
+            charpoly_class_density(3, 0)
 
     def test_gl2_density_is_config_only(self):
-        # GL2(F_l) has one density, config.gl2_class_density
-        for flavor in ("gsp", "sp"):
-            with pytest.raises(ValueError, match="g = 2 only"):
-                charpoly_class_density(GroupSpec(1, 5, flavor), 1)
+        # GL2(F_l) has one density, config.gl2_class_density; groups serves GSp4
+        public = {name for name, f in vars(groups).items()
+                  if callable(f) and f.__module__ == groups.__name__
+                  and not name.startswith("_")}
+        assert public == {"charpoly_class_density"}
 
-    def test_gsp4_table_built_once(self, monkeypatch):
-        # the char-poly table of GSp4(F_l) is built once per process, and
+    def test_gsp4_densities_are_fresh_per_call(self):
         # no caller can change what the next one gets
-        groups._gsp4_charpoly_counts.cache_clear()
-        builds = []
-        table = groups.class_table
-        monkeypatch.setattr(groups, "class_table",
-                            lambda spec, mode: builds.append((spec, mode)) or table(spec, mode))
-        spec = GroupSpec(2, 3, "gsp")
-        first = charpoly_class_density(spec, 2)
+        first = charpoly_class_density(3, 2)
         want = dict(first)
         first.clear()
-        other = charpoly_class_density(spec, 1)
+        other = charpoly_class_density(3, 1)
         other[(0, 0)] = Fraction(1)
-        assert charpoly_class_density(spec, 2) == want
-        assert sum(charpoly_class_density(spec, 1).values()) == 1
-        assert builds == [(spec, "charpoly")]
+        assert charpoly_class_density(3, 2) == want
+        assert sum(charpoly_class_density(3, 1).values()) == 1
+
+
+class TestGSp4ClosedForm:
+    @pytest.mark.parametrize("delta", [1, 2])
+    def test_matches_brute_table_at_l3(self, delta):
+        # all 18 keys of the GSp4(F_3) char-poly table, 9 on each coset
+        entries = class_table(GroupSpec(2, 3, "gsp"), "charpoly").entries
+        counts = {key[:2]: v for key, v in entries.items() if key[2] == delta}
+        want = {k: Fraction(v, sum(counts.values())) for k, v in counts.items()}
+        assert len(want) == 9
+        assert charpoly_class_density(3, delta) == want
+
+    @pytest.mark.parametrize("l", primes_below(14)[1:])
+    def test_coset_counts_sum_to_sp4_order(self, l):
+        # each key's count N(a1, a2, mu) is a whole number; each coset holds |Sp4(F_l)|
+        coset = sp_order(2, l)
+        for mu in range(1, l):
+            dens = charpoly_class_density(l, mu)
+            assert list(dens) == [(a1, a2) for a1 in range(l) for a2 in range(l)]
+            counts = [v * coset for v in dens.values()]
+            assert all(c.denominator == 1 and c > 0 for c in counts)
+            assert sum(counts) == coset
+            assert sum(dens.values()) == 1
+
+    def test_even_l_rejected(self):
+        with pytest.raises(ValueError, match="odd prime"):
+            charpoly_class_density(2, 1)
 
 
 class TestLemmas:

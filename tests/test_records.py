@@ -9,9 +9,10 @@ from sievelab.brun import GoodReductionCensus, RemainderAudit, SandwichReport
 from sievelab.census import CensusRow, ClassSetReport
 from sievelab.chebotarev import FFieldCensus
 from sievelab.config import ExperimentConfig, default_elliptic_family, default_genus2_family
-from sievelab.groups import ClassTable, GroupSpec, Property1Report
 from sievelab.heights import ProjectivePoint
 from sievelab.sieve import SieveSupport, SievingSet
+
+from group_oracle import ClassTable, GroupSpec, Property1Report
 
 # each record, built afresh by a call, and the constructions it must refuse
 RECORDS = [
