@@ -158,8 +158,8 @@ def _masks(images, sets):
     """((p, mask), ...) for _hit_masks, in one loop over blocks of _BLOCK
     images, each checked and split into columns by ``_check_images``.
 
-    Up to eight sets with p^dim <= 256 share a pass per column: each distinct
-    value v of column k maps once to a word of one byte per set, byte j
+    The sets with p^dim <= 256 share one pass per column: each distinct
+    value v of column k maps once to a word of one byte per such set, byte j
     holding (v mod p_j) p_j^(dim-1-k).  A block's words, joined per column
     and read by int.from_bytes, add without a carry into each point's
     mixed-radix residue code per byte, and a strided slice through a 256-byte
@@ -169,22 +169,21 @@ def _masks(images, sets):
     """
     dim = sets[0].dim
     hits = [bytearray() for _ in sets]
-    small = [(s, hit, bytes(b"01"[w in s.residues] for w in itertools.product(
+    lanes = [(s, hit, bytes(b"01"[w in s.residues] for w in itertools.product(
         range(s.p), repeat=dim)).ljust(256, b"0")) for s, hit in zip(sets, hits) if s.p**dim <= 256]
     big = [(s, hit) for s, hit in zip(sets, hits) if s.p**dim > 256]
-    groups = [(small[g:g + 8], [{} for _ in range(dim)]) for g in range(0, len(small), 8)]
+    words = [{} for _ in range(dim)]
     for start in range(0, len(images), _BLOCK):
         block = images[start:start + _BLOCK]
         columns, values = _check_images(block, dim)
-        for lanes, words in groups:
-            total = 0
-            for k, (col, word) in enumerate(zip(columns, words)):
-                for v in values[k] - word.keys():
-                    word[v] = bytes(v % s.p * s.p ** (dim - 1 - k) for s, _, _ in lanes)
-                total += int.from_bytes(b"".join(map(word.__getitem__, col)), "little")
-            codes = total.to_bytes(len(lanes) * len(block), "little")
-            for j, (s, hit, omega) in enumerate(lanes):
-                hit += codes[j::len(lanes)].translate(omega)
+        total = 0
+        for k, (col, word) in enumerate(zip(columns, words)):
+            for v in values[k] - word.keys():
+                word[v] = bytes(v % s.p * s.p ** (dim - 1 - k) for s, _, _ in lanes)
+            total += int.from_bytes(b"".join(map(word.__getitem__, col)), "little")
+        codes = total.to_bytes(len(lanes) * len(block), "little")
+        for j, (s, hit, omega) in enumerate(lanes):
+            hit += codes[j::len(lanes)].translate(omega)
         for s, hit in big:
             reduced = [map(operator.mod, col, itertools.repeat(s.p)) for col in columns]
             hit += bytes(map(s.residues.__contains__, zip(*reduced))).translate(_BITS)

@@ -4,8 +4,8 @@ For a curve family over the t-line and an auxiliary prime l, measure the
 distribution of char-poly classes of Frobenius over all good specializations
 t in F_{q^n}, compare against the fixed-determinant coset densities (GL2
 and GSp4 in closed form), and track the q^{-n/2} deviation envelope across
-n.  Everything runs on Python lists and ints: point counts are batched sums
-over x in ``finitefield`` with one lookup of the square-root counts per x,
+n.  Everything runs on Python lists and ints: point counts read as root
+counts the sums of ``finitefield``'s kernel that also evaluates polynomials,
 O(q^n) per elliptic curve, and for the genus-2 quintics, each checked
 squarefree mod q by Euclid first, O(q^2) through F_q and F_{q^2}, with
 q <= PRIME_CAP_G2.  ``groups`` is loaded only for the GSp4(F_l) predictions

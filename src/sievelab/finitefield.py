@@ -10,7 +10,8 @@ candidate with h(0) != 0 walks the powers of z on the add tables back to
 Sums add base-q digits mod q: codes spread to base 2q - 1 add without a
 carry, and an unspread table reads the digit sums back mod q.  The tables
 are tuples indexed by code; ``log[0]`` is 2 (q^n - 1), an index past two
-periods of the powers of z.
+periods of the powers of z.  One kernel sums polynomials at every x this way
+and reads the sums as codes (``poly_values``) or root counts (``affine_points``).
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class ExtField:
         # each v in characteristic 2
         self._sqrt = (1,) + tuple(2 - 2 * (k % 2) if q != 2 else 1 for k in log[1:])
         self._count_tables, self._getters = {}, {}
-        self._by_code = operator.itemgetter(0, *log[1:])  # x = z^j to code order, 0 apart
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -101,106 +101,86 @@ class ExtField:
         return self._sqrt
 
     def _tables(self, terms):
-        """(spexp, spread, unspread, roots) for sums of ``terms`` spread codes
+        """(spexp, refold, unspread, roots) for sums of ``terms`` spread codes
         in base b = terms (q - 1) + 1, which holds them without a carry.
         spexp[log c + i] is the spread code of c z^i for 0 <= i < q^n - 1 and
-        every c, zero included (two periods, then zeros); the views map a
-        spread sum to its code and to that code's square-root count.  Two
-        terms share the field's own add tables."""
+        every c, zero included (two periods, then zeros); the others map a
+        spread sum to the spread code of its code, to its code and to that
+        code's square-root count.  Two terms share the field's add tables."""
         if terms not in self._count_tables:
             q, n, b = self.q, self.n, terms * (self.q - 1) + 1
             spread, unspread = ((self.spread, self.unspread) if b == 2 * q - 1
                                 else (_spread(q, n, b), _unspread(q, n, b)))
             spexp = [spread[c] for c in self.exp]
             roots = bytes(operator.itemgetter(*unspread)(self.sqrt_counts()))
-            self._count_tables[terms] = (tuple(spexp * 2 + [0] * (self.order - 1)), tuple(spread),
+            self._count_tables[terms] = (tuple(spexp * 2 + [0] * (self.order - 1)),
+                                         tuple(map(spread.__getitem__, unspread)),
                                          memoryview(array.array("I", unspread)), memoryview(roots))
         return self._count_tables[terms]
 
     def _powers(self, spexp, k, c):
-        """The spread codes of c x^k at x = z^j, j = 0..q^n - 2, for k >= 1:
-        a slice of the doubled spread exp table, read through an
-        ``itemgetter`` kept on the field unless k = 1 mod q^n - 1."""
+        """The spread codes of c x^k at every code x, for k >= 1 and c != 0,
+        through an ``itemgetter`` kept per k mod q^n - 1; x = 0 reads index
+        log[0] of the slice, in the zeros."""
         m, lc = self.order - 1, self.log[c]
-        if k % m == 1 % m:
-            return spexp[lc:lc + m]
         if k % m not in self._getters:
-            self._getters[k % m] = operator.itemgetter(*(j * k % m for j in range(m)))
-        return self._getters[k % m](spexp[lc:lc + m])
+            self._getters[k % m] = operator.itemgetter(*(k * j % m if x else j
+                                                         for x, j in enumerate(self.log)))
+        return self._getters[k % m](spexp[lc:lc + 2 * m + 1])
 
-    def poly_values(self, rows):
-        """For each row (c_0, .., c_d) of coefficient codes, the codes of
-        sum_k c_k x^k at every code x, as a list of q^n codes in code order.
-
-        The ``_powers`` add as spread codes, c_0 counted as a term, at most t
-        at a time, and a full sum spreads again as one term; no new table
-        has over 2^16 entries, nor more than the batch has values, as a
-        build costs about a pass over them.  The sums go to code order and
-        through the unspread view offset by c_0, the value at x = 0."""
+    def _sums(self, rows, counts):
+        """Each distinct row (c_0, .., c_d) of coefficient codes with the
+        codes of sum_k c_k x^k at every code x, or their square-root counts,
+        as a tuple in code order.  The ``_powers`` add as spread codes once
+        per part (c_1, .., c_d), those that every part shares once in all; no
+        new table has over 2^16 entries, nor more than the batch has values,
+        and a sum that fills the table refolds to one term, so c_0 always
+        fits.  One ``itemgetter`` per part reads a view offset by each c_0."""
         q, n, Q = self.q, self.n, self.order
-        most = max((sum(map(bool, row)) for row in rows), default=0)
-        t = min(most, 2)  # two terms share the field's own add tables
+        rows = dict.fromkeys(rows)
+        most = max((len(row) - row.count(0) for row in rows), default=0)
+        t = 2  # two terms share the field's own add tables
         while t < most and ((t + 1) * (q - 1) + 1) ** n <= min(1 << 16, Q * len(rows)):
             t += 1
-        spexp, spread, unspread, _ = self._tables(max(t, 1))
-        out = []
+        (spexp, refold, unspread, roots), log = self._tables(t), self.log
+        parts = {}
         for row in rows:
-            total, offset, held = None, spread[row[0]], bool(row[0])
-            for k, c in enumerate(row):
-                if k and c:
-                    if held == t:  # fold the full sum, c_0 included, into one term
-                        total = map(spread.__getitem__, map(unspread[offset:].__getitem__, total))
-                        offset, held = 0, 1
+            parts.setdefault(row[1:], []).append(row[0])
+        shared = set.intersection(*(set(enumerate(part, 1)) for part in parts)) if parts else ()
+
+        def add(total, held, terms):
+            for k, c in terms:
+                if c:
                     p = self._powers(spexp, k, c)
-                    total = p if total is None else map(operator.add, total, p)
-                    held += 1
-            if total is None:
-                out.append([row[0]] * Q)
-                continue
-            values = list(operator.itemgetter(*self._by_code(tuple(total)))(unspread[offset:]))
-            values[0] = row[0]  # the sums' slot for x = 0 holds x = 1
-            out.append(values)
-        return out
+                    total, held = (p if total is None else map(operator.add, total, p)), held + 1
+                    if held == t:
+                        total, held = operator.itemgetter(*total)(refold), 1
+            return total, held
+
+        base, held = add(None, 0, sorted(shared))
+        base, view = base and tuple(base), roots if counts else unspread
+        for part, c0s in parts.items():
+            total, _ = add(base, held, (kc for kc in enumerate(part, 1) if kc not in shared))
+            get = operator.itemgetter(*([0] * Q if total is None else total))
+            for c0 in c0s:
+                yield (c0, *part), get(view[spexp[log[c0]]:])
+
+    def poly_values(self, rows):
+        """For each tuple (c_0, .., c_d) of coefficient codes, the codes of
+        sum_k c_k x^k at every code x, as a tuple in code order."""
+        values = dict(self._sums(rows, False))
+        return [values[row] for row in rows]
 
     def affine_points(self, coeffs):
         """#{(x, y) : y^2 = f(x)} over the field, f from ascending
-        coefficient codes.
-
-        Each coefficient is an int or a list of T codes; row i of the lists
-        is the curve y^2 = f_i(x).  Returns an int when every coefficient is
-        an int, else a list of T counts.  The terms c_k x^k with k >= 1 are
-        ``_powers`` slices over x = z^j that add as spread codes by
-        ``map(operator.add, ..)``.  The spread code of c_0, the value at
-        x = 0, offsets a byte view of square-root counts, and one
-        ``itemgetter`` over the sums, and over 0 for x = 0, reads the count
-        at every x: it is built once per distinct (c_1, .., c_d) and read
-        at the offset of each distinct c_0 that comes with it.
-        """
+        coefficient codes, each an int or a list of T codes; row i of the
+        lists is the curve y^2 = f_i(x).  Returns an int when every
+        coefficient is an int, else a list of T counts."""
         T = next((len(c) for c in coeffs if not isinstance(c, int)), None)
-        # a list with one value throughout is a fixed term
-        coeffs = [c[0] if not isinstance(c, int) and c and c.count(c[0]) == len(c) else c
-                  for c in coeffs]
-        live = [(k, c) for k, c in enumerate(coeffs) if not isinstance(c, int) or c]
-        (spexp, _, _, roots), log = self._tables(max(1, len(live))), self.log
-        fixed = [0] * (self.order - 1)
-        for k, c in live:
-            if k and isinstance(c, int):
-                fixed = list(map(operator.add, fixed, self._powers(spexp, k, c)))
-        ks = [k for k, c in live if k and not isinstance(c, int)]
-        c0 = coeffs[0] if coeffs else 0
-        c0 = c0 if not isinstance(c0, int) else [c0] * (1 if T is None else T)
-        rows = list(zip(*(coeffs[k] for k in ks), c0))
-        counts = {}
-        for row in rows:  # each distinct curve once
-            counts.setdefault(row[:-1], {})[row[-1]] = 0
-        for part, by_c0 in counts.items():
-            total = fixed
-            for k, c in zip(ks, part):
-                total = map(operator.add, total, self._powers(spexp, k, c))
-            get = operator.itemgetter(0, *total)
-            for c in by_c0:
-                by_c0[c] = sum(get(roots[spexp[log[c]]:]))
-        out = [counts[row[:-1]][row[-1]] for row in rows]
+        rows = list(zip(*(itertools.repeat(c, T or 1) if isinstance(c, int) else c
+                          for c in coeffs or [0])))
+        counts = {row: sum(roots) for row, roots in self._sums(rows, True)}
+        out = list(map(counts.__getitem__, rows))
         return out[0] if T is None else out
 
 

@@ -96,12 +96,26 @@ class TestArithmetic:
             ExtField(q, 2)
 
 
+def _horner_count(fld, row):
+    """#{(x, y) : y^2 = f(x)} for f from the coefficient codes row, with f(x)
+    by Horner's rule through ``fld.mul`` and ``fld.add`` at every code x."""
+    roots, total = fld.sqrt_counts(), 0
+    for x in range(fld.order):
+        v = 0
+        for c in reversed(row):
+            v = fld.add(fld.mul(v, x), c)
+        total += roots[v]
+    return total
+
+
 class TestPointCounts:
-    @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(11, 2)])
+    @pytest.mark.parametrize("q, n", SMALL_FIELDS + [(11, 2), (7, 4)])
     def test_batched_count_matches_per_row_calls(self, q, n):
         """List coefficients, mixed with int ones as in [B, A, 0, 1], count
-        each row as its own scalar call would; in the last two, rows share
-        (c_1, .., c_d) and differ in c_0."""
+        each row as its own scalar call would, and a sample of rows as a
+        Horner count does; in the last two, rows share (c_1, .., c_d) and
+        differ in c_0.  No count table passes 2^16 entries: at F_{7^4}, 203
+        curves [B, A, 0, 1] would want 19^4 for three terms in one table."""
         fld = field(q, n)
         rng = np.random.default_rng(q * 10 + n)
         T = 203
@@ -117,6 +131,11 @@ class TestPointCounts:
                 if row not in scalar:
                     scalar[row] = fld.affine_points(list(row))
                 assert got == scalar[row]
+            for i in range(0, T, 67):
+                row = [c if isinstance(c, int) else c[i] for c in coeffs]
+                assert batched[i] == _horner_count(fld, row)
+        assert fld._count_tables and all(
+            len(s) <= 1 << 16 for tables in fld._count_tables.values() for s in tables)
 
     def test_batched_count_edge_shapes(self):
         fld = field(7, 2)

@@ -90,3 +90,17 @@ class TestEvalField:
         assert f.eval_field(fld, points) == [_horner(fld, f.terms, pt) for pt in points]
         assert fld._count_tables and all(
             len(s) <= 1 << 16 for tables in fld._count_tables.values() for s in tables)
+
+    def test_rows_sharing_their_part_differ_in_c0(self):
+        """Rows with one (c_1, .., c_d) and c_0 = 0, 1 and 3 read one sum at
+        three offsets, and a second part shares all but c_1 with them.  Four
+        rows over F_{5^4} build only the field's own two-term table, so
+        every sum of two terms or more folds before c_0 joins it."""
+        fld = ExtField(5, 4)
+        part = (1, 0, 3, 2, 0, 4)
+        rows = [(0, *part), (1, *part), (3, *part), (2, 2, *part[1:])]
+        values = fld.poly_values(rows)
+        assert list(fld._count_tables) == [2]
+        for row, got in zip(rows, values):
+            terms = {(k,): c for k, c in enumerate(row)}
+            assert list(got) == [_horner(fld, terms, (x,)) for x in range(fld.order)]
