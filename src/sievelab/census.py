@@ -11,10 +11,10 @@ folds every l into one class table over the residues mod p, read at the
 points' codes; past that, one block of character sums (``ap_sums``) serves
 the few left.  States only gain bits, so before each block the points whose
 states hold every bit their tables can set leave: certified at every l >= 5
-in the census, the class's trace seen in the class sieve, every trace mod l
-seen in the containment check.  A point enters the exceptional proxy when
-it is undecided for at least one l; verdicts depend only on (t, l, p-cap),
-so the proxy is monotone under enlarging the height window.
+in the census, the class's trace seen in the class sieve.  A point enters
+the exceptional proxy when it is undecided for at least one l; verdicts
+depend only on (t, l, p-cap), so the proxy is monotone under enlarging the
+height window.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import namedtuple
 import numpy as np
 
 from .config import (InfeasibleError, _check_x, _prime_divisors, check_class_set,
-                     gl2_class_density, primes_below)
+                     gl2_class_density, legendre, primes_below)
 from .curves import BAD_SENTINEL, _pow_mod, ap_sums, ap_table
 from .heights import affine_line_points
 
@@ -52,17 +52,16 @@ VERDICT.setflags(write=False)
 def witness_lut(l):
     """Read-only (l, l) uint8 table of the witness bits of the class
     (tr, det), indexed [tr, det]; det = 0 (p = l) carries no bits."""
-    squares = {x * x % l for x in range(1, l)}
     divisors = _prime_divisors(l - 1)
     lut = np.zeros((l, l), dtype=np.uint8)
     for tr in range(l):
         for d in range(1, l):
-            disc, u = (tr * tr - 4 * d) % l, tr * tr * pow(d, -1, l) % l
+            chi, u = legendre(tr * tr - 4 * d, l), tr * tr * pow(d, -1, l) % l
             powers = sum(1 << i for i, r in enumerate(divisors) if pow(d, (l - 1) // r, l) == 1)
             lut[tr, d] = (
                 UNITS ^ powers
-                | SPLIT * (tr != 0 and disc in squares)
-                | NONSPLIT * (tr != 0 and disc != 0 and disc not in squares)
+                | SPLIT * (tr != 0 and chi == 1)
+                | NONSPLIT * (tr != 0 and chi == -1)
                 | EXCLUDER * (u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % l != 0)
             )
     lut.setflags(write=False)
@@ -214,19 +213,4 @@ def sifted_class_set(family, x, l, class_key, pcap, Q):
     inv_density = float(1 / gl2_class_density(l, tr0, det0))
     bound = inv_density * l * math.log(x) / math.sqrt(x) * x**2
     return ClassSetReport(l, (tr0, det0), x, int(Q), support_primes, count, bound)
-
-
-def exceptional_containment_check(family, x, l, pcap, Q):
-    """Every census-undecided point survives at least one class sieve:
-    the exceptional proxy sits inside the union of the Y_C.  Returns the
-    number of undecided points and the (num, den) of those that fail."""
-    _check_x(x)
-    num, den = affine_line_points(x, family.bad_locus)
-    undecided = _reason_codes(num, den, family, pcap, [l])[:, 0] != 0
-    num, den = num[undecided], den[undecided]
-    support = _support_primes(family, l, pcap, Q)
-    # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
-    seen = _sweep(num, den, family, support, [_trace_table(l, tr) for tr in range(l)])
-    failed = seen.all(axis=1)
-    return len(num), list(zip(num[failed].tolist(), den[failed].tolist()))
 

@@ -192,20 +192,6 @@ def _predict(freqs, dens, l):
     return predicted, deviation
 
 
-def envelope_check(censuses):
-    """(c_emp, per-n pass list): deviation(n) <= c_emp q^{-(n-n0)/2}."""
-    if not censuses or censuses[0].deviation is None:
-        raise ValueError("no deviations to check")
-    n0 = censuses[0].n
-    c_emp = float(censuses[0].deviation)
-    q = censuses[0].q
-    results = []
-    for c in censuses:
-        bound = c_emp * q ** (-(c.n - n0) / 2)
-        results.append((c.n, float(c.deviation), bound, float(c.deviation) <= bound + 1e-12))
-    return c_emp, results
-
-
 def genus2_census(family, q, l):
     """Char-poly class census for a genus-2 family over the base field F_q.
 

@@ -70,7 +70,7 @@ def load_config(args):
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     family = _load_family(doc.get("family"))
     x_values = doc.get("x", [20])
-    if args.x:
+    if args.x is not None:
         try:
             x_values = [int(v) for v in args.x.split(",")]
         except ValueError:

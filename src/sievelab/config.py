@@ -100,18 +100,22 @@ def squarefree_products(primes, bound=None):
         stack += [(d * primes[k], (*factors, primes[k]), k + 1) for k in range(j - 1, i - 1, -1)]
 
 
-def _prime_divisors(n):
+def _prime_divisors(n, spf=None):
+    """The distinct primes dividing n, ascending ([] below 2), read off spf,
+    ``smallest_prime_factors`` up to at least n (built when None)."""
+    spf = spf or smallest_prime_factors(n)
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        out.append(q := spf[n])
+        while n % q == 0:
+            n //= q
     return out
+
+
+def legendre(a, l):
+    """The quadratic character (1, -1 or 0) of a mod an odd prime l, by Euler's criterion."""
+    r = pow(a, (l - 1) // 2, l)
+    return r if r < 2 else -1
 
 
 def sp_order(g, l):
@@ -126,12 +130,10 @@ def sp_order(g, l):
 def gl2_class_density(l, tr, det):
     """The share (l + chi(tr^2 - 4 det)) / (l^2 - 1), as a Fraction, of the
     matrices with trace tr in the det coset of GL2(F_l): l (l + chi) of its
-    |SL2(F_l)| = l (l^2 - 1) elements, chi the quadratic character by
-    Euler's criterion."""
+    |SL2(F_l)| = l (l^2 - 1) elements, chi the quadratic character."""
     from fractions import Fraction
 
-    chi = pow(tr * tr - 4 * det, (l - 1) // 2, l)
-    return Fraction(l + (chi if chi < 2 else -1), l * l - 1)
+    return Fraction(l + legendre(tr * tr - 4 * det, l), l * l - 1)
 
 
 class ExperimentConfig(namedtuple("ExperimentConfig",
@@ -248,8 +250,9 @@ class CurveFamily(namedtuple("CurveFamily", "genus A B quintic bad_locus exclude
             raise ValueError("bad_locus must be nonzero")
         excl = doc.get("excluded_primes")
         # no sieve reads a prime past PCAP_LIMIT, which bounds the primality test
-        if not isinstance(excl, list) or not all(
-                _is_int(p) and p <= PCAP_LIMIT and _prime_divisors(p) == [p] for p in excl):
+        ok = isinstance(excl, list) and all(_is_int(p) and p <= PCAP_LIMIT for p in excl)
+        spf = ok and smallest_prime_factors(max(excl, default=1))
+        if not ok or not all(_prime_divisors(p, spf) == [p] for p in excl):
             raise ValueError(f"excluded_primes must be a list of primes up to {PCAP_LIMIT}")
         if g == 1:
             A = _poly_from_terms(doc.get("A"), "A", 1)
@@ -295,17 +298,11 @@ def default_elliptic_family():
 
 def default_genus2_family():
     """y^2 = x(x-1)(x-t1)(x-t2)(x-t3), Rosenhain-style 3-parameter family."""
-    t1, t2, t3 = (Poly.var(3, i) for i in range(3))
-    one = Poly.const(3, 1)
-    # expand prod (x - root): coefficients in x as Polys in t
-    roots = [Poly.const(3, 0), one, t1, t2, t3]
-    coeffs = [one]  # poly "1" in x
-    for rt in roots:
-        new = [Poly.const(3, 0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] = new[k + 1] + c
-            new[k] = new[k] - rt * c
-        coeffs = new
+    t1, t2, t3, x = (Poly.var(4, i) for i in range(4))
+    f = x * (x - 1) * (x - t1) * (x - t2) * (x - t3)
     bad = t1 * t2 * t3 * (t1 - 1) * (t2 - 1) * (t3 - 1) * (t1 - t2) * (t1 - t3) * (t2 - t3)
-    return CurveFamily(2, None, None, tuple(coeffs), bad, frozenset({2}))
+    # drop x: the quintic's coefficients of x^0 .. x^5 and the bad locus as Polys in t1, t2, t3
+    quintic = tuple(Poly(3, {e[:3]: c for e, c in f.terms.items() if e[3] == k}) for k in range(6))
+    bad = Poly(3, {e[:3]: c for e, c in bad.terms.items()})
+    return CurveFamily(2, None, None, quintic, bad, frozenset({2}))
 

@@ -14,12 +14,7 @@ oracle these are checked against lives in the tests.
 
 from fractions import Fraction
 
-from .config import sp_order
-
-
-def _is_square(x, l):
-    """x a nonzero square mod l, by Euler's criterion."""
-    return pow(x, (l - 1) // 2, l) == 1
+from .config import legendre, sp_order
 
 
 def _centralizer(l, a1, c, mu):
@@ -34,14 +29,14 @@ def _centralizer(l, a1, c, mu):
         if a1 % l == 0 and (c + 4 * mu) % l == 0:  # Y = +-2 sqrt(mu), mu a nonsquare
             return (l - 1) * l * l * (l**4 - 1), 4
         norm = c * c - 4 * mu * (a1 * a1 - 2 * c) + 16 * mu * mu
-        return (l - 1) * (l * l - 1 if _is_square(norm % l, l) else l * l + 1), 0
+        return (l - 1) * (l * l - 1 if legendre(norm, l) == 1 else l * l + 1), 0
     if len(roots) == 1:  # a double root: the centre, else the Siegel Levi
         if not discs:
             return (l - 1) * sp_order(2, l), 8
-        return (l - 1) * (gl2 if _is_square(discs[0], l) else l * (l - 1) * (l + 1) ** 2), 2
+        return (l - 1) * (gl2 if legendre(discs[0], l) == 1 else l * (l - 1) * (l + 1) ** 2), 2
     if not discs:  # Y = +-2 sqrt(mu), mu a square
         return gl2 * l * (l * l - 1), 4
-    torus = [l - 1 if _is_square(d, l) else l + 1 for d in discs]
+    torus = [l - 1 if legendre(d, l) == 1 else l + 1 for d in discs]
     if len(discs) == 1:  # the Klingen Levi
         return torus[0] * gl2, 2
     return (l - 1) * torus[0] * torus[1], 0

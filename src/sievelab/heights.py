@@ -16,7 +16,6 @@ import math
 
 from .config import coprime_rows, primes_below, squarefree_products
 
-SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes compress reads
 
 

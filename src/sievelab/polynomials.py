@@ -38,11 +38,6 @@ class Poly:
         e[i] = 1
         return cls(nvars, {tuple(e): 1})
 
-    @classmethod
-    def univariate(cls, coeffs):
-        """Build a 1-variable polynomial from an ascending coefficient list."""
-        return cls(1, {(k,): c for k, c in enumerate(coeffs)})
-
     def degree(self):
         if not self.terms:
             return 0

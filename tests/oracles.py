@@ -5,20 +5,26 @@ reduction type (for a quintic, sympy's squarefree test mod p), a_p (through
 the square-root counts of F_p, and by a full (x, y) loop), its genus-2
 counts and the surjectivity verdict of a class set are each computed one
 curve or one set at a time, so that the batched paths of ``curves``,
-``census`` and ``chebotarev`` can be compared with them.
+``census`` and ``chebotarev`` can be compared with them.  The checks that
+only the tests run sit at the end: Schanuel's constant, the containment of
+the census's exceptional proxy in the class sieves, and the q^(-n/2)
+deviation envelope of the Chebotarev reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
 
+from sievelab.census import _reason_codes, _support_primes, _sweep, _trace_table
 from sievelab.chebotarev import _quintic_counts
-from sievelab.config import PCAP_LIMIT, CurveFamily, _prime_divisors
+from sievelab.config import PCAP_LIMIT, CurveFamily, _check_x, _prime_divisors
 from sievelab.finitefield import field
+from sievelab.heights import affine_line_points
 
 
 @dataclass(frozen=True)
@@ -155,3 +161,35 @@ def surjectivity_verdict(classes, l, g):
     if has_split and has_nonsplit and has_exceptional_excluder:
         return "surjective"
     return "undecided"
+
+
+SCHANUEL_C1 = 12 / math.pi**2  # leading constant for r = 1
+
+
+def exceptional_containment_check(family, x, l, pcap, Q):
+    """Every census-undecided point survives at least one class sieve:
+    the exceptional proxy sits inside the union of the Y_C.  Returns the
+    number of undecided points and the (num, den) of those that fail."""
+    _check_x(x)
+    num, den = affine_line_points(x, family.bad_locus)
+    undecided = _reason_codes(num, den, family, pcap, [l])[:, 0] != 0
+    num, den = num[undecided], den[undecided]
+    support = _support_primes(family, l, pcap, Q)
+    # t survives the C-sieve for C = (tr0, 1) iff tr0 is never realized
+    seen = _sweep(num, den, family, support, [_trace_table(l, tr) for tr in range(l)])
+    failed = seen.all(axis=1)
+    return len(num), list(zip(num[failed].tolist(), den[failed].tolist()))
+
+
+def envelope_check(censuses):
+    """(c_emp, per-n pass list): deviation(n) <= c_emp q^{-(n-n0)/2}."""
+    if not censuses or censuses[0].deviation is None:
+        raise ValueError("no deviations to check")
+    n0 = censuses[0].n
+    c_emp = float(censuses[0].deviation)
+    q = censuses[0].q
+    results = []
+    for c in censuses:
+        bound = c_emp * q ** (-(c.n - n0) / 2)
+        results.append((c.n, float(c.deviation), bound, float(c.deviation) <= bound + 1e-12))
+    return c_emp, results

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from sievelab.brun import good_reduction_census, primes_below, sandwich
-from sievelab.census import census, exceptional_containment_check
-from sievelab.chebotarev import chebotarev_report, envelope_check, genus2_census
+from sievelab.census import census
+from sievelab.chebotarev import chebotarev_report, genus2_census
 from sievelab.curves import default_elliptic_family, default_genus2_family
-from sievelab.heights import SCHANUEL_C1, count_projective
+from sievelab.heights import count_projective
 from sievelab.sieve import SieveSupport, SievingSet, large_sieve_L
 
 from group_oracle import (
@@ -26,7 +26,8 @@ from group_oracle import (
     property1_check,
     spec_elements,
 )
-from oracles import ap_count, ap_count_pointloop, genus2_counts, reduction_type, specialize
+from oracles import (SCHANUEL_C1, ap_count, ap_count_pointloop, envelope_check,
+                     exceptional_containment_check, genus2_counts, reduction_type, specialize)
 
 
 def _report(capsys, num, name, ok):

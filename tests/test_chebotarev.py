@@ -10,7 +10,6 @@ from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
 from sievelab.chebotarev import (
     _squarefree,
     chebotarev_report,
-    envelope_check,
     ffield_frobenius,
     ffield_specializations,
     genus2_census,
@@ -21,7 +20,7 @@ from sievelab.finitefield import field
 from sievelab.groups import charpoly_class_density
 from sievelab.polynomials import Poly
 
-from oracles import ap_count, genus2_counts, reduction_type, specialize
+from oracles import ap_count, envelope_check, genus2_counts, reduction_type, specialize
 
 
 class TestSpecializations:

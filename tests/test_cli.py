@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import csv
 import functools
@@ -20,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.census import (
+    NONSPLIT,
+    SPLIT,
     _sweep,
     _trace_table,
     census,
-    exceptional_containment_check,
     sifted_class_set,
     witness_lut,
 )
@@ -46,7 +48,7 @@ from sievelab.curves import (
 from sievelab.heights import count_projective
 from sievelab.polynomials import Poly
 
-from oracles import surjectivity_verdict
+from oracles import exceptional_containment_check, surjectivity_verdict
 
 GOOD_FAMILY = json.loads(default_elliptic_family().to_json())
 GOOD_G2 = json.loads(default_genus2_family().to_json())
@@ -55,6 +57,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 RECORD_MODULES = ["dataclasses", "inspect"]
 # nested past the JSON decoder's recursion limit
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
+FAMILIES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "families")
+# negative controls: y^2 = x^3 + t (j = 0, CM by Z[zeta_3]) and y^2 = x^3 + tx
+# (j = 1728, CM by Z[i]).  At l >= 5 each image lies in the normaliser of a
+# Cartan subgroup, split where l splits in the CM field and nonsplit where l
+# is inert (Serre, Invent. Math. 15, 1972, §4.5): N(C_s) has no NONSPLIT
+# witness and N(C_ns) no SPLIT witness.  The bit ruled out at each l:
+CONTROLS = {"cm_j0.json": {5: SPLIT, 7: NONSPLIT, 11: SPLIT, 13: NONSPLIT},
+            "cm_j1728.json": {5: NONSPLIT, 7: SPLIT, 11: SPLIT, 13: NONSPLIT}}
 
 
 def _oracle_points(x, bad_locus):
@@ -264,6 +274,39 @@ class TestCensus:
             artifacts.append([(out / name).read_bytes()
                               for name in ("census.csv", "census_reasons.csv")])
         assert artifacts[0] == artifacts[1]
+
+
+class TestNegativeControls:
+    """Families whose images theory fixes as proper, loaded as the CLI loads
+    a family document: no point is certified at any l, and no state holds
+    the witness bit that the image rules out."""
+
+    @pytest.mark.parametrize("name", sorted(CONTROLS))
+    def test_no_point_certified(self, name):
+        with open(os.path.join(FAMILIES, name), encoding="utf-8") as fh:
+            fam = CurveFamily.from_json(fh.read())
+        l_values = tuple(CONTROLS[name])
+        rows, (num, den), surjective = census(fam, [30], l_values, 1000)
+        assert rows[0].n_points == len(num) == 1110
+        assert not surjective.any()
+        primes = [p for p in primes_below(1001) if p not in fam.excluded_primes]
+        states = _sweep(num, den, fam, primes, [witness_lut(l) for l in l_values])
+        for j, l in enumerate(l_values):
+            ruled_out = CONTROLS[name][l]
+            assert not (states[:, j] & ruled_out).any(), l
+            # the other Cartan witness is seen, so the sweep read Frobenius data
+            assert (states[:, j] & ((SPLIT | NONSPLIT) ^ ruled_out)).any(), l
+
+    def test_cli_census_with_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": os.path.join(FAMILIES, "cm_j0.json"), "x": [30],
+                                   "l": [5, 7, 11, 13], "pcap": 1000}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "census"]) == 0
+        assert capsys.readouterr().out == str(tmp_path / "census.csv") + "\n"
+        with open(tmp_path / "census.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["n_points"] == row["undecided_any"] == "1110"
+        assert [row[f"surjective_l{l}"] for l in (5, 7, 11, 13)] == ["0"] * 4
 
 
 class TestClassSieving:
@@ -608,7 +651,15 @@ class TestCli:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("terms", [{"A": [[1, 1], [2, 1]]}, {"bad_locus": [[1, 1], [-1, 1]]}])
+    @pytest.mark.parametrize("command", ["census", "goodred"])
+    def test_empty_x_exits_2(self, tmp_path, capsys, command):
+        # an empty --x is an empty list, not an absent flag: no run at the default x = 20
+        out = tmp_path / "out"
+        assert main(["--x", "", "--pcap", "50", "--out", str(out), command]) == 2
+        assert capsys.readouterr() == ("", "config error: --x must be a comma-separated integer list\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("terms",[{"A": [[1, 1], [2, 1]]}, {"bad_locus": [[1, 1], [-1, 1]]}])
     def test_repeated_monomial_rejected(self, tmp_path, capsys, terms):
         # t + 2t would read as 2t, and t - t as -t, past the nonzero bad locus check
         (key,) = terms
@@ -967,6 +1018,31 @@ class TestCli:
                     if called in ("open", "makedirs", "mkdir"):
                         offenders.append(f"{name}:{node.lineno} {called}")
         assert offenders == []
+
+    def test_every_public_function_has_a_production_caller(self):
+        # src/ keeps production code: each public module-level function or
+        # class of the package is named (a Name or an attribute, not text in a
+        # docstring) in src/ or perfbench/ outside its own definition, or it
+        # belongs in tests/.  The exceptions, each with the ROADMAP item that
+        # keeps it, should leave this list once that item lands.
+        kept = {"large_sieve_bound": 8, "density_condition_check": 8, "implied_s_threshold": 8,
+                "lattice_remainder_audit": 8, "count_projective": 18}
+        trees = {}
+        for folder in (os.path.join(SRC, "sievelab"), os.path.join(os.path.dirname(SRC), "perfbench")):
+            for name in sorted(os.listdir(folder)):
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                        trees[os.path.join(folder, name)] = ast.parse(fh.read())
+
+        def named(node):
+            return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+        uses = sum(map(named, trees.values()), collections.Counter())
+        uncalled = {node.name for path, tree in trees.items() if path.startswith(SRC)
+                    for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and uses[node.name] == named(node)[node.name]}
+        assert uncalled == set(kept)
 
     def test_lmax_primes_match_the_sieve(self, monkeypatch):
         # the --lmax list against the sieve's primes, and pinned at 13

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sievelab.brun import good_reduction_census
-from sievelab.config import (coprime_rows, default_elliptic_family, primes_below,
-                              smallest_prime_factors, squarefree_products)
+from sievelab.config import (_prime_divisors, coprime_rows, default_elliptic_family,
+                              primes_below, smallest_prime_factors, squarefree_products)
 from sievelab.heights import (
     _rational_roots,
     affine_line_points,
     count_projective,
     enumerate_projective,
     ProjectivePoint,
-    SCHANUEL_C1,
 )
 from sievelab.polynomials import Poly
+
+from oracles import SCHANUEL_C1
 
 
 def height(p):
@@ -147,7 +148,7 @@ class TestEnumeration:
         # linear factors (d t - n) put rational roots in and out of the box;
         # the extra factor adds coefficients without (usually) adding roots
         t = Poly.var(1, 0)
-        bad = Poly.univariate(extra)
+        bad = Poly(1, {(k,): c for k, c in enumerate(extra)})
         for n, d in factors:
             bad = bad * (d * t - n)
         num, den = affine_line_points(x, bad)
@@ -172,7 +173,7 @@ class TestEnumeration:
         # leading coefficient other than 1; the integer test against the
         # rational one, over the same candidates in the same order
         t = Poly.var(1, 0)
-        poly = lead * t**k * Poly.univariate(extra)
+        poly = lead * t**k * Poly(1, {(i,): c for i, c in enumerate(extra)})
         for n, d in planted:
             poly = poly * (d * t - n)
         low, top = poly.terms[min(poly.terms)], poly.terms[max(poly.terms)]
@@ -204,6 +205,13 @@ class TestPrimeSieve:
         assert spf[:2] == [0, 1] and len(spf) == max(n, 1) + 1
         assert spf[2:] == [min(primefactors(k)) for k in range(2, n + 1)]
         assert primes_below(n) == list(primerange(2, n))
+
+    def test_prime_divisors_match_sympy(self):
+        from sympy import primefactors
+
+        spf = smallest_prime_factors(10**4)
+        for n in [*range(2000), 9973, 9999, 10**4]:
+            assert _prime_divisors(n) == _prime_divisors(n, spf) == primefactors(n), n
 
     def test_tiny_bounds(self):
         assert smallest_prime_factors(1) == [0, 1]

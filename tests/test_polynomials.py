@@ -31,7 +31,7 @@ class TestEvalMod:
             lambda: Poly(1, {(1,): Fraction(1, 2)}).eval_mod((3,), 5),
             lambda: Poly.const(1, Fraction(1, 2)),
             lambda: Poly.from_terms(1, [[1.5, 1]]),
-            lambda: Poly.univariate([0, Fraction(1, 3)]),
+            lambda: Poly(1, {(k,): c for k, c in enumerate([0, Fraction(1, 3)])}),
         ):
             with pytest.raises(ValueError, match="integer coefficients"):
                 build()
