@@ -8,8 +8,9 @@ n.  Everything runs on Python lists and ints: point counts read as root
 counts the sums of ``finitefield``'s kernel that also evaluates polynomials,
 O(q^n) per elliptic curve, and for the genus-2 quintics, each checked
 squarefree mod q by Euclid first, O(q^2) through F_q and F_{q^2}, with
-q <= PRIME_CAP_G2.  ``groups`` is loaded only for the GSp4(F_l) predictions
-of ``genus2_census``.
+q <= PRIME_CAP_G2.  ``finitefield`` is loaded only by the functions that
+build a field, and ``groups`` only for the GSp4(F_l) predictions of
+``genus2_census``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from . import finitefield
 from .config import L_LIMIT, gl2_class_density, primes_below, sp_order
 from .polynomials import _field_values
 
@@ -61,7 +61,9 @@ class FFieldCensus(namedtuple("FFieldCensus",
 def ffield_specializations(family, q, n):
     """All t in (F_{q^n})^r with bad_locus(t) != 0, as a list of tuples of
     element codes, in lexicographic order of their codes."""
-    fld = finitefield.field(q, n)
+    from .finitefield import field
+
+    fld = field(q, n)
     grid = list(itertools.product(range(fld.order), repeat=family.r))
     return fld, list(itertools.compress(grid, family.bad_locus.eval_field(fld, grid)))
 
@@ -121,9 +123,11 @@ def _quintic_counts(coeffs, p):
     """
     if p > PRIME_CAP_G2:
         raise ValueError("prime cap exceeded")
+    from .finitefield import field
+
     # one point at infinity for degree 5
-    n1 = [1 + n for n in finitefield.field(p, 1).affine_points(coeffs)]
-    n2 = [1 + n for n in finitefield.field(p, 2).affine_points(coeffs)]
+    n1 = [1 + n for n in field(p, 1).affine_points(coeffs)]
+    n2 = [1 + n for n in field(p, 2).affine_points(coeffs)]
     for c1, c2 in zip(n1, n2):
         a1 = p + 1 - c1
         if a1 * a1 > 16 * p:

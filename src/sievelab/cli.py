@@ -54,7 +54,7 @@ def _int_tuple(value, key):
 
 def load_config(args):
     doc = {}
-    if args.config:
+    if args.config is not None:
         if not os.path.isfile(args.config):
             raise ConfigError(f"config file not found: {args.config}")
         import json

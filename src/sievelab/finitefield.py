@@ -10,8 +10,10 @@ candidate with h(0) != 0 walks the powers of z on the add tables back to
 Sums add base-q digits mod q: codes spread to base 2q - 1 add without a
 carry, and an unspread table reads the digit sums back mod q.  The tables
 are tuples indexed by code; ``log[0]`` is 2 (q^n - 1), an index past two
-periods of the powers of z.  One kernel sums polynomials at every x this way
-and reads the sums as codes (``poly_values``) or root counts (``affine_points``).
+periods of the powers of z.  Each field builds this one set of add tables
+and its views once.  One kernel sums polynomials at every x on them,
+refolding after every second term, and reads the sums as codes
+(``poly_values``) or root counts (``affine_points``).
 """
 
 from __future__ import annotations
@@ -24,22 +26,22 @@ import operator
 from .config import _prime_divisors
 
 
-def _spread(q, n, base):
-    """The spread code sum d_i base^i of every code sum d_i q^i, in code
+def _spread(q, n):
+    """The spread code sum d_i (2q - 1)^i of every code sum d_i q^i, in code
     order."""
     out = [0]
     for i in range(n):
-        out = [s + d * base**i for d in range(q) for s in out]
+        out = [s + d * (2 * q - 1)**i for d in range(q) for s in out]
     return out
 
 
-def _unspread(q, n, base):
-    """The code sum (s_i mod q) q^i at every spread index sum s_i base^i
-    (0 <= s_i < base), as a tuple that shares the ints of range(q^n)."""
+def _unspread(q, n):
+    """The code sum (s_i mod q) q^i at every spread index sum s_i (2q - 1)^i
+    (0 <= s_i < 2q - 1), as a tuple that shares the ints of range(q^n)."""
     rows = [(c,) for c in range(q**n)]
     for _ in range(n):
         # fold in the lowest digit: rows[h] covers the codes with high part h
-        rows = [tuple(itertools.chain.from_iterable(rows[h * q + d % q] for d in range(base)))
+        rows = [tuple(itertools.chain.from_iterable(rows[h * q + d % q] for d in range(2 * q - 1)))
                 for h in range(len(rows) // q)]
     return rows[0]
 
@@ -58,8 +60,8 @@ class ExtField:
         self.q, self.n, self.order = q, n, Q
         m = Q - 1
         base = 2 * q - 1
-        self.spread = spread = tuple(_spread(q, n, base))
-        self.unspread = unspread = _unspread(q, n, base)
+        self.spread = spread = tuple(_spread(q, n))
+        self.unspread = unspread = _unspread(q, n)
         top = q ** (n - 1)
         for tail in itertools.product(range(q), repeat=n):
             if not tail[0]:  # z divides h, so z is no unit
@@ -86,7 +88,15 @@ class ExtField:
         # y^2 = v has 2 roots when log v is even, none when odd; one root of
         # each v in characteristic 2
         self._sqrt = (1,) + tuple(2 - 2 * (k % 2) if q != 2 else 1 for k in log[1:])
-        self._count_tables, self._getters = {}, {}
+        # the tables of _sums: _spexp[log c + i] is the spread code of c z^i for
+        # 0 <= i < q^n - 1 and every c, zero included (two periods, then zeros);
+        # the others map a spread sum of two codes to the spread code of its
+        # code, to its code and to that code's square-root count
+        self._spexp = tuple([spread[c] for c in exp] * 2 + [0] * m)
+        self._refold = tuple(map(spread.__getitem__, unspread))
+        self._codes = memoryview(array.array("I", unspread))
+        self._roots = memoryview(bytes(operator.itemgetter(*unspread)(self.sqrt_counts())))
+        self._getters = {}
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -100,25 +110,7 @@ class ExtField:
         """#{y : y^2 = v} for every code v, as a tuple."""
         return self._sqrt
 
-    def _tables(self, terms):
-        """(spexp, refold, unspread, roots) for sums of ``terms`` spread codes
-        in base b = terms (q - 1) + 1, which holds them without a carry.
-        spexp[log c + i] is the spread code of c z^i for 0 <= i < q^n - 1 and
-        every c, zero included (two periods, then zeros); the others map a
-        spread sum to the spread code of its code, to its code and to that
-        code's square-root count.  Two terms share the field's add tables."""
-        if terms not in self._count_tables:
-            q, n, b = self.q, self.n, terms * (self.q - 1) + 1
-            spread, unspread = ((self.spread, self.unspread) if b == 2 * q - 1
-                                else (_spread(q, n, b), _unspread(q, n, b)))
-            spexp = [spread[c] for c in self.exp]
-            roots = bytes(operator.itemgetter(*unspread)(self.sqrt_counts()))
-            self._count_tables[terms] = (tuple(spexp * 2 + [0] * (self.order - 1)),
-                                         tuple(map(spread.__getitem__, unspread)),
-                                         memoryview(array.array("I", unspread)), memoryview(roots))
-        return self._count_tables[terms]
-
-    def _powers(self, spexp, k, c):
+    def _powers(self, k, c):
         """The spread codes of c x^k at every code x, for k >= 1 and c != 0,
         through an ``itemgetter`` kept per k mod q^n - 1; x = 0 reads index
         log[0] of the slice, in the zeros."""
@@ -126,44 +118,34 @@ class ExtField:
         if k % m not in self._getters:
             self._getters[k % m] = operator.itemgetter(*(k * j % m if x else j
                                                          for x, j in enumerate(self.log)))
-        return self._getters[k % m](spexp[lc:lc + 2 * m + 1])
+        return self._getters[k % m](self._spexp[lc:lc + 2 * m + 1])
 
     def _sums(self, rows, counts):
         """Each distinct row (c_0, .., c_d) of coefficient codes with the
         codes of sum_k c_k x^k at every code x, or their square-root counts,
         as a tuple in code order.  The ``_powers`` add as spread codes once
-        per part (c_1, .., c_d), those that every part shares once in all; no
-        new table has over 2^16 entries, nor more than the batch has values,
-        and a sum that fills the table refolds to one term, so c_0 always
-        fits.  One ``itemgetter`` per part reads a view offset by each c_0."""
-        q, n, Q = self.q, self.n, self.order
-        rows = dict.fromkeys(rows)
-        most = max((len(row) - row.count(0) for row in rows), default=0)
-        t = 2  # two terms share the field's own add tables
-        while t < most and ((t + 1) * (q - 1) + 1) ** n <= min(1 << 16, Q * len(rows)):
-            t += 1
-        (spexp, refold, unspread, roots), log = self._tables(t), self.log
+        per part (c_1, .., c_d), those that every part shares once in all,
+        and each sum of two refolds to one term, so c_0 always fits.  One
+        ``itemgetter`` per part reads a view offset by each c_0."""
         parts = {}
-        for row in rows:
+        for row in dict.fromkeys(rows):
             parts.setdefault(row[1:], []).append(row[0])
         shared = set.intersection(*(set(enumerate(part, 1)) for part in parts)) if parts else ()
 
-        def add(total, held, terms):
+        def add(total, terms):
             for k, c in terms:
                 if c:
-                    p = self._powers(spexp, k, c)
-                    total, held = (p if total is None else map(operator.add, total, p)), held + 1
-                    if held == t:
-                        total, held = operator.itemgetter(*total)(refold), 1
-            return total, held
+                    p = self._powers(k, c)
+                    total = p if total is None else operator.itemgetter(
+                        *map(operator.add, total, p))(self._refold)
+            return total
 
-        base, held = add(None, 0, sorted(shared))
-        base, view = base and tuple(base), roots if counts else unspread
+        base, view = add(None, sorted(shared)), self._roots if counts else self._codes
         for part, c0s in parts.items():
-            total, _ = add(base, held, (kc for kc in enumerate(part, 1) if kc not in shared))
-            get = operator.itemgetter(*([0] * Q if total is None else total))
+            total = add(base, (kc for kc in enumerate(part, 1) if kc not in shared))
+            get = operator.itemgetter(*([0] * self.order if total is None else total))
             for c0 in c0s:
-                yield (c0, *part), get(view[spexp[log[c0]]:])
+                yield (c0, *part), get(view[self._spexp[self.log[c0]]:])
 
     def poly_values(self, rows):
         """For each tuple (c_0, .., c_d) of coefficient codes, the codes of

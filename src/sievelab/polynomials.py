@@ -4,8 +4,8 @@ Small utility ring used for family coefficient polynomials and bad loci.
 Coefficients are ints (the constructor rejects any other value); exponents
 are tuples.  Evaluation at rationals is exact, in Fractions; at residues
 mod p it is integer arithmetic, and at points of a ``finitefield.ExtField``
-it reads univariate rows off the field's one summation kernel as values
-(``ExtField.poly_values``).
+it reads univariate rows off the field's one summation kernel, on its one
+set of add tables, as values (``ExtField.poly_values``).
 """
 
 from __future__ import annotations

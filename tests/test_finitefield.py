@@ -96,16 +96,30 @@ class TestArithmetic:
             ExtField(q, 2)
 
 
+def _horner_value(fld, row, x):
+    """f(x) for f from the coefficient codes row, by Horner's rule through
+    ``fld.mul`` and ``fld.add``."""
+    v = 0
+    for c in reversed(row):
+        v = fld.add(fld.mul(v, x), c)
+    return v
+
+
 def _horner_count(fld, row):
     """#{(x, y) : y^2 = f(x)} for f from the coefficient codes row, with f(x)
-    by Horner's rule through ``fld.mul`` and ``fld.add`` at every code x."""
-    roots, total = fld.sqrt_counts(), 0
-    for x in range(fld.order):
-        v = 0
-        for c in reversed(row):
-            v = fld.add(fld.mul(v, x), c)
-        total += roots[v]
-    return total
+    by Horner's rule at every code x."""
+    roots = fld.sqrt_counts()
+    return sum(roots[_horner_value(fld, row, x)] for x in range(fld.order))
+
+
+def _table_set(fld):
+    """The field's attributes other than its getter cache, by identity, after
+    checking that its add tables and their views are base 2q - 1 and that
+    spexp holds two periods of the powers of z and then zeros."""
+    assert len(fld._spexp) == 3 * (fld.order - 1)
+    assert len({len(t) for t in (fld.unspread, fld._refold, fld._codes, fld._roots)}) == 1
+    assert len(fld._refold) == (2 * fld.q - 1) ** fld.n
+    return {k: id(v) for k, v in vars(fld).items() if k != "_getters"}
 
 
 class TestPointCounts:
@@ -114,9 +128,10 @@ class TestPointCounts:
         """List coefficients, mixed with int ones as in [B, A, 0, 1], count
         each row as its own scalar call would, and a sample of rows as a
         Horner count does; in the last two, rows share (c_1, .., c_d) and
-        differ in c_0.  No count table passes 2^16 entries: at F_{7^4}, 203
-        curves [B, A, 0, 1] would want 19^4 for three terms in one table."""
+        differ in c_0.  The counts read the field's one table set and build
+        no other."""
         fld = field(q, n)
+        tables = _table_set(fld)
         rng = np.random.default_rng(q * 10 + n)
         T = 203
         B, A, C = (rng.integers(0, fld.order, T).tolist() for _ in range(3))
@@ -134,8 +149,25 @@ class TestPointCounts:
             for i in range(0, T, 67):
                 row = [c if isinstance(c, int) else c[i] for c in coeffs]
                 assert batched[i] == _horner_count(fld, row)
-        assert fld._count_tables and all(
-            len(s) <= 1 << 16 for tables in fld._count_tables.values() for s in tables)
+        assert _table_set(fld) == tables
+
+    @pytest.mark.parametrize("q, n, T", [(7, 3, 341), (11, 1, 200), (11, 2, 200)])
+    def test_rows_of_many_terms_match_horner(self, q, n, T):
+        """Curves [B, A, 0, 1] at the 341 specializations of the Chebotarev
+        census over F_{7^3}, and quintics [C, B, A, 0, D, 1] with five nonzero
+        terms over F_11 and F_{11^2}: each sum refolds after its second term,
+        and the values and counts of a sample of rows match Horner's rule."""
+        fld = field(q, n)
+        tables = _table_set(fld)
+        rng = np.random.default_rng(q * 10 + n)
+        nonzero = [rng.integers(1, fld.order, T).tolist() for _ in range(4)]
+        coeffs = [*nonzero[:2], 0, 1] if q == 7 else [*nonzero[:3], 0, nonzero[3], 1]
+        rows = list(zip(*(itertools.repeat(c, T) if isinstance(c, int) else c for c in coeffs)))
+        counts, values = fld.affine_points(coeffs), fld.poly_values(rows)
+        for i in range(0, T, 17 if n > 1 else 1):
+            assert counts[i] == _horner_count(fld, rows[i])
+            assert list(values[i]) == [_horner_value(fld, rows[i], x) for x in range(fld.order)]
+        assert _table_set(fld) == tables
 
     def test_batched_count_edge_shapes(self):
         fld = field(7, 2)

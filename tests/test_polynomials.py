@@ -54,6 +54,11 @@ def _horner(fld, terms, pt):
     return acc
 
 
+def _table_set(fld):
+    """The field's attributes other than its getter cache, by identity."""
+    return {k: id(v) for k, v in vars(fld).items() if k != "_getters"}
+
+
 class TestEvalField:
     @pytest.mark.parametrize("q, n", [(2, 1), (5, 1), (7, 2), (3, 3), (5, 4)])
     def test_matches_per_point_horner(self, q, n):
@@ -81,26 +86,28 @@ class TestEvalField:
                 assert f.eval_field(fld, []) == []
 
     def test_high_degree_keeps_spread_tables_small(self):
-        """Degree 45 in the last variable over F_{5^4}: the summands add in
-        chunks, and with 150 rows of 625 values no table passes 2^16 entries."""
+        """Degree 45 in the last variable over F_{5^4}: the summands add two
+        at a time on the field's own 9^4-entry tables, and 150 rows of 625
+        values build no other table."""
         fld = ExtField(5, 4)
+        tables = _table_set(fld)
         f = Poly(2, {(k % 3, k): k + 1 for k in range(46)})
         rng = np.random.default_rng(54)
         points = [(u, int(v)) for u, v in zip(range(150), rng.integers(0, 625, 150))] + [(0, 0)]
         assert f.eval_field(fld, points) == [_horner(fld, f.terms, pt) for pt in points]
-        assert fld._count_tables and all(
-            len(s) <= 1 << 16 for tables in fld._count_tables.values() for s in tables)
+        assert len(fld._refold) == 9**4 and _table_set(fld) == tables
 
     def test_rows_sharing_their_part_differ_in_c0(self):
         """Rows with one (c_1, .., c_d) and c_0 = 0, 1 and 3 read one sum at
         three offsets, and a second part shares all but c_1 with them.  Four
-        rows over F_{5^4} build only the field's own two-term table, so
-        every sum of two terms or more folds before c_0 joins it."""
+        rows over F_{5^4} build no table beyond the field's own, on which
+        every sum of two terms folds to one before c_0 joins it."""
         fld = ExtField(5, 4)
+        tables = _table_set(fld)
         part = (1, 0, 3, 2, 0, 4)
         rows = [(0, *part), (1, *part), (3, *part), (2, 2, *part[1:])]
         values = fld.poly_values(rows)
-        assert list(fld._count_tables) == [2]
+        assert _table_set(fld) == tables
         for row, got in zip(rows, values):
             terms = {(k,): c for k, c in enumerate(row)}
             assert list(got) == [_horner(fld, terms, (x,)) for x in range(fld.order)]
